@@ -100,6 +100,25 @@ void BM_GemmTallSkinny(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmTallSkinny)->Arg(128)->Arg(512)->Arg(1024);
 
+// The slice rSVD's products on a 256^2 slice at rank 10 + 5 oversampling:
+// A * Omega and A * Z (trans_a = 0), and A^T * Q (trans_a = 1).
+void BM_GemmSlice(benchmark::State& state) {
+  const Index m = state.range(0);
+  const Trans ta = state.range(1) != 0 ? Trans::kYes : Trans::kNo;
+  const Index j = 15;
+  Rng rng(3);
+  Matrix a = Matrix::GaussianRandom(m, m, rng);
+  Matrix b = Matrix::GaussianRandom(m, j, rng);
+  Matrix c(m, j);
+  for (auto _ : state) {
+    Gemm(ta, Trans::kNo, 1.0, a, b, 0.0, &c);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  SetGemmCounters(state, m, j, m);
+}
+BENCHMARK(BM_GemmSlice)->Args({256, 0})->Args({256, 1});
+
 // Householder QR flop model (LAPACK working notes): factoring an m x n
 // matrix costs 2n^2(m - n/3), and forming the thin Q costs the same again.
 // The GFLOP/s counter makes BENCH_qr.json comparable across PRs the same

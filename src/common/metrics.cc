@@ -1,5 +1,6 @@
 #include "common/metrics.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
@@ -119,10 +120,10 @@ double HistogramData::QuantileNs(double q) const {
       const double frac =
           static_cast<double>(target - cum) / static_cast<double>(buckets[b]);
       double value = lower + frac * (upper - lower);
-      if (max_ns != 0 && value > static_cast<double>(max_ns)) {
-        value = static_cast<double>(max_ns);
-      }
-      return value;
+      // max_ns is exact, so it bounds every quantile, including when all
+      // samples were 0 ns (bucket 0 spans [0, 2) and would otherwise
+      // interpolate past the largest sample).
+      return std::min(value, static_cast<double>(max_ns));
     }
     cum += buckets[b];
   }

@@ -36,16 +36,24 @@ std::uint64_t NowNanos() {
 // Fixed-capacity ring of TraceEvents, written only by its owning thread.
 // The registry keeps a shared_ptr so events survive thread exit. The rank
 // tag is atomic because the owning thread retags while the exporter reads.
+// The capacity is fixed at construction but the storage is allocated on the
+// first Push, under the registry lock (the exporter reads rings only under
+// that lock, so it sees either no storage or all of it): threads that only
+// tag a rank, or run with tracing off, never pay for a ring.
 class ThreadTraceBuffer {
  public:
-  ThreadTraceBuffer(std::uint32_t tid, std::size_t capacity)
+  ThreadTraceBuffer(std::uint32_t tid, std::size_t capacity, std::mutex* mutex)
       : tid_(tid),
-        mask_(capacity - 1),
+        capacity_(capacity),
         rank_(g_default_rank.load(std::memory_order_relaxed)),
-        ring_(capacity) {}
+        registry_mutex_(mutex) {}
 
   void Push(const TraceEvent& ev) {
-    ring_[head_ & mask_] = ev;
+    if (ring_.empty()) {
+      std::lock_guard<std::mutex> lock(*registry_mutex_);
+      ring_.resize(capacity_);
+    }
+    ring_[head_ & (capacity_ - 1)] = ev;
     ++head_;
   }
 
@@ -54,9 +62,9 @@ class ThreadTraceBuffer {
   std::uint32_t tid() const { return tid_; }
   int rank() const { return rank_.load(std::memory_order_relaxed); }
   void set_rank(int rank) { rank_.store(rank, std::memory_order_relaxed); }
-  std::size_t size() const { return head_ < ring_.size() ? head_ : ring_.size(); }
+  std::size_t size() const { return head_ < capacity_ ? head_ : capacity_; }
   std::uint64_t dropped() const {
-    return head_ > ring_.size() ? head_ - ring_.size() : 0;
+    return head_ > capacity_ ? head_ - capacity_ : 0;
   }
 
   // Oldest-first copy of the buffered events.
@@ -65,15 +73,17 @@ class ThreadTraceBuffer {
     const std::size_t n = size();
     const std::size_t begin = head_ - n;
     for (std::size_t i = 0; i < n; ++i) {
-      out->push_back(SnapshotEvent{tid_, r, ring_[(begin + i) & mask_]});
+      out->push_back(
+          SnapshotEvent{tid_, r, ring_[(begin + i) & (capacity_ - 1)]});
     }
   }
 
  private:
   const std::uint32_t tid_;
-  const std::size_t mask_;
+  const std::size_t capacity_;  // A power of two.
   std::atomic<int> rank_;
-  std::size_t head_ = 0;  // Monotonic; ring index is head_ & mask_.
+  std::mutex* const registry_mutex_;
+  std::size_t head_ = 0;  // Monotonic; ring index is head_ & (capacity_ - 1).
   std::vector<TraceEvent> ring_;
 };
 
@@ -99,7 +109,8 @@ ThreadTraceBuffer* CurrentThreadBuffer() {
     BufferRegistry& reg = Registry();
     std::lock_guard<std::mutex> lock(reg.mutex);
     auto buf = std::make_shared<ThreadTraceBuffer>(
-        reg.next_tid++, g_buffer_capacity.load(std::memory_order_relaxed));
+        reg.next_tid++, g_buffer_capacity.load(std::memory_order_relaxed),
+        &reg.mutex);
     reg.buffers.push_back(buf);
     return buf;
   }();

@@ -98,7 +98,8 @@ void SetTraceEnabled(bool enabled);
 std::uint64_t TraceNowNs();
 
 // Per-thread ring capacity (events) for buffers created *after* this call;
-// rounded up to a power of two. Default 32768 (~1.5 MiB per thread). Also
+// rounded up to a power of two. Default 32768 (~1.5 MiB per thread, taken
+// only once the thread records its first span). Also
 // serves as the test hook for forcing tiny rings to exercise overflow
 // accounting.
 void SetTraceBufferCapacity(std::size_t events);
@@ -116,7 +117,9 @@ std::uint64_t TraceDroppedEventCount();
 
 // Tags the calling thread's trace buffer with a rank: its events export
 // under Chrome-trace pid == rank. Threads never tagged use the process
-// default (below). Safe to call at any time from the owning thread.
+// default (below). Safe to call at any time from the owning thread. The
+// first call on a thread registers its buffer at the current capacity, but
+// storage is allocated only when the thread records its first span.
 void SetTraceRankForCurrentThread(int rank);
 
 // Rank assigned to buffers that were never explicitly tagged (default 0).

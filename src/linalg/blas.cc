@@ -1,8 +1,10 @@
 #include "linalg/blas.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -15,18 +17,18 @@ namespace {
 
 // Problems below these sizes skip the packed engine: either the right-hand
 // side is thin enough that packing overhead is not amortized (the dominant
-// (I1 x I2)*(I2 x J), J ~ 10 shape of the approximation phase), one side is
-// thinner than a micro-tile row panel (padding would waste most of the
-// kernel's work), or the whole product is tiny (the J x J x J multiplies of
-// the iteration phase).
+// (I1 x I2)*(I2 x (J + p)) products of the slice rSVD), one side is thinner
+// than a micro-tile row panel (padding would waste most of the kernel's
+// work), or the whole product is tiny (the J x J x J multiplies of the
+// iteration phase).
 constexpr Index kThinN = 16;
 constexpr Index kThinM = 16;
 constexpr Index kSmallVolume = 32 * 32 * 32;
 
-// Shape window for the tall-k A^T B kernel below: a small (<= 32 x 64)
-// output with a long reduction dimension, and an A panel small enough
-// (m * k doubles, <= 2 MiB) to stay cache-resident while the n sweep
-// re-reads it. This is the W = V^T C / Gram-block shape of the blocked QR.
+// Tall-k window of the transposed kernel: a small (<= 32 x 64) output with
+// a long reduction dimension, and an A panel small enough (m * k doubles,
+// <= 2 MiB) to stay cache-resident while the n sweep re-reads it. This is
+// the W = V^T C / Gram-block shape of the blocked QR.
 constexpr Index kTallTnMaxM = 32;
 constexpr Index kTallTnMaxN = 64;
 constexpr Index kTallTnMinK = 256;
@@ -36,107 +38,215 @@ constexpr Index kTallTnMaxAPanel = Index(1) << 18;  // m * k doubles.
 constexpr Index kGemmParallelVolume = 1 << 23;   // m*n*k (~2 x 512^2 x 16).
 constexpr Index kGemvParallelVolume = 1 << 20;   // m*n.
 
-// Legacy cache blocks for the unpacked thin path: an MC x KC panel of A
-// (256*256*8 = 512 KiB) stays resident while the j-loop streams columns of
-// B and C.
-constexpr Index kThinBlockM = 256;
-constexpr Index kThinBlockK = 256;
+// Native-width vectors (GCC/Clang vector extensions) for the unpacked
+// kernels below and Nrm2. Explicit vector accumulators, as in the packed
+// micro kernel: a plain double array of this size spills to the stack.
+// aligned(8) because the column streams land on arbitrary 8-byte offsets.
+#if defined(__GNUC__) || defined(__clang__)
+#if defined(__AVX512F__)
+constexpr Index kVecLen = 8;
+#elif defined(__AVX__)
+constexpr Index kVecLen = 4;
+#else
+constexpr Index kVecLen = 2;
+#endif
+typedef double Vec
+    __attribute__((vector_size(kVecLen * sizeof(double)), aligned(8)));
+#else
+constexpr Index kVecLen = 1;
+typedef double Vec;
+#endif
 
-// op(B)(l, j) for a column-major B with leading dimension ldb.
-template <bool kTransB>
-inline double OpB(const double* b, Index ldb, Index l, Index j) {
-  return kTransB ? b[j + l * ldb] : b[l + j * ldb];
+// Unpacked kernels for the shapes above. Neither copies an operand; both
+// read op(B)(p, j) as b[p * rsb + j * csb], so either orientation of B is a
+// (row, column) stride pair.
+//
+// Bitwise contract: every element of C is updated once, as C += alpha * s,
+// where s is a sum over p whose order depends only on k. Vector lanes and
+// scalar remainders accumulate in the same `acc += a * b` form (so both
+// contract to the same FMA, or neither does). An element therefore gets the
+// same bits whichever tile or thread row range computes it, which keeps
+// the BLAS pool's row split identical to the serial result.
+
+// NN kernel, C += alpha * A * op(B) with A column-major: a tile of kMv
+// vectors of C rows by kNb columns holds kMv * kNb accumulators while p
+// streams A's column segments in place (one read of A per tile column
+// block, instead of one per C column) and broadcasts op(B)(p, j). V is Vec,
+// or double for products with fewer rows than one vector. Rows [lo, hi) of
+// the tile are stored. Prefetching the next row tile's segments keeps
+// power-of-two leading dimensions (A's columns in one cache set) from
+// stalling on memory.
+template <typename V, int kMv, int kNb>
+void NnTile(Index k, const double* a, Index lda, const double* b, Index rsb,
+            Index csb, double alpha, double* c, Index ldc, Index lo,
+            Index hi) {
+  constexpr Index kLanes = sizeof(V) / sizeof(double);
+  constexpr Index kTm = kMv * kLanes;
+  V acc[kMv][kNb];
+  for (int v = 0; v < kMv; ++v) {
+    for (int j = 0; j < kNb; ++j) acc[v][j] = V{};
+  }
+  for (Index p = 0; p < k; ++p) {
+    const double* ap = a + p * lda;
+    const double* bp = b + p * rsb;
+    V av[kMv];
+    // memcpy, not a V* load: a template argument drops Vec's aligned(8).
+    for (int v = 0; v < kMv; ++v) {
+      std::memcpy(&av[v], ap + v * kLanes, sizeof(V));
+    }
+    for (int v = 0; v < kMv; ++v) {
+      __builtin_prefetch(ap + kTm + v * kLanes, 0, 2);  // Next row tile.
+    }
+    for (int j = 0; j < kNb; ++j) {
+      const double bj = bp[j * csb];
+      for (int v = 0; v < kMv; ++v) acc[v][j] += av[v] * bj;
+    }
+  }
+  double out[kTm * kNb];
+  for (int j = 0; j < kNb; ++j) {
+    for (int v = 0; v < kMv; ++v) {
+      std::memcpy(out + j * kTm + v * kLanes, &acc[v][j], sizeof(V));
+    }
+  }
+  for (int j = 0; j < kNb; ++j) {
+    double* cj = c + j * ldc;
+    for (Index i = lo; i < hi; ++i) cj[i] += alpha * out[j * kTm + i];
+  }
 }
 
-// C(mb x n) += alpha * A(mb x kb) * op(B), A column-major, no transpose.
-// Inner kernel: jki ordering with 4-way k unrolling; each C column is a sum
-// of scaled A columns (axpy form), streaming contiguous memory.
-template <bool kTransB>
-void ThinBlockAxpy(Index mb, Index n, Index kb, double alpha, const double* a,
-                   Index lda, const double* b, Index ldb, double* c,
-                   Index ldc) {
-  for (Index j = 0; j < n; ++j) {
-    double* cj = c + j * ldc;
-    Index l = 0;
-    for (; l + 4 <= kb; l += 4) {
-      const double b0 = alpha * OpB<kTransB>(b, ldb, l + 0, j);
-      const double b1 = alpha * OpB<kTransB>(b, ldb, l + 1, j);
-      const double b2 = alpha * OpB<kTransB>(b, ldb, l + 2, j);
-      const double b3 = alpha * OpB<kTransB>(b, ldb, l + 3, j);
-      const double* a0 = a + (l + 0) * lda;
-      const double* a1 = a + (l + 1) * lda;
-      const double* a2 = a + (l + 2) * lda;
-      const double* a3 = a + (l + 3) * lda;
-      for (Index i = 0; i < mb; ++i) {
-        cj[i] += b0 * a0[i] + b1 * a1[i] + b2 * a2[i] + b3 * a3[i];
-      }
+// Up to 3 vectors x kNnMaxCols accumulators: 24 of the 32 AVX-512
+// registers (12 of 16 with AVX), leaving room for the A and B operands.
+// Three vectors of rows measured ~25% faster than two on 256^2 x 15.
+constexpr int kNnMaxCols = kVecLen >= 8 ? 8 : 4;
+
+using NnTileFn = void (*)(Index, const double*, Index, const double*, Index,
+                          Index, double, double*, Index, Index, Index);
+
+template <typename V, int kMv, std::size_t... kNb>
+constexpr std::array<NnTileFn, sizeof...(kNb)> NnTiles(
+    std::index_sequence<kNb...>) {
+  return {&NnTile<V, kMv, static_cast<int>(kNb) + 1>...};
+}
+
+// Runs tile(i0, j0) over rows [row0, row1) in steps of tm and columns
+// [0, n) in steps of tn. The tile grid walks the larger of op(A) and op(B)
+// (m x k against k x n) in the outer loop, so it streams from memory once
+// while the smaller one is re-read from cache.
+template <typename Tile>
+void ForEachTile(Index row0, Index row1, Index n, Index tm, Index tn,
+                 const Tile& tile) {
+  if (row1 - row0 >= n) {
+    for (Index i0 = row0; i0 < row1; i0 += tm) {
+      for (Index j0 = 0; j0 < n; j0 += tn) tile(i0, j0);
     }
-    for (; l < kb; ++l) {
-      const double bl = alpha * OpB<kTransB>(b, ldb, l, j);
-      const double* al = a + l * lda;
-      for (Index i = 0; i < mb; ++i) cj[i] += bl * al[i];
+  } else {
+    for (Index j0 = 0; j0 < n; j0 += tn) {
+      for (Index i0 = row0; i0 < row1; i0 += tm) tile(i0, j0);
     }
   }
 }
 
-// Thin path, trans_a == kNo: cache-blocked axpy kernel over rows
-// [row0, row1) of C. Row-disjoint, so safe to run from pool workers.
-template <bool kTransB>
-void ThinPathN(Index row0, Index row1, Index n, Index k, double alpha,
-               const double* a, Index lda, const double* b, Index ldb,
-               double* c, Index ldc) {
-  for (Index l0 = 0; l0 < k; l0 += kThinBlockK) {
-    const Index kb = std::min(kThinBlockK, k - l0);
-    // op(B) block starting at row l0: advance by l0 rows of op(B).
-    const double* bblk = kTransB ? b + l0 * ldb : b + l0;
-    for (Index i0 = row0; i0 < row1; i0 += kThinBlockM) {
-      const Index mb = std::min(kThinBlockM, row1 - i0);
-      ThinBlockAxpy<kTransB>(mb, n, kb, alpha, a + i0 + l0 * lda, lda, bblk,
-                             ldb, c + i0, ldc);
-    }
-  }
+// Rows [row0, row1) of C in tiles of kMv * lanes rows (which must not
+// exceed m). A last, partial tile shifts back to end at row1 and stores
+// only its new rows; the rows it recomputes, or reads below row0, are only
+// read from A, never written.
+template <typename V, int kMv>
+void NnRows(Index row0, Index row1, Index n, Index k, double alpha,
+            const double* a, Index lda, const double* b, Index rsb,
+            Index csb, double* c, Index ldc) {
+  static constexpr std::array<NnTileFn, kNnMaxCols> kTiles =
+      NnTiles<V, kMv>(std::make_index_sequence<kNnMaxCols>());
+  constexpr Index kTm = kMv * static_cast<Index>(sizeof(V) / sizeof(double));
+  ForEachTile(row0, row1, n, kTm, kNnMaxCols, [&](Index i0, Index j0) {
+    const Index start = std::min(i0, std::max<Index>(row1 - kTm, 0));
+    kTiles[std::min<Index>(kNnMaxCols, n - j0) - 1](
+        k, a + start, lda, b + j0 * csb, rsb, csb, alpha,
+        c + start + j0 * ldc, ldc, i0 - start, std::min(kTm, row1 - start));
+  });
 }
 
-// Thin path, trans_a == kYes: dot-product form over rows [row0, row1) of C
-// (columns of the stored A, each contiguous).
-template <bool kTransB>
-void ThinPathT(Index row0, Index row1, Index n, Index k, double alpha,
-               const double* a, Index lda, const double* b, Index ldb,
-               double* c, Index ldc) {
-  for (Index j = 0; j < n; ++j) {
-    double* cj = c + j * ldc;
-    for (Index i = row0; i < row1; ++i) {
-      const double* ai = a + i * lda;
-      double s;
-      if (!kTransB) {
-        s = Dot(ai, b + j * ldb, k);
+// TN kernel, C += alpha * A^T * op(B): both operands are column streams
+// along k, so each 4 x 4 tile of C keeps 16 vector accumulators while k
+// streams one vector at a time (16 FMAs against 8 loads per step). Edge
+// tiles repeat their last valid row or column pointer and run the same
+// code, storing only the ib x jb valid corner. A non-unit row stride of
+// op(B) (trans_b) assembles each B vector from strided scalars.
+template <bool kUnitRowB>
+void TnTile(Index k, const double* const* ac, const double* const* bc,
+            Index rsb, double alpha, double* c, Index ldc, Index ib,
+            Index jb) {
+  Vec acc[4][4];
+  for (int i = 0; i < 4; ++i) {
+    for (int j = 0; j < 4; ++j) acc[i][j] = Vec{};
+  }
+  Index r = 0;
+  for (; r + kVecLen <= k; r += kVecLen) {
+    Vec av[4], bv[4];
+    for (int i = 0; i < 4; ++i) {
+      av[i] = *reinterpret_cast<const Vec*>(ac[i] + r);
+    }
+    for (int j = 0; j < 4; ++j) {
+      if (kUnitRowB) {
+        bv[j] = *reinterpret_cast<const Vec*>(bc[j] + r);
       } else {
-        s = 0.0;
-        for (Index l = 0; l < k; ++l) s += ai[l] * b[j + l * ldb];
+        double lanes[kVecLen];
+        for (Index l = 0; l < kVecLen; ++l) lanes[l] = bc[j][(r + l) * rsb];
+        std::memcpy(&bv[j], lanes, sizeof(Vec));
       }
-      cj[i] += alpha * s;
+    }
+    for (int i = 0; i < 4; ++i) {
+      for (int j = 0; j < 4; ++j) acc[i][j] += av[i] * bv[j];
+    }
+  }
+  for (int i = 0; i < ib; ++i) {
+    for (int j = 0; j < jb; ++j) {
+      double lanes[kVecLen];
+      std::memcpy(lanes, &acc[i][j], sizeof(Vec));
+      double s = 0.0;
+      for (Index l = 0; l < kVecLen; ++l) s += lanes[l];
+      for (Index rr = r; rr < k; ++rr) s += ac[i][rr] * bc[j][rr * rsb];
+      c[i + j * ldc] += alpha * s;
     }
   }
 }
 
+template <bool kUnitRowB>
+void TnRows(Index row0, Index row1, Index n, Index k, double alpha,
+            const double* a, Index lda, const double* b, Index rsb,
+            Index csb, double* c, Index ldc) {
+  ForEachTile(row0, row1, n, 4, 4, [&](Index i0, Index j0) {
+    const Index ib = std::min<Index>(4, row1 - i0);
+    const Index jb = std::min<Index>(4, n - j0);
+    const double* ac[4];
+    const double* bc[4];
+    for (Index t = 0; t < 4; ++t) {
+      ac[t] = a + (i0 + std::min(t, ib - 1)) * lda;
+      bc[t] = b + (j0 + std::min(t, jb - 1)) * csb;
+    }
+    TnTile<kUnitRowB>(k, ac, bc, rsb, alpha, c + i0 + j0 * ldc, ldc, ib, jb);
+  });
+}
+
+// The unpacked path: C += alpha * op(A) * op(B), row ranges of C split over
+// the BLAS pool for large products.
 void GemmThinPath(Trans trans_a, Trans trans_b, Index m, Index n, Index k,
                   double alpha, const double* a, Index lda, const double* b,
                   Index ldb, double* c, Index ldc) {
-  auto run_rows = [&](Index row0, Index row1) {
-    if (trans_a == Trans::kNo) {
-      if (trans_b == Trans::kNo) {
-        ThinPathN<false>(row0, row1, n, k, alpha, a, lda, b, ldb, c, ldc);
-      } else {
-        ThinPathN<true>(row0, row1, n, k, alpha, a, lda, b, ldb, c, ldc);
-      }
-    } else {
-      if (trans_b == Trans::kNo) {
-        ThinPathT<false>(row0, row1, n, k, alpha, a, lda, b, ldb, c, ldc);
-      } else {
-        ThinPathT<true>(row0, row1, n, k, alpha, a, lda, b, ldb, c, ldc);
-      }
-    }
-  };
+  const Index rsb = trans_b == Trans::kNo ? 1 : ldb;
+  const Index csb = trans_b == Trans::kNo ? ldb : 1;
+  void (*rows)(Index, Index, Index, Index, double, const double*, Index,
+               const double*, Index, Index, double*, Index);
+  if (trans_a == Trans::kYes) {
+    rows = rsb == 1 ? &TnRows<true> : &TnRows<false>;
+  } else if (m >= 3 * kVecLen) {
+    rows = &NnRows<Vec, 3>;
+  } else if (m >= 2 * kVecLen) {
+    rows = &NnRows<Vec, 2>;
+  } else if (m >= kVecLen) {
+    rows = &NnRows<Vec, 1>;
+  } else {
+    rows = &NnRows<double, 1>;
+  }
   ThreadPool* pool = SharedBlasPool();
   if (pool != nullptr && !InBlasWorker() && m * n * k >= kGemmParallelVolume &&
       m > 1) {
@@ -144,93 +254,11 @@ void GemmThinPath(Trans trans_a, Trans trans_b, Index m, Index n, Index k,
         static_cast<std::size_t>(m), /*min_grain=*/64,
         [&](std::size_t begin, std::size_t end) {
           BlasWorkerScope scope;
-          run_rows(static_cast<Index>(begin), static_cast<Index>(end));
+          rows(static_cast<Index>(begin), static_cast<Index>(end), n, k, alpha,
+               a, lda, b, rsb, csb, c, ldc);
         });
   } else {
-    run_rows(0, m);
-  }
-}
-
-// C(m x n) += alpha * A^T B for small m, n and large k: both operands are
-// contiguous column streams, so instead of packing, each 4x4 tile of C is
-// held in native-width vector accumulators while the k loop streams one
-// vector of rows at a time (16 FMAs against 8 loads per step —
-// compute-bound where the packed path is dominated by packing a B panel it
-// barely reuses). Always serial: the output is tiny and a fixed summation
-// order keeps results identical across thread counts.
-#if defined(__GNUC__) || defined(__clang__)
-#if defined(__AVX512F__)
-constexpr Index kTallTnVecLen = 8;
-#elif defined(__AVX__)
-constexpr Index kTallTnVecLen = 4;
-#else
-constexpr Index kTallTnVecLen = 2;
-#endif
-// Explicit vector accumulators (same reasoning as the GEMM micro kernel: a
-// plain double array spills to the stack). aligned(8) because the column
-// streams land on arbitrary 8-byte offsets.
-typedef double TallVec __attribute__((
-    vector_size(kTallTnVecLen * sizeof(double)), aligned(8)));
-
-void GemmTallTnTile(Index k, const double* const* ac, const double* const* bc,
-                    double alpha, double* c, Index ldc) {
-  TallVec acc[4][4];
-  for (int i = 0; i < 4; ++i) {
-    for (int j = 0; j < 4; ++j) acc[i][j] = TallVec{};
-  }
-  Index r = 0;
-  for (; r + kTallTnVecLen <= k; r += kTallTnVecLen) {
-    TallVec av[4], bv[4];
-    for (int i = 0; i < 4; ++i) {
-      av[i] = *reinterpret_cast<const TallVec*>(ac[i] + r);
-    }
-    for (int j = 0; j < 4; ++j) {
-      bv[j] = *reinterpret_cast<const TallVec*>(bc[j] + r);
-    }
-    for (int i = 0; i < 4; ++i) {
-      for (int j = 0; j < 4; ++j) acc[i][j] += av[i] * bv[j];
-    }
-  }
-  for (int i = 0; i < 4; ++i) {
-    for (int j = 0; j < 4; ++j) {
-      double s = 0.0;
-      for (Index l = 0; l < kTallTnVecLen; ++l) s += acc[i][j][l];
-      for (Index rr = r; rr < k; ++rr) s += ac[i][rr] * bc[j][rr];
-      c[i + j * ldc] += alpha * s;
-    }
-  }
-}
-#else
-void GemmTallTnTile(Index k, const double* const* ac, const double* const* bc,
-                    double alpha, double* c, Index ldc) {
-  for (int j = 0; j < 4; ++j) {
-    for (int i = 0; i < 4; ++i) c[i + j * ldc] += alpha * Dot(ac[i], bc[j], k);
-  }
-}
-#endif
-
-void GemmTallTnPath(Index m, Index n, Index k, double alpha, const double* a,
-                    Index lda, const double* b, Index ldb, double* c,
-                    Index ldc) {
-  for (Index j0 = 0; j0 < n; j0 += 4) {
-    const Index jb = std::min<Index>(4, n - j0);
-    for (Index i0 = 0; i0 < m; i0 += 4) {
-      const Index ib = std::min<Index>(4, m - i0);
-      if (ib == 4 && jb == 4) {
-        const double* ac[4];
-        const double* bc[4];
-        for (int i = 0; i < 4; ++i) ac[i] = a + (i0 + i) * lda;
-        for (int j = 0; j < 4; ++j) bc[j] = b + (j0 + j) * ldb;
-        GemmTallTnTile(k, ac, bc, alpha, c + i0 + j0 * ldc, ldc);
-      } else {
-        for (Index j = 0; j < jb; ++j) {
-          for (Index i = 0; i < ib; ++i) {
-            c[(i0 + i) + (j0 + j) * ldc] +=
-                alpha * Dot(a + (i0 + i) * lda, b + (j0 + j) * ldb, k);
-          }
-        }
-      }
-    }
+    rows(0, m, n, k, alpha, a, lda, b, rsb, csb, c, ldc);
   }
 }
 
@@ -297,24 +325,23 @@ void GemmRaw(Trans trans_a, Trans trans_b, Index m, Index n, Index k,
               static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(k));
   }
 
-  // Route first: the beta handling below depends on it. Short-m transposed
-  // products whose row count fills whole micro-tiles (the W = V^T C shape
-  // of the blocked QR: m = panel width, k large) take a dedicated k-major
-  // kernel; small or narrow products the dot-form thin path; everything
-  // else the packed three-level path.
+  // Route first: the beta handling below depends on it. Thin, short or
+  // small products, and short-m transposed products with a long k (the
+  // W = V^T C shape of the blocked QR), take the unpacked kernels; the
+  // rest the packed three-level path.
   const bool no_product = k == 0 || alpha == 0.0;
   const bool tall_tn = trans_a == Trans::kYes && trans_b == Trans::kNo &&
                        m <= kTallTnMaxM && n <= kTallTnMaxN &&
                        k >= kTallTnMinK && m * k <= kTallTnMaxAPanel;
   const bool m_fills_tiles = m % kGemmMR == 0;
-  const bool thin = n <= kThinN || (m <= kThinM && !m_fills_tiles) ||
+  const bool thin = tall_tn || n <= kThinN || (m <= kThinM && !m_fills_tiles) ||
                     m * n * k <= kSmallVolume;
-  const bool packed = !no_product && !tall_tn && !thin;
+  const bool packed = !no_product && !thin;
 
   // Scale C by beta. The packed path handles beta = 0 itself (the first kc
   // block stores instead of accumulating), so a product headed there skips
-  // this pass over C entirely; the tall-T^T-A and thin paths accumulate
-  // into small or short C blocks where the memset is noise.
+  // this pass over C entirely; the unpacked kernels accumulate into small
+  // or short C blocks where the memset is noise.
   if (beta == 0.0) {
     if (!packed) {
       for (Index j = 0; j < n; ++j) {
@@ -327,10 +354,6 @@ void GemmRaw(Trans trans_a, Trans trans_b, Index m, Index n, Index k,
   }
   if (no_product) return;
 
-  if (tall_tn) {
-    GemmTallTnPath(m, n, k, alpha, a, lda, b, ldb, c, ldc);
-    return;
-  }
   if (thin) {
     GemmThinPath(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, c, ldc);
     return;
@@ -483,21 +506,19 @@ double Nrm2(const double* x, Index n) {
   // scaled loop whenever the plain sum leaves the comfortably-normal range —
   // overflow (inf), underflow toward denormals, or an all-zero vector.
 #if defined(__GNUC__) || defined(__clang__)
-  typedef double Nrm2Vec
-      __attribute__((vector_size(kTallTnVecLen * sizeof(double)), aligned(8)));
-  Nrm2Vec acc0 = Nrm2Vec{};
-  Nrm2Vec acc1 = Nrm2Vec{};
+  Vec acc0 = Vec{};
+  Vec acc1 = Vec{};
   Index i = 0;
-  for (; i + 2 * kTallTnVecLen <= n; i += 2 * kTallTnVecLen) {
-    const Nrm2Vec v0 = *reinterpret_cast<const Nrm2Vec*>(x + i);
-    const Nrm2Vec v1 =
-        *reinterpret_cast<const Nrm2Vec*>(x + i + kTallTnVecLen);
+  for (; i + 2 * kVecLen <= n; i += 2 * kVecLen) {
+    const Vec v0 = *reinterpret_cast<const Vec*>(x + i);
+    const Vec v1 =
+        *reinterpret_cast<const Vec*>(x + i + kVecLen);
     acc0 += v0 * v0;
     acc1 += v1 * v1;
   }
   acc0 += acc1;
   double ssq_plain = 0.0;
-  for (Index l = 0; l < kTallTnVecLen; ++l) ssq_plain += acc0[l];
+  for (Index l = 0; l < kVecLen; ++l) ssq_plain += acc0[l];
   for (; i < n; ++i) ssq_plain += x[i] * x[i];
 #else
   double ssq_plain = 0.0;

@@ -1,10 +1,15 @@
 // Randomized stress test for the packed/threaded GEMM kernel: every result
 // is cross-checked against a naive triple-loop reference over all four
 // transpose combinations, alpha/beta in {0, 1, -0.5}, non-square shapes,
-// sub-matrix leading dimensions (ld > rows), and thread counts {1, 4}.
+// sub-matrix leading dimensions (ld > rows), and thread counts {1, 4}. A
+// second sweep covers the unpacked thin-product kernels (n <= 16) edge by
+// edge: every n, row counts around the vector tile sizes, and k from 1 to
+// past a vector multiple.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -169,6 +174,117 @@ TEST_F(GemmStressTest, ThreadedMatchesSerialBitwise) {
     for (Index i = 0; i < m; ++i) {
       ASSERT_EQ(serial.at(i, j), threaded.at(i, j))
           << "divergence at (" << i << ", " << j << ")";
+    }
+  }
+}
+
+// The thin-product kernels (n <= 16) against a naive reference: each n
+// from 1 to 16, row counts below, at and past the vector tile heights, k
+// from 1 to past a multiple of every vector width, both orientations of
+// both operands, leading dimensions larger than the row counts, and
+// beta = 0 over a NaN-filled C (which must be overwritten, not scaled).
+TEST_F(GemmStressTest, ThinKernelsMatchNaive) {
+  SetBlasThreads(1);
+  Rng rng(2024);
+  const Index kRows[] = {1, 7, 15, 16, 17, 33, 255, 300};
+  const Index kDepths[] = {1, 15, 256, 513};
+  const double kThinAlphas[] = {1.0, -0.5};
+  const double kThinBetas[] = {0.0, 1.0, 0.25};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (Index n = 1; n <= 16; ++n) {
+    for (Index m : kRows) {
+      for (Index k : kDepths) {
+        for (Trans ta : kTrans) {
+          for (Trans tb : kTrans) {
+            Padded a(ta == Trans::kNo ? m : k, ta == Trans::kNo ? k : m, 5,
+                     rng);
+            Padded b(tb == Trans::kNo ? k : n, tb == Trans::kNo ? n : k, 3,
+                     rng);
+            Padded c0(m, n, 2, rng);
+            // Exact product terms summed naively, plus their magnitudes
+            // for a rounding bound of k ulps.
+            std::vector<double> prod(static_cast<std::size_t>(m * n));
+            std::vector<double> mag(prod.size());
+            for (Index j = 0; j < n; ++j) {
+              for (Index i = 0; i < m; ++i) {
+                double s = 0, t = 0;
+                for (Index l = 0; l < k; ++l) {
+                  const double av = ta == Trans::kNo ? a.at(i, l) : a.at(l, i);
+                  const double bv = tb == Trans::kNo ? b.at(l, j) : b.at(j, l);
+                  s += av * bv;
+                  t += std::fabs(av * bv);
+                }
+                prod[static_cast<std::size_t>(i + j * m)] = s;
+                mag[static_cast<std::size_t>(i + j * m)] = t;
+              }
+            }
+            for (double alpha : kThinAlphas) {
+              for (double beta : kThinBetas) {
+                Padded c = c0;
+                if (beta == 0.0) {
+                  for (Index j = 0; j < n; ++j) {
+                    for (Index i = 0; i < m; ++i) c.at(i, j) = nan;
+                  }
+                }
+                GemmRaw(ta, tb, m, n, k, alpha, a.data.data(), a.ld,
+                        b.data.data(), b.ld, beta, c.data.data(), c.ld);
+                Index bad = 0;
+                for (Index j = 0; j < n; ++j) {
+                  for (Index i = 0; i < m; ++i) {
+                    const std::size_t e = static_cast<std::size_t>(i + j * m);
+                    const double ref =
+                        alpha * prod[e] + beta * c0.at(i, j);
+                    const double tol =
+                        4e-16 * static_cast<double>(k + 2) *
+                        (std::fabs(alpha) * mag[e] +
+                         std::fabs(beta * c0.at(i, j)) + 1e-300);
+                    if (!(std::fabs(c.at(i, j) - ref) <= tol)) ++bad;
+                  }
+                }
+                EXPECT_EQ(bad, 0)
+                    << "m=" << m << " n=" << n << " k=" << k
+                    << " ta=" << (ta == Trans::kYes)
+                    << " tb=" << (tb == Trans::kYes) << " alpha=" << alpha
+                    << " beta=" << beta;
+                EXPECT_TRUE(c.PaddingIntact());
+              }
+            }
+            EXPECT_TRUE(a.PaddingIntact());
+            EXPECT_TRUE(b.PaddingIntact());
+          }
+        }
+      }
+    }
+  }
+}
+
+// A thin product big enough for the BLAS pool to split its rows, with a
+// row count that is not a multiple of any vector tile: the split must not
+// change a single bit, for every orientation.
+TEST_F(GemmStressTest, ThreadedThinMatchesSerialBitwise) {
+  Rng rng(99);
+  const Index m = 2053, n = 15, k = 300;
+  ASSERT_GE(m * n * k, Index{1} << 23);
+  for (Trans ta : kTrans) {
+    for (Trans tb : kTrans) {
+      Padded a(ta == Trans::kNo ? m : k, ta == Trans::kNo ? k : m, 1, rng);
+      Padded b(tb == Trans::kNo ? k : n, tb == Trans::kNo ? n : k, 1, rng);
+      Padded serial(m, n, 1, rng);
+      Padded threaded = serial;
+      SetBlasThreads(1);
+      GemmRaw(ta, tb, m, n, k, -0.5, a.data.data(), a.ld, b.data.data(),
+              b.ld, 0.25, serial.data.data(), serial.ld);
+      SetBlasThreads(4);
+      GemmRaw(ta, tb, m, n, k, -0.5, a.data.data(), a.ld, b.data.data(),
+              b.ld, 0.25, threaded.data.data(), threaded.ld);
+      for (Index j = 0; j < n; ++j) {
+        for (Index i = 0; i < m; ++i) {
+          ASSERT_EQ(serial.at(i, j), threaded.at(i, j))
+              << "divergence at (" << i << ", " << j
+              << ") ta=" << (ta == Trans::kYes)
+              << " tb=" << (tb == Trans::kYes);
+        }
+      }
     }
   }
 }

@@ -174,6 +174,19 @@ TEST(HistogramTest, QuantilesAreMonotoneAndClampedToMax) {
   EXPECT_DOUBLE_EQ(HistogramData{}.QuantileNs(0.5), 0.0);
 }
 
+TEST(HistogramTest, AllZeroSamplesGiveZeroQuantiles) {
+  // A rank that never blocks records only 0 ns waits: max is 0, so every
+  // quantile must be 0 too rather than an interpolated point of bucket 0.
+  Histogram h;
+  for (int i = 0; i < 100; ++i) h.Record(0);
+  const HistogramData data = h.Snapshot();
+  ASSERT_EQ(data.Count(), 100u);
+  EXPECT_EQ(data.max_ns, 0u);
+  for (double q : {0.0, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_DOUBLE_EQ(data.QuantileNs(q), 0.0) << "q = " << q;
+  }
+}
+
 TEST(HistogramTest, ConcurrentRecordsMergeAcrossShards) {
   Histogram h;
   constexpr int kThreads = 8;

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/memory.h"
 #include "common/trace.h"
 #include "json_test_util.h"
 
@@ -210,6 +211,48 @@ TEST_F(TraceTest, EnabledSpanRecordPathDoesNotAllocateAfterRegistration) {
   EXPECT_EQ(AllocatedBytes(), before)
       << "the record path must reuse the ring buffer, not allocate";
   SetTraceEnabled(false);
+}
+
+TEST_F(TraceTest, RankTagWithoutSpansTakesNoRingStorage) {
+  // Rank threads tag themselves before any span runs, and with tracing off
+  // they never record one: at the default 32768-event capacity, eagerly
+  // allocated rings would cost ~1.5 MiB per thread (~384 MiB here).
+  ASSERT_FALSE(TraceEnabled());
+  const std::size_t rss_before = CurrentRssBytes();
+  const std::size_t allocated_before = AllocatedBytes();
+  for (int i = 0; i < 256; ++i) {
+    std::thread rank_thread([] {
+      SetTraceRankForCurrentThread(3);
+      TraceSpan span("disabled.rank.work");
+    });
+    rank_thread.join();  // One at a time, so thread stacks are reused.
+  }
+  constexpr std::size_t kLimit = std::size_t{16} << 20;
+  EXPECT_LT(AllocatedBytes() - allocated_before, kLimit);
+  const std::size_t rss_after = CurrentRssBytes();
+  EXPECT_LT(rss_after > rss_before ? rss_after - rss_before : 0, kLimit);
+
+  // A thread that does record gets its ring, and its events outlive it.
+  SetTraceEnabled(true);
+  std::thread traced([] {
+    SetTraceRankForCurrentThread(3);
+    TraceSpan span("rank3.after.exit");
+  });
+  traced.join();
+  SetTraceEnabled(false);
+  std::ostringstream os;
+  ExportChromeTrace(os);
+  json_test::JsonValue root;
+  ASSERT_TRUE(json_test::JsonParser::Parse(os.str(), &root)) << os.str();
+  int found = 0;
+  for (const auto& ev : root.at("traceEvents").array) {
+    if (ev.at("ph").string_value == "X" &&
+        ev.at("name").string_value == "rank3.after.exit") {
+      ++found;
+      EXPECT_EQ(ev.at("pid").number_value, 3.0);
+    }
+  }
+  EXPECT_EQ(found, 1);
 }
 
 TEST_F(TraceTest, ClearTraceDropsBufferedEvents) {
