@@ -6,10 +6,8 @@
 #include "linalg/blas.h"
 #include "linalg/eigen_sym.h"
 #include "linalg/eigen_tridiag.h"
-#include "linalg/lanczos.h"
 #include "linalg/qr.h"
 #include "linalg/svd.h"
-#include "linalg/svd_golub_kahan.h"
 #include "rsvd/rsvd.h"
 
 namespace dtucker {
@@ -251,17 +249,6 @@ BENCHMARK(BM_RandomizedSvd)
     ->Args({1024, 1024})
     ->Args({4096, 512});
 
-void BM_ThinSvdGolubKahan(benchmark::State& state) {
-  const Index n = state.range(0);
-  Rng rng(4);
-  Matrix a = Matrix::GaussianRandom(n, n, rng);
-  for (auto _ : state) {
-    auto svd = ThinSvdGolubKahan(a);
-    benchmark::DoNotOptimize(svd.ok());
-  }
-}
-BENCHMARK(BM_ThinSvdGolubKahan)->Arg(10)->Arg(30)->Arg(60)->Arg(120);
-
 Matrix BenchSymmetric(Index n) {
   Rng rng(11);
   Matrix g = Matrix::GaussianRandom(n, n / 2 + 1, rng);
@@ -294,15 +281,6 @@ void BM_TopEigSubspace(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TopEigSubspace)->Arg(120)->Arg(240)->Arg(480);
-
-void BM_TopEigLanczos(benchmark::State& state) {
-  Matrix a = BenchSymmetric(state.range(0));
-  for (auto _ : state) {
-    auto r = LanczosTopEigenpairs(a, 10);
-    benchmark::DoNotOptimize(r.ok());
-  }
-}
-BENCHMARK(BM_TopEigLanczos)->Arg(120)->Arg(240)->Arg(480);
 
 void BM_Fft(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -137,14 +137,6 @@ int RunOp(const FlagParser& flags, int spmd_rank = -1,
       // Rank 0 reports the (identical) error for everyone.
       if (quiet) eopt.measure_error = false;
     }
-    const std::string solver = flags.GetString("solver");
-    if (solver == "auto") {
-      eopt.solver_policy = SolverPolicy::kAuto;
-    } else {
-      eopt.solver_spec = solver;  // Empty keeps the static defaults.
-    }
-    eopt.calibration_path = flags.GetString("calibration");
-    eopt.sketch_error_budget = flags.GetDouble("sketch_budget");
     if (!quiet) {
       eopt.method_options.sweep_callback = [](const SweepTelemetry& t) {
         std::printf("sweep %2d: fit %.6f (delta %+0.2e) in %.3fs, "
@@ -194,16 +186,6 @@ int RunOp(const FlagParser& flags, int spmd_rank = -1,
     std::printf("decomposition: core %s, %zu factors, %s\n",
                 dec.core.ShapeString().c_str(), dec.factors.size(),
                 TablePrinter::FormatBytes(dec.ByteSize()).c_str());
-    if (!stats.selected_variants.empty()) {
-      std::printf("solver variants: %s\n", stats.selected_variants.c_str());
-      if (!stats.solver_rationale.empty()) {
-        std::printf("solver choice: %s\n", stats.solver_rationale.c_str());
-        std::printf("predicted init %.3fs (actual %.3fs), "
-                    "predicted sweep %.3fs\n",
-                    stats.predicted_init_seconds, stats.init_seconds,
-                    stats.predicted_sweep_seconds);
-      }
-    }
     if (err >= 0) std::printf("relative error: %.4e\n", err);
     if (!flags.GetString("output").empty()) {
       Status save = SaveDecomposition(dec, flags.GetString("output"));
@@ -360,20 +342,6 @@ int Run(int argc, char** argv) {
   flags.AddInt("rank", 10, "Tucker rank per mode (clamped to dims)");
   flags.AddDouble("energy", 0.9, "energy threshold for --op=ranks");
   flags.AddInt("iters", 20, "max ALS sweeps");
-  flags.AddString("solver", "",
-                  "per-phase variant dispatch for --method=D-Tucker: "
-                  "\"auto\" (cost-model-driven), a fixed comma-separated "
-                  "axis=name list (e.g. "
-                  "\"eig=ql,qr=blocked,carrier=slice_parallel\"), or "
-                  "empty for the static defaults");
-  flags.AddString("calibration", "",
-                  "cost-model calibration JSON for --solver=auto "
-                  "(bench/snapshots/CALIBRATION.seed.json; missing or "
-                  "corrupt files fall back to built-in defaults)");
-  flags.AddDouble("sketch_budget", 0.0,
-                  "relative squared-error budget for the HOOI starting "
-                  "point; > 0 lets --solver=auto use the sketched "
-                  "initialization Gram");
   flags.AddInt("ranks", 0,
                "slice-parallel shard count for --method=D-Tucker "
                "(0 = classic unsharded solver; >= 1 runs the sharded "

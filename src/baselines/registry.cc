@@ -92,7 +92,6 @@ Result<MethodRun> RunTuckerMethod(TuckerMethod method, const Tensor& x,
       opt.power_iterations = options.power_iterations;
       opt.num_threads = options.num_threads;
       opt.sweep_callback = options.sweep_callback;
-      opt.variants = options.variants;
       DT_ASSIGN_OR_RETURN(run.decomposition, DTucker(x, opt, &run.stats));
       run.stored_bytes = run.stats.working_bytes;  // Slice factors.
       break;

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "dtucker/adaptive/variants.h"
 #include "tucker/tucker.h"
 
 namespace dtucker {
@@ -52,9 +51,6 @@ struct MethodOptions {
   // Per-sweep convergence reporting for methods that support it (currently
   // D-Tucker); see DTuckerOptions::sweep_callback.
   std::function<void(const SweepTelemetry&)> sweep_callback;
-  // Per-phase execution variants for D-Tucker (dtucker/adaptive/variants.h).
-  // Ignored by the other methods. Defaults keep the static heuristics.
-  adaptive::PhaseVariantPlan variants;
 
   Status Validate(const std::vector<Index>& shape) const;
 };

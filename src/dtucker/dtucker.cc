@@ -70,30 +70,10 @@ double* TlsSliceScratch(int slot, std::size_t doubles) {
 // loop runs across workers (per-slice GEMMs kept serial by
 // BlasWorkerScope); otherwise it runs serially and the per-slice GEMMs may
 // thread internally (bitwise-deterministic by the packed-GEMM contract).
-// `variant` overrides the slice-count heuristic: kSliceParallel forces the
-// one-slice-per-worker schedule whenever a pool exists, kGemmParallel
-// forces the serial slice loop (GEMM-internal threading). Because every
-// schedule produces the same bits, the variant is purely a performance
-// knob the adaptive layer dispatches per workload.
-void ForEachSlice(Index num_slices, const std::function<void(Index)>& body,
-                  adaptive::CarrierBuilderVariant variant =
-                      adaptive::CarrierBuilderVariant::kAuto) {
+void ForEachSlice(Index num_slices, const std::function<void(Index)>& body) {
   ThreadPool* pool = SharedBlasPool();
-  bool parallel = pool != nullptr && !InBlasWorker();
-  if (parallel) {
-    switch (variant) {
-      case adaptive::CarrierBuilderVariant::kSliceParallel:
-        parallel = num_slices > 1;
-        break;
-      case adaptive::CarrierBuilderVariant::kGemmParallel:
-        parallel = false;
-        break;
-      case adaptive::CarrierBuilderVariant::kAuto:
-        parallel = num_slices >= static_cast<Index>(pool->num_threads());
-        break;
-    }
-  }
-  if (parallel) {
+  if (pool != nullptr && !InBlasWorker() &&
+      num_slices >= static_cast<Index>(pool->num_threads())) {
     pool->ParallelForRanges(static_cast<std::size_t>(num_slices),
                             /*min_grain=*/1,
                             [&](std::size_t begin, std::size_t end) {
@@ -120,8 +100,7 @@ namespace internal_dtucker {
 // slices (U<l> S<l>) (V<l>^T A2). This is "X x_2 A2^T" computed through the
 // slice factorizations at cost O(L (I2 + I1) Js J2).
 void BuildModeOneCarrierInto(const SliceApproximation& approx, const Matrix& a2,
-                             double s_inv, Tensor* t,
-                             adaptive::CarrierBuilderVariant variant) {
+                             double s_inv, Tensor* t) {
   DT_TRACE_SPAN("dtucker.carrier_mode1");
   std::vector<Index> shape = approx.shape;
   shape[1] = a2.cols();
@@ -146,7 +125,7 @@ void BuildModeOneCarrierInto(const SliceApproximation& approx, const Matrix& a2,
     // Slice l of T1 = U q, written straight into its frontal slab.
     GemmRaw(Trans::kNo, Trans::kNo, i1, j2, js, 1.0, sl.u.data(), i1, q, js,
             0.0, t->data() + static_cast<std::size_t>(l) * slab, i1);
-  }, variant);
+  });
 }
 
 // Builds T2 (I2 x J1 x trailing): frontal slices V<l> (S<l> U<l>^T A1).
@@ -157,8 +136,7 @@ void BuildModeOneCarrierInto(const SliceApproximation& approx, const Matrix& a2,
 // eigendecomposing an I2 x I2 Gram. The two layouts hold identical columns,
 // merely reordered, so spans and singular vectors are unchanged.
 void BuildModeTwoCarrierInto(const SliceApproximation& approx, const Matrix& a1,
-                             double s_inv, Tensor* t,
-                             adaptive::CarrierBuilderVariant variant) {
+                             double s_inv, Tensor* t) {
   DT_TRACE_SPAN("dtucker.carrier_mode2");
   std::vector<Index> shape = approx.shape;
   shape[0] = approx.Dim(1);
@@ -182,14 +160,13 @@ void BuildModeTwoCarrierInto(const SliceApproximation& approx, const Matrix& a1,
     // Slice l of T2 = V p^T, written straight into its frontal slab.
     GemmRaw(Trans::kNo, Trans::kYes, i2, j1, js, 1.0, sl.v.data(), i2, p, j1,
             0.0, t->data() + static_cast<std::size_t>(l) * slab, i2);
-  }, variant);
+  });
 }
 
 // Builds the small projected tensor Z (J1 x J2 x trailing) with frontal
 // slices (A1^T U<l> S<l>) (V<l>^T A2).
 void BuildProjectedCoreInto(const SliceApproximation& approx, const Matrix& a1,
-                            const Matrix& a2, double s_inv, Tensor* z,
-                            adaptive::CarrierBuilderVariant variant) {
+                            const Matrix& a2, double s_inv, Tensor* z) {
   DT_TRACE_SPAN("dtucker.projected_core");
   std::vector<Index> shape = approx.shape;
   shape[0] = a1.cols();
@@ -215,7 +192,7 @@ void BuildProjectedCoreInto(const SliceApproximation& approx, const Matrix& a1,
             a2.data(), i2, 0.0, q, js);
     GemmRaw(Trans::kNo, Trans::kNo, j1, j2, js, 1.0, p, j1, q, js, 0.0,
             z->data() + static_cast<std::size_t>(l) * slab, j1);
-  }, variant);
+  });
 }
 
 Tensor BuildProjectedCore(const SliceApproximation& approx, const Matrix& a1,
@@ -281,79 +258,12 @@ using internal_dtucker::BuildProjectedCoreInto;
 using internal_dtucker::ContractTrailing;
 using internal_dtucker::SweepWorkspace;
 
-// splitmix64 finalizer: the deterministic per-column hash behind the
-// count-sketch Gram. Depends only on the global stacked-column index, so
-// the sketch is invariant to thread count and slice partitioning.
-std::uint64_t MixColumnHash(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-Matrix StackedFactorGram(const SliceApproximation& approx, int m, double s_inv,
-                         adaptive::GramVariant variant);
-
-// Count-sketch estimate of the stacked-factor Gram: each scaled stacked
-// column s_j * F[:, j] is scattered (with a hashed +/-1 sign) into one of w
-// sketch columns, then G~ = S S^T. E[S S^T] = F diag(s)^2 F^T, with
-// relative variance O(1/w); the estimate only seeds the HOOI starting
-// point (sweeps recompute factors from exact carrier Grams), so the
-// converged fit is unaffected. Cost L*dim*Js + dim^2*w versus the exact
-// L*dim^2*Js. The scatter runs serially in ascending global column order
-// and the hash sees only the global column index, so the result is bitwise
-// thread/rank-deterministic. Falls back to the exact path when the sketch
-// would not be narrower than the stacked factor itself.
-Matrix SketchedStackedFactorGram(const SliceApproximation& approx, int m,
-                                 double s_inv) {
-  const Index dim = approx.Dim(m);
-  const Index num = approx.NumSlices();
-  Index total_cols = 0;
-  for (Index l = 0; l < num; ++l) {
-    total_cols += static_cast<Index>(
-        approx.slices[static_cast<std::size_t>(l)].s.size());
-  }
-  const Index w = std::max<Index>(64, 4 * dim);
-  if (total_cols <= w) {
-    return StackedFactorGram(approx, m, s_inv, adaptive::GramVariant::kExact);
-  }
-  Matrix sk(dim, w);  // Zero-initialized.
-  Index col = 0;
-  for (Index l = 0; l < num; ++l) {
-    const SliceSvd& sl = approx.slices[static_cast<std::size_t>(l)];
-    const Matrix& f = m == 0 ? sl.u : sl.v;
-    const Index js = static_cast<Index>(sl.s.size());
-    for (Index j = 0; j < js; ++j, ++col) {
-      const std::uint64_t bucket_bits =
-          MixColumnHash(2 * static_cast<std::uint64_t>(col));
-      const std::uint64_t sign_bits =
-          MixColumnHash(2 * static_cast<std::uint64_t>(col) + 1);
-      const Index bucket =
-          static_cast<Index>(bucket_bits % static_cast<std::uint64_t>(w));
-      const double sign = (sign_bits & 1ULL) != 0 ? -1.0 : 1.0;
-      const double scale =
-          sign * sl.s[static_cast<std::size_t>(j)] * s_inv;
-      Axpy(scale, f.col_data(j), sk.col_data(bucket), dim);
-    }
-  }
-  Matrix g = Matrix::Uninitialized(dim, dim);
-  GemmRaw(Trans::kNo, Trans::kYes, dim, dim, w, 1.0, sk.data(), dim,
-          sk.data(), dim, 0.0, g.data(), dim);
-  return g;
-}
-
 // G = sum_l F_l diag(s_l * s_inv)^2 F_l^T over the stacked slice factors
 // (F = U for m == 0, V for m == 1). Accumulated in kSliceChunkCount
 // fixed slice chunks with a fixed-order reduction, parallelized across the
-// shared BLAS pool — the same determinism contract as ModeGram. The
-// kSketched variant routes through SketchedStackedFactorGram above.
+// shared BLAS pool — the same determinism contract as ModeGram.
 Matrix StackedFactorGram(const SliceApproximation& approx, int m,
-                         double s_inv,
-                         adaptive::GramVariant variant =
-                             adaptive::GramVariant::kExact) {
-  if (variant == adaptive::GramVariant::kSketched) {
-    return SketchedStackedFactorGram(approx, m, s_inv);
-  }
+                         double s_inv) {
   const Index dim = approx.Dim(m);
   const Index num = approx.NumSlices();
   Matrix g = Matrix::Uninitialized(dim, dim);
@@ -437,8 +347,7 @@ struct InitResult {
 InitResult InitializeFactors(const SliceApproximation& approx,
                              const std::vector<Index>& ranks, double s_inv,
                              SweepWorkspace* ws, const RunContext* ctx,
-                             StatusCode* stop,
-                             const adaptive::PhaseVariantPlan& plan = {}) {
+                             StatusCode* stop) {
   const Index order = static_cast<Index>(approx.shape.size());
   InitResult init;
   init.factors.resize(static_cast<std::size_t>(order));
@@ -446,18 +355,12 @@ InitResult InitializeFactors(const SliceApproximation& approx,
     if (stop == nullptr || *stop != StatusCode::kOk) return;
     *stop = RunContext::CheckOrOk(ctx);
   };
-  SubspaceIterationOptions init_eig;
-  init_eig.solver = plan.eig;
-  init_eig.qr = plan.qr;
-
   // A1 / A2 from the Grams of the stacked scaled slice factors.
-  init.factors[0] = TopEigenvectorsSym(
-      StackedFactorGram(approx, 0, s_inv, plan.gram), ranks[0],
-      /*subspace=*/nullptr, init_eig);
+  init.factors[0] =
+      TopEigenvectorsSym(StackedFactorGram(approx, 0, s_inv), ranks[0]);
   checkpoint();
-  init.factors[1] = TopEigenvectorsSym(
-      StackedFactorGram(approx, 1, s_inv, plan.gram), ranks[1],
-      /*subspace=*/nullptr, init_eig);
+  init.factors[1] =
+      TopEigenvectorsSym(StackedFactorGram(approx, 1, s_inv), ranks[1]);
   checkpoint();
 
   // Trailing factors from the small projected tensor Z, matricization-free
@@ -467,12 +370,12 @@ InitResult InitializeFactors(const SliceApproximation& approx,
     ws->subspace.resize(static_cast<std::size_t>(order));
   }
   BuildProjectedCoreInto(approx, init.factors[0], init.factors[1], s_inv,
-                         &ws->z, plan.carrier);
+                         &ws->z);
   checkpoint();
   for (Index n = 2; n < order; ++n) {
     init.factors[static_cast<std::size_t>(n)] = LeadingModeVectorsViaGram(
         ws->z, n, ranks[static_cast<std::size_t>(n)],
-        &ws->subspace[static_cast<std::size_t>(n)], init_eig);
+        &ws->subspace[static_cast<std::size_t>(n)]);
     checkpoint();
   }
   init.core = *ContractTrailing(ws->z, init.factors, /*skip_mode=*/-1, ws);
@@ -512,8 +415,7 @@ namespace internal_dtucker {
 bool DTuckerSweep(const SliceApproximation& approx,
                   const std::vector<Index>& ranks,
                   std::vector<Matrix>* factors, Tensor* core,
-                  SweepWorkspace* ws, double s_inv, const RunContext* ctx,
-                  const adaptive::PhaseVariantPlan& plan) {
+                  SweepWorkspace* ws, double s_inv, const RunContext* ctx) {
   DT_TRACE_SPAN("dtucker.sweep");
   const Index order = static_cast<Index>(approx.shape.size());
   if (static_cast<Index>(ws->subspace.size()) < order) {
@@ -535,8 +437,6 @@ bool DTuckerSweep(const SliceApproximation& approx,
   SubspaceIterationOptions inner_eig;
   inner_eig.max_sweeps = 4;
   inner_eig.ritz_tolerance = 1e-9;
-  inner_eig.solver = plan.eig;
-  inner_eig.qr = plan.qr;
   // Mode-1 update: carrier T1 = X~ x_2 A2^T, contract trailing modes, then
   // leading left singular vectors of the mode-0 unfolding — the small-side
   // Gram path of LeadingModeVectorsViaGram (the contracted carrier is
@@ -545,8 +445,7 @@ bool DTuckerSweep(const SliceApproximation& approx,
   if (interrupted()) return false;
   {
     DT_TRACE_SPAN("dtucker.update_mode1");
-    BuildModeOneCarrierInto(approx, (*factors)[1], s_inv, &ws->carrier,
-                            plan.carrier);
+    BuildModeOneCarrierInto(approx, (*factors)[1], s_inv, &ws->carrier);
     (*factors)[0] = LeadingModeVectorsViaGram(
         *ContractTrailing(ws->carrier, *factors, /*skip_mode=*/-1, ws), 0,
         ranks[0], &ws->subspace[0], inner_eig);
@@ -557,8 +456,7 @@ bool DTuckerSweep(const SliceApproximation& approx,
     // this too is a mode-0 problem on the contracted carrier
     // (I2 x J1 x J3 x ...).
     DT_TRACE_SPAN("dtucker.update_mode2");
-    BuildModeTwoCarrierInto(approx, (*factors)[0], s_inv, &ws->carrier,
-                            plan.carrier);
+    BuildModeTwoCarrierInto(approx, (*factors)[0], s_inv, &ws->carrier);
     (*factors)[1] = LeadingModeVectorsViaGram(
         *ContractTrailing(ws->carrier, *factors, /*skip_mode=*/-1, ws), 0,
         ranks[1], &ws->subspace[1], inner_eig);
@@ -569,7 +467,7 @@ bool DTuckerSweep(const SliceApproximation& approx,
     DT_TRACE_SPAN("dtucker.update_trailing");
     if (interrupted()) return false;
     BuildProjectedCoreInto(approx, (*factors)[0], (*factors)[1], s_inv,
-                           &ws->z, plan.carrier);
+                           &ws->z);
     for (Index n = 2; n < order; ++n) {
       if (interrupted()) return false;
       (*factors)[static_cast<std::size_t>(n)] = LeadingModeVectorsViaGram(
@@ -669,7 +567,7 @@ Result<TuckerDecomposition> DTuckerInitializeOnly(
   // init-only result *is* the final product here, so nothing is skipped.
   StatusCode stop = StatusCode::kOk;
   InitResult init = InitializeFactors(approx, options.tucker.ranks, s_inv,
-                                      &ws, ctx, &stop, options.variants);
+                                      &ws, ctx, &stop);
   TuckerDecomposition dec;
   dec.factors = std::move(init.factors);
   dec.core = std::move(init.core);
@@ -696,7 +594,7 @@ Result<TuckerDecomposition> DTuckerFromApproximation(
   InitResult state = [&] {
     DT_TRACE_SPAN("dtucker.initialization");
     return InitializeFactors(approx, options.tucker.ranks, s_inv, &ws, ctx,
-                             &stop, options.variants);
+                             &stop);
   }();
   GlobalPhaseTimer().Add("dtucker.initialization", init_timer.Seconds());
   if (stats != nullptr) stats->init_seconds = init_timer.Seconds();
@@ -735,7 +633,7 @@ Result<TuckerDecomposition> DTuckerFromApproximation(
     }
     const bool completed = internal_dtucker::DTuckerSweep(
         approx, options.tucker.ranks, &state.factors, &state.core, &ws, s_inv,
-        ctx, options.variants);
+        ctx);
     if (!completed) {
       state.factors = std::move(factors_snapshot);
       state.core = std::move(core_snapshot);
@@ -835,7 +733,6 @@ Result<TuckerDecomposition> DTucker(const Tensor& x,
   approx_opts.seed = options.tucker.seed;
   approx_opts.num_threads = options.num_threads;
   approx_opts.run_context = options.tucker.run_context;
-  approx_opts.qr_variant = options.variants.qr;
 
   Timer approx_timer;
   Result<SliceApproximation> approx_result = [&] {

@@ -19,7 +19,6 @@
 #include <functional>
 
 #include "common/status.h"
-#include "dtucker/adaptive/variants.h"
 #include "dtucker/slice_approximation.h"
 #include "tucker/rank_estimation.h"
 #include "tucker/tucker.h"
@@ -46,14 +45,6 @@ struct DTuckerOptions {
   // iteration phases thread through the process-wide BLAS pool instead —
   // set SetBlasThreads (linalg/blas.h) to parallelize them.
   int num_threads = 1;
-
-  // Per-phase execution variants (see dtucker/adaptive/variants.h). The
-  // default plan is the static production configuration and is
-  // bit-identical to the pre-adaptive behavior; the Engine's
-  // `--solver=auto` tuner or a fixed `--solver=axis=name,...` spec
-  // overrides individual axes. Any fixed plan is bitwise
-  // thread/rank-deterministic.
-  adaptive::PhaseVariantPlan variants;
 
   // Sharded path only (dtucker/sharded_dtucker.h); the unsharded solver
   // ignores it. When true (default), the iteration phase's trailing-mode
@@ -147,9 +138,7 @@ Tensor BuildProjectedCore(const SliceApproximation& approx, const Matrix& a1,
 // grow-only scratch). `s_inv` rescales the slice singular values on the fly
 // (see the scale normalization in dtucker.cc); pass 1.0 for unscaled.
 void BuildProjectedCoreInto(const SliceApproximation& approx, const Matrix& a1,
-                            const Matrix& a2, double s_inv, Tensor* z,
-                            adaptive::CarrierBuilderVariant variant =
-                                adaptive::CarrierBuilderVariant::kAuto);
+                            const Matrix& a2, double s_inv, Tensor* z);
 
 // Carrier builders, same slice-parallel contract as BuildProjectedCoreInto:
 // T1 (I1 x J2 x trailing) with slices (U<l> S<l>) (V<l>^T A2), and
@@ -157,13 +146,9 @@ void BuildProjectedCoreInto(const SliceApproximation& approx, const Matrix& a1,
 // mode-1-first so the mode-2 factor update is a mode-0 problem on it (its
 // flat buffer is the unfolding), unlocking the small-side Gram path.
 void BuildModeOneCarrierInto(const SliceApproximation& approx, const Matrix& a2,
-                             double s_inv, Tensor* t,
-                             adaptive::CarrierBuilderVariant variant =
-                                 adaptive::CarrierBuilderVariant::kAuto);
+                             double s_inv, Tensor* t);
 void BuildModeTwoCarrierInto(const SliceApproximation& approx, const Matrix& a1,
-                             double s_inv, Tensor* t,
-                             adaptive::CarrierBuilderVariant variant =
-                                 adaptive::CarrierBuilderVariant::kAuto);
+                             double s_inv, Tensor* t);
 
 // gram (+)= F diag(s * s_inv)^2 F^T for F = slice U (m == 0) or V (m == 1),
 // staging the scaled factor in TLS scratch instead of allocating
@@ -191,8 +176,7 @@ bool DTuckerSweep(const SliceApproximation& approx,
                   const std::vector<Index>& ranks,
                   std::vector<Matrix>* factors, Tensor* core,
                   SweepWorkspace* workspace, double s_inv = 1.0,
-                  const RunContext* ctx = nullptr,
-                  const adaptive::PhaseVariantPlan& plan = {});
+                  const RunContext* ctx = nullptr);
 
 // Convenience overload with a transient workspace (white-box tests).
 bool DTuckerSweep(const SliceApproximation& approx,

@@ -1,14 +1,9 @@
 #include "dtucker/engine.h"
 
-#include <algorithm>
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <memory>
 #include <utility>
 
-#include "common/logging.h"
-#include "common/metrics.h"
 #include "common/trace.h"
 #include "data/tensor_file.h"
 #include "dtucker/sharded_dtucker.h"
@@ -46,58 +41,10 @@ Status EngineOptions::Validate(const std::vector<Index>& shape) const {
           "spmd_rank mode requires comm_scratch (shared rendezvous name)");
     }
   }
-  if (!solver_spec.empty()) {
-    // Unknown axes/variant names surface here, with the registered-variant
-    // list in the message (adaptive::ParsePlan).
-    DT_RETURN_NOT_OK(adaptive::ParsePlan(solver_spec).status());
-  }
-  if (sketch_error_budget < 0) {
-    return Status::InvalidArgument("sketch_error_budget must be non-negative");
-  }
   return Status::OK();
 }
 
 Engine::Engine(EngineOptions options) : options_(std::move(options)) {}
-
-Engine::~Engine() {
-  // Clean-shutdown persistence only: a cancelled session may have fed the
-  // model truncated phase times, so it must not overwrite a good file.
-  if (!calibration_dirty_ || options_.calibration_path.empty() ||
-      ctx_.cancel_requested()) {
-    return;
-  }
-  const Status s = PersistCalibration();
-  if (!s.ok()) {
-    DT_LOG(WARNING) << "failed to persist refined calibration to "
-                    << options_.calibration_path << ": " << s.ToString();
-  }
-}
-
-Status Engine::PersistCalibration() {
-  if (options_.calibration_path.empty()) {
-    return Status::InvalidArgument(
-        "PersistCalibration requires EngineOptions::calibration_path");
-  }
-  const std::string tmp = options_.calibration_path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      return Status::IoError("cannot open " + tmp + " for writing");
-    }
-    out << cost_model_.ToJson() << "\n";
-    out.flush();
-    if (!out) {
-      std::remove(tmp.c_str());
-      return Status::IoError("short write to " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), options_.calibration_path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IoError("rename " + tmp + " -> " +
-                           options_.calibration_path + " failed");
-  }
-  return Status::OK();
-}
 
 void Engine::ApplyBlasThreads() const {
   if (options_.blas_threads > 0) SetBlasThreads(options_.blas_threads);
@@ -120,7 +67,6 @@ DTuckerOptions Engine::DTuckerOptionsFromMethod(const RunContext* ctx) {
   opt.power_iterations = options_.method_options.power_iterations;
   opt.num_threads = options_.method_options.num_threads;
   opt.sweep_callback = options_.method_options.sweep_callback;
-  opt.variants = options_.method_options.variants;
   return opt;
 }
 
@@ -183,116 +129,15 @@ Result<std::unique_ptr<Communicator>> Engine::MakeSpmdCommunicator(
   return comm;
 }
 
-namespace {
-
-adaptive::WorkloadSignature SignatureFor(const EngineOptions& options,
-                                         const std::vector<Index>& shape) {
-  adaptive::WorkloadSignature sig;
-  sig.shape = shape;
-  sig.ranks = options.method_options.tucker.ranks;
-  // Mirror DTuckerOptions::EffectiveSliceRank: slice rank defaults to the
-  // largest target rank of the two leading modes.
-  Index js = 0;
-  for (std::size_t n = 0; n < sig.ranks.size() && n < 2; ++n) {
-    js = std::max(js, sig.ranks[n]);
-  }
-  sig.slice_rank = js > 0 ? js : 10;
-  sig.power_iterations = options.method_options.power_iterations;
-  sig.num_threads =
-      options.blas_threads > 0 ? options.blas_threads : GetBlasThreads();
-  sig.num_ranks = options.num_ranks > 0 ? options.num_ranks : 1;
-  // Amortize one-off phases over a plausible sweep count: the iteration
-  // budget when small, a convergence-typical handful otherwise.
-  sig.expected_sweeps =
-      std::max(1, std::min(options.method_options.tucker.max_iterations, 8));
-  return sig;
-}
-
-}  // namespace
-
-Result<adaptive::PhaseVariantPlan> Engine::ResolvePlan(
-    const std::vector<Index>& shape, adaptive::PlanDecision* decision) {
-  adaptive::PhaseVariantPlan plan = options_.method_options.variants;
-  if (options_.method != TuckerMethod::kDTucker) return plan;
-  if (!options_.solver_spec.empty()) {
-    DT_ASSIGN_OR_RETURN(plan, adaptive::ParsePlan(options_.solver_spec));
-  }
-  if (options_.solver_policy != SolverPolicy::kAuto || shape.size() < 3) {
-    return plan;
-  }
-  DT_TRACE_SPAN("adaptive.choose_plan");
-  if (!calibration_loaded_) {
-    calibration_loaded_ = true;
-    if (!options_.calibration_path.empty()) {
-      cost_model_.LoadCalibration(options_.calibration_path);
-    }
-  }
-  adaptive::TunerOptions tuner;
-  tuner.sketch_error_budget = options_.sketch_error_budget;
-  *decision = adaptive::ChoosePlan(cost_model_, SignatureFor(options_, shape),
-                                   tuner);
-  return decision->plan;
-}
-
-void Engine::RecordAdaptiveRun(const std::vector<Index>& shape,
-                               const adaptive::PhaseVariantPlan& plan,
-                               const adaptive::PlanDecision& decision,
-                               TuckerStats* stats) {
-  if (options_.method != TuckerMethod::kDTucker) return;
-  stats->selected_variants = plan.ToString();
-  const bool is_auto = options_.solver_policy == SolverPolicy::kAuto;
-  if (is_auto) {
-    stats->solver_rationale = decision.rationale;
-    stats->predicted_approx_seconds = decision.predicted_approx_seconds;
-    stats->predicted_init_seconds = decision.predicted_init_seconds;
-    stats->predicted_sweep_seconds = decision.predicted_sweep_seconds;
-  }
-  // adaptive.* metrics: the chosen variant per axis (as registry indices
-  // would be opaque, gauges carry predicted/actual seconds and a 0/1 auto
-  // flag; the plan string itself rides in --metrics-out via TuckerStats).
-  MetricGauge("adaptive.auto").Set(is_auto ? 1.0 : 0.0);
-  MetricGauge("adaptive.plan_default").Set(plan.IsDefault() ? 1.0 : 0.0);
-  if (is_auto) {
-    MetricGauge("adaptive.predicted_init_seconds")
-        .Set(decision.predicted_init_seconds);
-    MetricGauge("adaptive.predicted_sweep_seconds")
-        .Set(decision.predicted_sweep_seconds);
-    MetricGauge("adaptive.actual_init_seconds").Set(stats->init_seconds);
-    // Online refinement: fold the measured phase times back into the
-    // model's scale factors so later solves through this engine predict
-    // this machine better.
-    const adaptive::WorkloadSignature sig = SignatureFor(options_, shape);
-    if (stats->preprocess_seconds > 0) {
-      cost_model_.ObserveApproxSeconds(sig, plan.qr,
-                                       stats->preprocess_seconds);
-      calibration_dirty_ = true;
-    }
-    if (stats->init_seconds > 0) {
-      cost_model_.ObserveInitSeconds(sig, plan, stats->init_seconds);
-      calibration_dirty_ = true;
-    }
-    if (stats->iterations > 0 && stats->iterate_seconds > 0) {
-      const double per_sweep = stats->iterate_seconds / stats->iterations;
-      MetricGauge("adaptive.actual_sweep_seconds").Set(per_sweep);
-      cost_model_.ObserveSweepSeconds(sig, plan, per_sweep);
-      calibration_dirty_ = true;
-    }
-  }
-}
-
 Result<EngineRun> Engine::Solve(const Tensor& x, const RunContext* ctx) {
   const RunContext* effective = EffectiveContext(ctx);
   DT_RETURN_NOT_OK(options_.Validate(x.shape()));
   ApplyBlasThreads();
-  adaptive::PlanDecision decision;
-  DT_ASSIGN_OR_RETURN(const adaptive::PhaseVariantPlan plan,
-                      ResolvePlan(x.shape(), &decision));
   if (options_.num_ranks > 0) {
     // Sharded slice-parallel path (num_ranks == 1 still shards, so rank
     // counts compare within one reduction scheme).
     EngineRun run;
     ShardedDTuckerOptions sharded = ShardedOptionsFromMethod(effective);
-    sharded.dtucker.variants = plan;
     if (options_.spmd_rank >= 0) {
       // SPMD mode: this process is one rank of an externally launched
       // group; run the rank entry point on its own communicator instead of
@@ -312,13 +157,11 @@ Result<EngineRun> Engine::Solve(const Tensor& x, const RunContext* ctx) {
     } else if (!run.stats.error_history.empty()) {
       run.relative_error = run.stats.error_history.back();
     }
-    RecordAdaptiveRun(x.shape(), plan, decision, &run.stats);
     FinishRun(&run);
     return run;
   }
   MethodOptions opts = options_.method_options;
   opts.tucker.run_context = effective;
-  opts.variants = plan;
   DT_ASSIGN_OR_RETURN(
       MethodRun method_run,
       RunTuckerMethod(options_.method, x, opts, options_.measure_error));
@@ -327,7 +170,6 @@ Result<EngineRun> Engine::Solve(const Tensor& x, const RunContext* ctx) {
   run.stats = std::move(method_run.stats);
   run.relative_error = method_run.relative_error;
   run.stored_bytes = method_run.stored_bytes;
-  RecordAdaptiveRun(x.shape(), plan, decision, &run.stats);
   // RunTuckerMethod already published the sweep metrics; FinishRun only
   // needs to fold the completion code (re-publishing gauges is idempotent).
   FinishRun(&run);
@@ -339,20 +181,16 @@ Result<EngineRun> Engine::SolveFile(const std::string& path,
   const RunContext* effective = EffectiveContext(ctx);
   DT_RETURN_NOT_OK(RequireDTucker("SolveFile"));
   ApplyBlasThreads();
-  // The header is cheap to read and gives the auto policy its shape.
+  // The header is cheap to read and gives Validate its shape.
   std::vector<Index> shape;
   {
     DT_ASSIGN_OR_RETURN(TensorFileReader reader, TensorFileReader::Open(path));
     shape = reader.shape();
   }
   DT_RETURN_NOT_OK(options_.Validate(shape));
-  adaptive::PlanDecision decision;
-  DT_ASSIGN_OR_RETURN(const adaptive::PhaseVariantPlan plan,
-                      ResolvePlan(shape, &decision));
   if (options_.num_ranks > 0) {
     EngineRun run;
     ShardedDTuckerOptions sharded = ShardedOptionsFromMethod(effective);
-    sharded.dtucker.variants = plan;
     if (options_.spmd_rank >= 0) {
       DT_ASSIGN_OR_RETURN(std::unique_ptr<Communicator> comm,
                           MakeSpmdCommunicator(effective));
@@ -367,12 +205,10 @@ Result<EngineRun> Engine::SolveFile(const std::string& path,
     if (!run.stats.error_history.empty()) {
       run.relative_error = run.stats.error_history.back();
     }
-    RecordAdaptiveRun(shape, plan, decision, &run.stats);
     FinishRun(&run);
     return run;
   }
   DTuckerOptions opt = DTuckerOptionsFromMethod(effective);
-  opt.variants = plan;
   EngineRun run;
   DT_ASSIGN_OR_RETURN(run.decomposition,
                       DTuckerFromFile(path, opt, &run.stats));
@@ -380,7 +216,6 @@ Result<EngineRun> Engine::SolveFile(const std::string& path,
   if (!run.stats.error_history.empty()) {
     run.relative_error = run.stats.error_history.back();
   }
-  RecordAdaptiveRun(shape, plan, decision, &run.stats);
   FinishRun(&run);
   return run;
 }
@@ -390,11 +225,7 @@ Result<EngineRun> Engine::SolveApproximation(const SliceApproximation& approx,
   const RunContext* effective = EffectiveContext(ctx);
   DT_RETURN_NOT_OK(RequireDTucker("SolveApproximation"));
   ApplyBlasThreads();
-  adaptive::PlanDecision decision;
-  DT_ASSIGN_OR_RETURN(const adaptive::PhaseVariantPlan plan,
-                      ResolvePlan(approx.shape, &decision));
   DTuckerOptions opt = DTuckerOptionsFromMethod(effective);
-  opt.variants = plan;
   EngineRun run;
   DT_ASSIGN_OR_RETURN(run.decomposition,
                       DTuckerFromApproximation(approx, opt, &run.stats));
@@ -402,7 +233,6 @@ Result<EngineRun> Engine::SolveApproximation(const SliceApproximation& approx,
   if (!run.stats.error_history.empty()) {
     run.relative_error = run.stats.error_history.back();
   }
-  RecordAdaptiveRun(approx.shape, plan, decision, &run.stats);
   FinishRun(&run);
   return run;
 }

@@ -25,20 +25,12 @@
 #include "baselines/registry.h"
 #include "common/run_context.h"
 #include "common/status.h"
-#include "dtucker/adaptive/cost_model.h"
-#include "dtucker/adaptive/tuner.h"
 #include "dtucker/dtucker.h"
 #include "dtucker/out_of_core.h"
 #include "dtucker/sharded_dtucker.h"
 #include "tucker/tucker.h"
 
 namespace dtucker {
-
-// How the engine picks per-phase execution variants for D-Tucker runs.
-enum class SolverPolicy {
-  kFixed,  // Run the plan in solver_spec / method_options.variants as-is.
-  kAuto,   // Cost-model-driven per-phase dispatch (dtucker/adaptive/).
-};
 
 struct EngineOptions {
   // Which solver Solve() dispatches to. SolveFile/SolveApproximation are
@@ -82,20 +74,6 @@ struct EngineOptions {
   // off for pure-timing runs). File/approximation paths always report the
   // compressed-form error from the sweep telemetry instead.
   bool measure_error = true;
-  // Variant dispatch policy (D-Tucker only; other methods ignore it).
-  SolverPolicy solver_policy = SolverPolicy::kFixed;
-  // Fixed-policy plan spec, comma-separated "axis=name" (see
-  // adaptive::ParsePlan; the CLI's --solver= value minus "auto"). Empty
-  // keeps method_options.variants. Unknown axes/names are rejected by
-  // Validate with the full registered-variant list.
-  std::string solver_spec;
-  // Calibration file for the auto policy's cost model (flat JSON from
-  // bench_adaptive_json). Empty uses built-in defaults; a missing or
-  // corrupt file logs one warning and degrades to the defaults.
-  std::string calibration_path;
-  // Relative squared-error budget for the HOOI starting point; > 0 lets
-  // the auto policy consider gram=sketched (see adaptive::GramVariant).
-  double sketch_error_budget = 0.0;
 
   Status Validate(const std::vector<Index>& shape) const;
 };
@@ -115,12 +93,6 @@ struct EngineRun {
 class Engine {
  public:
   explicit Engine(EngineOptions options = {});
-
-  // Clean shutdown persists the auto policy's online-refined calibration
-  // back to calibration_path (see PersistCalibration) — skipped when the
-  // run was cancelled, so an interrupted session cannot clobber a good
-  // calibration file with partially-refined coefficients.
-  ~Engine();
 
   // Not copyable (owns the RunContext the solvers poll); not movable either
   // so the context address stays stable for any thread holding it.
@@ -147,8 +119,7 @@ class Engine {
   // The caller owns the override context and must keep it alive for the
   // duration of the call; RequestCancel()/SetDeadlineAfter() on the engine
   // do NOT reach a solve running under an override (poke the override
-  // context instead). Solves remain one-at-a-time per engine: the
-  // adaptive-policy state (cost model refinement) is not synchronized.
+  // context instead).
   Result<EngineRun> Solve(const Tensor& x) { return Solve(x, nullptr); }
   Result<EngineRun> Solve(const Tensor& x, const RunContext* ctx);
 
@@ -167,16 +138,6 @@ class Engine {
   }
   Result<EngineRun> SolveApproximation(const SliceApproximation& approx,
                                        const RunContext* ctx);
-
-  // Writes the cost model's current coefficients — including any scale.*
-  // factors refined online from measured phase times — to
-  // options().calibration_path as the same flat JSON bench_adaptive_json
-  // emits, via write-temp + atomic rename (a concurrent reader sees either
-  // the old file or the new one, never a torn write). InvalidArgument when
-  // no calibration_path is configured. Called automatically by the
-  // destructor after an auto-policy run refined the model, unless the
-  // engine's context was cancelled.
-  Status PersistCalibration();
 
  private:
   // Folds the solver-reported completion code into run->status and
@@ -197,29 +158,8 @@ class Engine {
   Status RequireDTucker(const char* entry) const;
   void ApplyBlasThreads() const;
 
-  // Resolves the variant plan for a D-Tucker run on `shape`: the parsed
-  // solver_spec (fixed policy) or the tuner's choice (auto policy), with
-  // the decision recorded for RecordAdaptiveRun. Non-D-Tucker methods get
-  // the default plan.
-  Result<adaptive::PhaseVariantPlan> ResolvePlan(
-      const std::vector<Index>& shape, adaptive::PlanDecision* decision);
-  // Fills stats.selected_variants / predicted-seconds, publishes the
-  // adaptive.* metrics, and feeds measured phase times back into the cost
-  // model (online refinement, auto policy only).
-  void RecordAdaptiveRun(const std::vector<Index>& shape,
-                         const adaptive::PhaseVariantPlan& plan,
-                         const adaptive::PlanDecision& decision,
-                         TuckerStats* stats);
-
   EngineOptions options_;
   RunContext ctx_;
-  // Cost model state for the auto policy: calibration loaded lazily on
-  // first use, then refined online from measured phase times.
-  adaptive::CostModel cost_model_;
-  bool calibration_loaded_ = false;
-  // Set when online refinement fed a measured time into the model — the
-  // destructor only rewrites calibration_path if there is something new.
-  bool calibration_dirty_ = false;
 };
 
 }  // namespace dtucker

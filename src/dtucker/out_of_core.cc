@@ -28,7 +28,6 @@ Result<std::vector<SliceSvd>> ApproximateSliceRangeFromFile(
   base.rank = options.slice_rank;
   base.oversampling = options.oversampling;
   base.power_iterations = options.power_iterations;
-  base.qr = options.qr_variant;
 
   std::vector<SliceSvd> out;
   out.reserve(static_cast<std::size_t>(count));

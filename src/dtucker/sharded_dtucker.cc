@@ -75,28 +75,11 @@ struct ShardContext {
   ShardPlan plan;
   Communicator* comm = nullptr;
   double s_inv = 1.0;
-  // Per-phase execution variants (adaptive layer). The gram axis is
-  // ignored here: the sharded Gram is always the exact chunked reduction,
-  // which keeps the cross-rank bitwise-identity contract trivially intact.
-  adaptive::PhaseVariantPlan variants;
   // DTuckerOptions::shard_trailing_updates: sweep-time trailing factor
   // updates and core refresh run on the rank's own Z slab instead of a
   // gathered Z (see ShardedSweep). Identical on every rank, so the
   // branch choice stays in lockstep.
   bool shard_trailing = true;
-  // Eig/qr choices bundled for the replicated small solves.
-  SubspaceIterationOptions EigOptions() const {
-    SubspaceIterationOptions o;
-    o.solver = variants.eig;
-    o.qr = variants.qr;
-    return o;
-  }
-  SubspaceIterationOptions InnerEigOptions() const {
-    SubspaceIterationOptions o = kInnerEig;
-    o.solver = variants.eig;
-    o.qr = variants.qr;
-    return o;
-  }
 };
 
 // Reusable per-rank buffers across sweeps, wrapping the unsharded
@@ -327,8 +310,7 @@ const std::vector<std::size_t>& RankSliceCounts(const ShardContext& sc,
 Status GatherProjectedCore(const ShardContext& sc, const Matrix& a1,
                            const Matrix& a2, ShardWorkspace* sw) {
   DT_TRACE_SPAN("dtucker.shard.gather_z");
-  BuildProjectedCoreInto(*sc.local, a1, a2, sc.s_inv, &sw->z_local,
-                         sc.variants.carrier);
+  BuildProjectedCoreInto(*sc.local, a1, a2, sc.s_inv, &sw->z_local);
   std::vector<Index> zshape = sc.full_shape;
   zshape[0] = a1.cols();
   zshape[1] = a2.cols();
@@ -409,7 +391,7 @@ Status ShardedTrailingFactorUpdate(const ShardContext& sc,
   }
   DT_RETURN_NOT_OK(sc.comm->AllReduceSum(&c));
   const Matrix w =
-      TopEigenvectorsSym(c, k, &sw->ws.subspace[2], sc.InnerEigOptions());
+      TopEigenvectorsSym(c, k, &sw->ws.subspace[2], kInnerEig);
   Matrix& ut = sw->ut_local;
   if (ut.rows() != k || ut.cols() != nlocal) {
     ut = Matrix::Uninitialized(k, nlocal);
@@ -436,7 +418,7 @@ Status ShardedTrailingFactorUpdate(const ShardContext& sc,
     const double* src = ut_all.col_data(l);
     for (Index j = 0; j < k; ++j) u.col_data(j)[l] = src[j];
   }
-  (*factors)[2] = QrOrthonormalize(u, sc.variants.qr);
+  (*factors)[2] = QrOrthonormalize(u);
   return Status::OK();
 }
 
@@ -458,11 +440,9 @@ Status ShardedInitialize(const ShardContext& sc,
   init->factors.resize(static_cast<std::size_t>(order));
   Matrix gram;
   DT_RETURN_NOT_OK(ShardedStackedFactorGram(sc, 0, &gram));
-  init->factors[0] = TopEigenvectorsSym(gram, ranks[0], /*subspace=*/nullptr,
-                                        sc.EigOptions());
+  init->factors[0] = TopEigenvectorsSym(gram, ranks[0]);
   DT_RETURN_NOT_OK(ShardedStackedFactorGram(sc, 1, &gram));
-  init->factors[1] = TopEigenvectorsSym(gram, ranks[1], /*subspace=*/nullptr,
-                                        sc.EigOptions());
+  init->factors[1] = TopEigenvectorsSym(gram, ranks[1]);
 
   if (static_cast<Index>(sw->ws.subspace.size()) < order) {
     sw->ws.subspace.resize(static_cast<std::size_t>(order));
@@ -475,7 +455,7 @@ Status ShardedInitialize(const ShardContext& sc,
   for (Index n = 2; n < order; ++n) {
     init->factors[static_cast<std::size_t>(n)] = LeadingModeVectorsViaGram(
         sw->ws.z, n, ranks[static_cast<std::size_t>(n)],
-        &sw->ws.subspace[static_cast<std::size_t>(n)], sc.EigOptions());
+        &sw->ws.subspace[static_cast<std::size_t>(n)]);
   }
   init->core = *ContractTrailing(sw->ws.z, init->factors, /*skip_mode=*/-1,
                                  &sw->ws);
@@ -523,7 +503,7 @@ Status ShardedSweep(const ShardContext& sc, const std::vector<Index>& ranks,
     static Histogram& stage_hist = MetricHistogram("dtucker.stage_ns.mode1");
     StageTimer stage_timer(&stage_hist);
     BuildModeOneCarrierInto(*sc.local, (*factors)[1], sc.s_inv,
-                            &sw->ws.carrier, sc.variants.carrier);
+                            &sw->ws.carrier);
     const Index j2 = (*factors)[1].cols();
     std::vector<Index> wshape = sc.full_shape;
     wshape[1] = j2;
@@ -535,7 +515,7 @@ Status ShardedSweep(const ShardContext& sc, const std::vector<Index>& ranks,
                                               sw->kron, p_total, wshape, sw,
                                               &sw->w));
     (*factors)[0] = LeadingModeVectorsViaGram(
-        sw->w, 0, ranks[0], &sw->ws.subspace[0], sc.InnerEigOptions());
+        sw->w, 0, ranks[0], &sw->ws.subspace[0], kInnerEig);
   }
   DT_ASSIGN_OR_RETURN(stopped, agree(SweepStop::kMid));
   if (stopped) return Status::OK();
@@ -546,7 +526,7 @@ Status ShardedSweep(const ShardContext& sc, const std::vector<Index>& ranks,
     static Histogram& stage_hist = MetricHistogram("dtucker.stage_ns.mode2");
     StageTimer stage_timer(&stage_hist);
     BuildModeTwoCarrierInto(*sc.local, (*factors)[0], sc.s_inv,
-                            &sw->ws.carrier, sc.variants.carrier);
+                            &sw->ws.carrier);
     const Index j1 = (*factors)[0].cols();
     std::vector<Index> wshape = sc.full_shape;
     wshape[0] = i2;
@@ -559,7 +539,7 @@ Status ShardedSweep(const ShardContext& sc, const std::vector<Index>& ranks,
                                               sw->kron, p_total, wshape, sw,
                                               &sw->w));
     (*factors)[1] = LeadingModeVectorsViaGram(
-        sw->w, 0, ranks[1], &sw->ws.subspace[1], sc.InnerEigOptions());
+        sw->w, 0, ranks[1], &sw->ws.subspace[1], kInnerEig);
   }
   DT_ASSIGN_OR_RETURN(stopped, agree(SweepStop::kMid));
   if (stopped) return Status::OK();
@@ -574,7 +554,7 @@ Status ShardedSweep(const ShardContext& sc, const std::vector<Index>& ranks,
       // Gram reduced through the canonical tree — the full Z is never
       // gathered during sweeps.
       BuildProjectedCoreInto(*sc.local, (*factors)[0], (*factors)[1],
-                             sc.s_inv, &sw->z_local, sc.variants.carrier);
+                             sc.s_inv, &sw->z_local);
       DT_RETURN_NOT_OK(ShardedTrailingFactorUpdate(sc, ranks, factors, sw));
     } else {
       // Replicated fallback (orders >= 4, oversized trailing rank, or
@@ -587,7 +567,7 @@ Status ShardedSweep(const ShardContext& sc, const std::vector<Index>& ranks,
             *ContractTrailing(sw->ws.z, *factors, /*skip_mode=*/n, &sw->ws), n,
             ranks[static_cast<std::size_t>(n)],
             &sw->ws.subspace[static_cast<std::size_t>(n)],
-            sc.InnerEigOptions());
+            kInnerEig);
       }
     }
   }
@@ -682,7 +662,6 @@ Result<TuckerDecomposition> ShardedDTuckerFromLocalApproximation(
   sc.full_shape = full_shape;
   sc.plan = plan;
   sc.comm = comm;
-  sc.variants = options.variants;
   sc.shard_trailing = options.shard_trailing_updates;
   DT_ASSIGN_OR_RETURN(const double scale, ShardedScale(sc));
   sc.s_inv = 1.0 / scale;  // Exactly 1.0 in the common case.
@@ -845,7 +824,6 @@ SliceApproximationOptions ApproxOptionsFor(const DTuckerOptions& options,
   approx_opts.seed = options.tucker.seed;
   approx_opts.num_threads = options.num_threads;
   approx_opts.run_context = options.tucker.run_context;
-  approx_opts.qr_variant = options.variants.qr;
   return approx_opts;
 }
 

@@ -110,7 +110,6 @@ Result<std::vector<SliceSvd>> ApproximateSliceRange(
   base.rank = options.slice_rank;
   base.oversampling = options.oversampling;
   base.power_iterations = options.power_iterations;
-  base.qr = options.qr_variant;
 
   DT_TRACE_SPAN("dtucker.slice_range");
   std::vector<SliceSvd> out(static_cast<std::size_t>(count));

@@ -49,9 +49,6 @@ struct SliceApproximationOptions {
   // slice_rank, floor 1). Smooth scenes store fewer numbers than busy
   // ones; every consumer of SliceApproximation handles per-slice ranks.
   double adaptive_tolerance = 0.0;
-  // QR strategy forwarded into the per-slice rSVD orthonormalizations (the
-  // adaptive execution layer's qr axis; kAuto is the size heuristic).
-  QrVariant qr_variant = QrVariant::kAuto;
   // Worker threads for the per-slice SVDs. Slices are independent and each
   // draws from its own seeded stream, so the result is bit-identical to
   // the single-threaded run. Default 1 matches the paper's protocol.

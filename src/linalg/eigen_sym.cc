@@ -102,18 +102,9 @@ Matrix TopEigenvectorsSym(const Matrix& a, Index k, Matrix* subspace,
   DT_CHECK_EQ(n, a.cols()) << "TopEigenvectorsSym requires a square matrix";
   DT_CHECK(k > 0 && k <= n) << "k out of range";
 
-  // Forced dense variants (adaptive execution layer): solve the full
-  // spectrum and truncate. Neither reads nor writes the warm-start basis.
-  if (options.solver == EigSolverVariant::kJacobi) {
-    return EigenSym(a).vectors.LeftCols(k);
-  }
-  if (options.solver == EigSolverVariant::kQl) {
-    return EigenSymFast(a).vectors.LeftCols(k);
-  }
-
   // Small problems (or nearly-full spectra): a dense solve is both exact
-  // and fast enough. Skipped when the subspace variant is forced.
-  if (options.solver == EigSolverVariant::kAuto && (n <= 64 || 2 * k >= n)) {
+  // and fast enough.
+  if (n <= 64 || 2 * k >= n) {
     return EigenSymFast(a).vectors.LeftCols(k);
   }
 
@@ -130,7 +121,7 @@ Matrix TopEigenvectorsSym(const Matrix& a, Index k, Matrix* subspace,
   } else {
     Rng rng(0x70B5EEDULL + static_cast<uint64_t>(n) * 1315423911ULL +
             static_cast<uint64_t>(k));
-    q = QrOrthonormalize(Matrix::GaussianRandom(n, s, rng), options.qr);
+    q = QrOrthonormalize(Matrix::GaussianRandom(n, s, rng));
   }
 
   std::vector<double> prev_ritz;
@@ -175,7 +166,7 @@ Matrix TopEigenvectorsSym(const Matrix& a, Index k, Matrix* subspace,
       if (subspace != nullptr) *subspace = std::move(q);
       return out;
     }
-    q = QrOrthonormalize(z, options.qr);
+    q = QrOrthonormalize(z);
   }
   // Fallback extraction after max_sweeps.
   Gemm(Trans::kNo, Trans::kNo, 1.0, a, q, 0.0, &z);

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "linalg/matrix.h"
-#include "linalg/qr.h"
 
 namespace dtucker {
 
@@ -21,20 +20,6 @@ struct EigenSymResult {
 // upper triangle is read).
 EigenSymResult EigenSym(const Matrix& a);
 
-// Which eigensolver TopEigenvectorsSym runs. kAuto is the production
-// default: the size heuristic in the implementation (dense QL below the
-// crossover or when the target rank covers most of the spectrum,
-// randomized subspace iteration above it). The forced variants are the
-// named strategies the input-adaptive execution layer (dtucker/adaptive/)
-// dispatches between; each is deterministic on its own, so any fixed
-// choice keeps the bitwise thread/rank-determinism contracts.
-enum class EigSolverVariant {
-  kAuto,
-  kJacobi,    // Full dense Jacobi sweeps (high-accuracy reference).
-  kQl,        // Householder tridiagonalization + QL (dense workhorse).
-  kSubspace,  // Randomized warm-started subspace iteration.
-};
-
 // Knobs for the randomized subspace iteration inside TopEigenvectorsSym.
 // The defaults solve to near machine precision. Iterative outer loops
 // (HOOI/ALS sweeps) can afford a looser tolerance and a tighter sweep cap:
@@ -45,15 +30,13 @@ enum class EigSolverVariant {
 struct SubspaceIterationOptions {
   int max_sweeps = 50;
   double ritz_tolerance = 1e-11;
-  // Strategy dispatch for the adaptive execution layer: which solver runs,
-  // and which QR variant re-orthonormalizes the iterated basis.
-  EigSolverVariant solver = EigSolverVariant::kAuto;
-  QrVariant qr = QrVariant::kAuto;
 };
 
 // Top-k eigenvectors of a symmetric PSD matrix (descending eigenvalues).
-// Small problems use the full Jacobi solver; large ones use randomized
-// subspace iteration with Rayleigh-Ritz extraction, which is the O(n^2 k)
+// Small problems (n <= 64) and nearly-full spectra (2k >= n) use the dense
+// tridiagonal QL solver, with Jacobi as its fallback on non-convergence;
+// the rest use randomized subspace iteration with Rayleigh-Ritz
+// extraction, which is the O(n^2 k)
 // workhorse behind every factor update in this library (ALS and D-Tucker
 // both extract leading singular vectors from n x n Gram matrices).
 // Deterministic: the start basis is seeded from (n, k).

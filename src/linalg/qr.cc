@@ -363,35 +363,27 @@ Matrix FormQUnblocked(const Matrix& fact, const std::vector<double>& tau) {
   return q;
 }
 
-bool UseUnblocked(const Matrix& a, QrVariant variant) {
-  switch (variant) {
-    case QrVariant::kBlocked:
-      return false;
-    case QrVariant::kScalar:
-      return true;
-    case QrVariant::kAuto:
-      break;
-  }
+bool UseUnblocked(const Matrix& a) {
   return std::min(a.rows(), a.cols()) <= kQrUnblockedMax;
 }
 
 }  // namespace
 
-QrResult ThinQr(const Matrix& a, QrVariant variant) {
+QrResult ThinQr(const Matrix& a) {
   static Counter& calls = MetricCounter("qr.calls");
   calls.Add(1);
   DT_TRACE_SPAN("qr.thin");
-  if (UseUnblocked(a, variant)) return ThinQrUnblocked(a);
+  if (UseUnblocked(a)) return ThinQrUnblocked(a);
   BlockedFactorization f = FactorizeBlocked(a);
   Matrix r = ExtractR(f.fact, f.m, f.n, static_cast<Index>(f.tau.size()));
   return QrResult{FormQBlocked(f), std::move(r)};
 }
 
-Matrix QrOrthonormalize(const Matrix& a, QrVariant variant) {
+Matrix QrOrthonormalize(const Matrix& a) {
   static Counter& calls = MetricCounter("qr.calls");
   calls.Add(1);
   DT_TRACE_SPAN("qr.orthonormalize");
-  if (UseUnblocked(a, variant)) return QrOrthonormalizeUnblocked(a);
+  if (UseUnblocked(a)) return QrOrthonormalizeUnblocked(a);
   return FormQBlocked(FactorizeBlocked(a));
 }
 

@@ -40,35 +40,21 @@ inline constexpr Index kQrPanelWidthSmall = 32;
 inline constexpr Index kQrPanelWidthLarge = 32;
 inline constexpr Index kQrWidePanelMin = 192;
 
-// Which QR implementation a call runs. kAuto is the production default:
-// the size heuristic above (unblocked at or below kQrUnblockedMax,
-// compact-WY blocked beyond). The forced variants exist for the
-// input-adaptive execution layer (dtucker/adaptive/): every variant is a
-// named, individually-dispatchable strategy so the cost-model tuner can
-// pick per workload, and each one is bitwise thread-deterministic on its
-// own. kScalar forces the level-2 reference path (competitive on narrow
-// panels where the compact-WY setup does not amortize); kBlocked forces
-// the level-3 path even on small inputs.
-enum class QrVariant {
-  kAuto,
-  kBlocked,
-  kScalar,
-};
-
 struct QrResult {
   Matrix q;  // m x min(m,n), orthonormal columns.
   Matrix r;  // min(m,n) x n, upper triangular.
 };
 
-QrResult ThinQr(const Matrix& a, QrVariant variant = QrVariant::kAuto);
+QrResult ThinQr(const Matrix& a);
 
 // Returns only the orthonormal factor Q (saves forming R when the caller
 // just needs an orthonormal basis of range(A)).
-Matrix QrOrthonormalize(const Matrix& a, QrVariant variant = QrVariant::kAuto);
+Matrix QrOrthonormalize(const Matrix& a);
 
 // Reference level-2 implementations (one reflector at a time, rank-1
-// updates). Kept as the correctness baseline for tests and the speedup
-// baseline for benchmarks; not used by the library itself.
+// updates): the path ThinQr/QrOrthonormalize take at or below
+// kQrUnblockedMax, and the correctness and speedup baseline for tests and
+// benchmarks.
 QrResult ThinQrUnblocked(const Matrix& a);
 Matrix QrOrthonormalizeUnblocked(const Matrix& a);
 

@@ -26,14 +26,14 @@ Matrix RandomizedRangeFinder(const Matrix& a, const RsvdOptions& options) {
   Rng rng(options.seed);
   Matrix omega = Matrix::GaussianRandom(a.cols(), sketch, rng);
   Matrix y = Multiply(a, omega);          // m x sketch.
-  Matrix q = QrOrthonormalize(y, options.qr);
+  Matrix q = QrOrthonormalize(y);
 
   for (int it = 0; it < options.power_iterations; ++it) {
     // Subspace iteration with re-orthonormalization: Q <- orth(A A^T Q).
     Matrix z = MultiplyTN(a, q);          // n x sketch.
-    z = QrOrthonormalize(z, options.qr);
+    z = QrOrthonormalize(z);
     y = Multiply(a, z);                   // m x sketch.
-    q = QrOrthonormalize(y, options.qr);
+    q = QrOrthonormalize(y);
   }
   return q;
 }
@@ -61,11 +61,11 @@ SvdResult RandomizedSvd(const Matrix& a, const RsvdOptions& options) {
 
   Rng rng(options.seed);
   Matrix omega = Matrix::GaussianRandom(a.cols(), sketch, rng);
-  Matrix q = QrOrthonormalize(Multiply(a, omega), options.qr);  // Pass 1.
+  Matrix q = QrOrthonormalize(Multiply(a, omega));  // Pass 1.
 
   if (options.power_iterations <= 0) {
     Matrix b = MultiplyTN(q, a);          // sketch x n (pass 2 over A).
-    QrResult lq = ThinQr(b.Transposed(), options.qr);
+    QrResult lq = ThinQr(b.Transposed());
     // B = (Q_b R_b)^T = R_b^T Q_b^T: SVD the small square core R_b^T.
     SvdResult core = ThinSvd(lq.r.Transposed());
     SvdResult out{Multiply(q, core.u), std::move(core.s),
@@ -77,12 +77,12 @@ SvdResult RandomizedSvd(const Matrix& a, const RsvdOptions& options) {
   Matrix z;
   QrResult yqr;
   for (int it = 0; it < options.power_iterations; ++it) {
-    z = QrOrthonormalize(MultiplyTN(a, q), options.qr);     // n x sketch.
+    z = QrOrthonormalize(MultiplyTN(a, q));     // n x sketch.
     if (it + 1 < options.power_iterations) {
-      q = QrOrthonormalize(Multiply(a, z), options.qr);     // m x sketch.
+      q = QrOrthonormalize(Multiply(a, z));     // m x sketch.
     } else {
       // Last half-iteration: keep R so the product is also the projection.
-      yqr = ThinQr(Multiply(a, z), options.qr);
+      yqr = ThinQr(Multiply(a, z));
       q = std::move(yqr.q);
     }
   }

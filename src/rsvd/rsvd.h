@@ -15,7 +15,6 @@
 
 #include "common/rng.h"
 #include "linalg/matrix.h"
-#include "linalg/qr.h"
 #include "linalg/svd.h"
 
 namespace dtucker {
@@ -25,10 +24,6 @@ struct RsvdOptions {
   Index oversampling = 5;     // Extra random directions p; sketch uses J+p.
   int power_iterations = 1;   // q; each adds two passes but sharpens decay.
   uint64_t seed = 42;         // Seed for the Gaussian test matrix.
-  // QR strategy for the range-finder/power-loop orthonormalizations (the
-  // adaptive execution layer dispatches this per workload; kAuto is the
-  // production size heuristic).
-  QrVariant qr = QrVariant::kAuto;
 };
 
 // Orthonormal basis Q (m x min(rank+oversampling, min(m,n))) approximating

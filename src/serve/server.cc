@@ -54,9 +54,6 @@ Status ModelSpec::Validate() const {
   if (!(tolerance > 0)) {
     return Status::InvalidArgument("ModelSpec::tolerance must be > 0");
   }
-  if (!solver_spec.empty()) {
-    DT_RETURN_NOT_OK(adaptive::ParsePlan(solver_spec).status());
-  }
   return Status::OK();
 }
 
@@ -73,7 +70,6 @@ std::string ModelSpec::CanonicalKey() const {
   key += "|tol=";
   key += tol;
   key += "|seed=" + std::to_string(seed);
-  key += "|plan=" + solver_spec;
   return key;
 }
 
@@ -289,7 +285,6 @@ void DecompositionServer::ExecuteJob(const std::shared_ptr<ServeJob>& job) {
     eopt.method_options.tucker.max_iterations = spec.max_iterations;
     eopt.method_options.tucker.tolerance = spec.tolerance;
     eopt.method_options.tucker.seed = spec.seed;
-    eopt.solver_spec = spec.solver_spec;
     Engine engine(eopt);
     Timer exec_timer;
     run = job->request.tensor != nullptr

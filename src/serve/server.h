@@ -72,12 +72,9 @@ struct ModelSpec {
   int max_iterations = 20;
   double tolerance = 1e-4;
   std::uint64_t seed = 42;
-  // Fixed per-phase variant plan ("axis=name,..." — see EngineOptions::
-  // solver_spec); empty keeps the default plan.
-  std::string solver_spec;
 
   Status Validate() const;
-  // The cache key: a canonical "dataset|ranks|iters|tol|seed|spec" string
+  // The cache key: a canonical "dataset|ranks|iters|tol|seed" string
   // (exact match, no hash collisions to reason about).
   std::string CanonicalKey() const;
   // FNV-1a hash of CanonicalKey() for logs and dashboards.
@@ -146,7 +143,7 @@ struct ServerOptions {
   int queue_capacity = 64;
   ModelCacheOptions cache;
   // Base engine configuration for every job; the per-request ModelSpec
-  // overrides ranks / max_iterations / tolerance / seed / solver_spec.
+  // overrides ranks / max_iterations / tolerance / seed.
   EngineOptions engine;
   // Test seam: runs on the worker thread after a job is popped, before its
   // deadline check and Engine run. Leave empty in production.

@@ -249,18 +249,4 @@ Matrix Kronecker(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-Matrix KhatriRao(const Matrix& a, const Matrix& b) {
-  DT_CHECK_EQ(a.cols(), b.cols()) << "Khatri-Rao column count mismatch";
-  Matrix out = Matrix::Uninitialized(a.rows() * b.rows(), a.cols());
-  const Index brows = b.rows();
-  for (Index j = 0; j < a.cols(); ++j) {
-    double* dst = out.col_data(j);
-    const double* bcol = b.col_data(j);
-    for (Index ia = 0; ia < a.rows(); ++ia, dst += brows) {
-      ScaledCopy(a(ia, j), bcol, dst, brows);
-    }
-  }
-  return out;
-}
-
 }  // namespace dtucker

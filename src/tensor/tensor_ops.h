@@ -56,9 +56,6 @@ Tensor ModeProductChain(const Tensor& x, const std::vector<Matrix>& matrices,
 // Kronecker product A (x) B: (ma*mb) x (na*nb).
 Matrix Kronecker(const Matrix& a, const Matrix& b);
 
-// Column-wise Khatri-Rao product: A and B must have equal column counts.
-Matrix KhatriRao(const Matrix& a, const Matrix& b);
-
 }  // namespace dtucker
 
 #endif  // DTUCKER_TENSOR_TENSOR_OPS_H_

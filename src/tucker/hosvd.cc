@@ -45,7 +45,7 @@ Matrix LeadingModeVectorsViaGram(const Tensor& x, Index mode, Index k,
     Matrix u = Matrix::Uninitialized(n, k);
     GemmRaw(Trans::kNo, Trans::kNo, n, k, m, 1.0, x.data(), n, w.data(), m,
             0.0, u.data(), n);
-    return QrOrthonormalize(u, eig_options.qr);
+    return QrOrthonormalize(u);
   }
   Matrix g = ModeGram(x, mode);
   return TopEigenvectorsSym(g, k, subspace, eig_options);

@@ -99,17 +99,6 @@ struct TuckerStats {
   }
   // Peak logical working-set bytes beyond the input tensor itself.
   std::size_t working_bytes = 0;
-  // Adaptive execution (--solver=auto or a fixed variant plan): the plan
-  // the run executed, as the canonical "eig=...,qr=...,carrier=...,gram=..."
-  // spec string, and the cost model's predicted phase seconds for
-  // predicted-vs-actual auditing (zeros when no prediction ran). Filled by
-  // the Engine; plain strings/doubles so this header stays below the
-  // adaptive layer.
-  std::string selected_variants;
-  std::string solver_rationale;
-  double predicted_approx_seconds = 0;
-  double predicted_init_seconds = 0;
-  double predicted_sweep_seconds = 0;
 };
 
 // Fast relative error when factors are column-orthogonal and `core` is the

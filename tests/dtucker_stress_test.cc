@@ -132,7 +132,10 @@ TEST_F(DTuckerStressTest, CarrierBuildersBitwiseDeterministicAcrossThreads) {
   internal_dtucker::BuildModeOneCarrierInto(approx, a2, 1.0, &t1);
   internal_dtucker::BuildModeTwoCarrierInto(approx, a1, 1.0, &t2);
   internal_dtucker::BuildProjectedCoreInto(approx, a1, a2, 1.0, &z);
-  for (int threads : {2, 8}) {
+  // 10 slices: 2 and 8 threads run the slice-parallel loop; 16 threads
+  // (more workers than slices) run slices serially with GEMM-internal
+  // threading.
+  for (int threads : {2, 8, 16}) {
     SetBlasThreads(threads);
     Tensor u1, u2, w;
     internal_dtucker::BuildModeOneCarrierInto(approx, a2, 1.0, &u1);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "linalg/blas.h"
 #include "linalg/svd.h"
@@ -73,6 +76,40 @@ TEST(EigenSymTest, NegativeEigenvaluesHandled) {
   EigenSymResult eig = EigenSym(a);
   EXPECT_NEAR(eig.values[0], 2.0, 1e-12);
   EXPECT_NEAR(eig.values[1], -2.0, 1e-12);
+}
+
+// n = 128 > 64 and 2k < n, so TopEigenvectorsSym takes the randomized
+// subspace-iteration branch; the dense Jacobi solve is the reference.
+TEST(EigenSymTest, SubspaceIterationMatchesDenseProjector) {
+  const Index n = 128;
+  const Index k = 10;
+  // PSD with a spread spectrum 2^-i on a random orthonormal basis.
+  Matrix basis = EigenSym(RandomSymmetric(n, 77)).vectors;
+  Matrix scaled = basis;
+  for (Index j = 0; j < n; ++j) {
+    for (Index i = 0; i < n; ++i) {
+      scaled(i, j) *= std::ldexp(1.0, -static_cast<int>(j));
+    }
+  }
+  const Matrix a = MultiplyNT(scaled, basis);
+  const Matrix ref = EigenSym(a).vectors.LeftCols(k);
+  const Matrix ref_projector = MultiplyNT(ref, ref);
+
+  Counter& sweeps = MetricCounter("eig.subspace_sweeps");
+  Matrix subspace;
+  const std::uint64_t before_cold = sweeps.Value();
+  const Matrix cold = TopEigenvectorsSym(a, k, &subspace);
+  const std::uint64_t cold_sweeps = sweeps.Value() - before_cold;
+  ASSERT_GT(cold_sweeps, 0u) << "dense branch taken";
+  ASSERT_EQ(subspace.rows(), n);
+  EXPECT_TRUE(AlmostEqual(MultiplyTN(cold, cold), Matrix::Identity(k), 1e-10));
+  EXPECT_LT((MultiplyNT(cold, cold) - ref_projector).MaxAbs(), 1e-8);
+
+  // Warm start from the returned basis: same subspace, no more sweeps.
+  const std::uint64_t before_warm = sweeps.Value();
+  const Matrix warm = TopEigenvectorsSym(a, k, &subspace);
+  EXPECT_LE(sweeps.Value() - before_warm, cold_sweeps);
+  EXPECT_LT((MultiplyNT(warm, warm) - ref_projector).MaxAbs(), 1e-8);
 }
 
 }  // namespace

@@ -138,21 +138,5 @@ TEST(IdentityTest, KroneckerNormMultiplies) {
               a.FrobeniusNorm() * b.FrobeniusNorm(), 1e-10);
 }
 
-TEST(IdentityTest, KhatriRaoViaGramHadamard) {
-  // (A (*) B)^T (A (*) B) = (A^T A) .* (B^T B) — the identity CP-ALS uses.
-  Rng rng(9);
-  Matrix a = Matrix::GaussianRandom(6, 3, rng);
-  Matrix b = Matrix::GaussianRandom(5, 3, rng);
-  Matrix kr = KhatriRao(a, b);
-  Matrix lhs = Gram(kr);
-  Matrix ga = Gram(a);
-  Matrix gb = Gram(b);
-  for (Index i = 0; i < 3; ++i) {
-    for (Index j = 0; j < 3; ++j) {
-      EXPECT_NEAR(lhs(i, j), ga(i, j) * gb(i, j), 1e-10);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace dtucker

@@ -166,18 +166,5 @@ TEST(TensorOpsTest, KroneckerMixedProductProperty) {
   EXPECT_TRUE(AlmostEqual(lhs, rhs, 1e-9));
 }
 
-TEST(TensorOpsTest, KhatriRaoColumnsAreKroneckerOfColumns) {
-  Rng rng(11);
-  Matrix a = Matrix::GaussianRandom(3, 4, rng);
-  Matrix b = Matrix::GaussianRandom(5, 4, rng);
-  Matrix kr = KhatriRao(a, b);
-  ASSERT_EQ(kr.rows(), 15);
-  ASSERT_EQ(kr.cols(), 4);
-  for (Index j = 0; j < 4; ++j) {
-    Matrix kj = Kronecker(a.Col(j), b.Col(j));
-    for (Index i = 0; i < 15; ++i) EXPECT_NEAR(kr(i, j), kj(i, 0), 1e-12);
-  }
-}
-
 }  // namespace
 }  // namespace dtucker
