@@ -1,6 +1,6 @@
 // Microbenchmarks for the D-Tucker iteration phase: the matricization-free
-// mode-n Gram kernel, the slice-parallel carrier builders, one HOOI sweep
-// with a persistent workspace, and the end-to-end pipeline. The binary
+// mode-n Gram kernel, the slice kernels of the carrier builders, one HOOI
+// sweep, and the end-to-end pipeline. The binary
 // installs a global allocation probe so BM_ModeGram can assert the kernel
 // never materializes an unfolding-sized copy.
 #include <benchmark/benchmark.h>
@@ -119,13 +119,16 @@ void BM_BuildCarrier(benchmark::State& state) {
   for (auto _ : state) {
     switch (which) {
       case 0:
-        internal_dtucker::BuildModeOneCarrierInto(approx, a2, 1.0, &out);
+        internal_dtucker::BuildModeOneCarrierInto(approx.slices, side, a2, 1.0,
+                                                  &out);
         break;
       case 1:
-        internal_dtucker::BuildModeTwoCarrierInto(approx, a1, 1.0, &out);
+        internal_dtucker::BuildModeTwoCarrierInto(approx.slices, side, a1, 1.0,
+                                                  &out);
         break;
       default:
-        internal_dtucker::BuildProjectedCoreInto(approx, a1, a2, 1.0, &out);
+        internal_dtucker::BuildProjectedCoreInto(approx.slices, a1, a2, 1.0,
+                                                 &out);
         break;
     }
     benchmark::DoNotOptimize(out.data());
@@ -139,25 +142,32 @@ BENCHMARK(BM_BuildCarrier)
     ->Args({256, 1})
     ->Args({256, 2});
 
-// args: {side, threads}. One full HOOI sweep on the slice structure with a
-// persistent workspace — the steady-state iteration cost.
-void BM_DTuckerSweep(benchmark::State& state) {
+// One HOOI sweep through DTuckerFromApproximation at `threads` threads:
+// the timed interval is the solver's own iteration-phase time for a
+// one-sweep budget (initialization excluded), the steady-state sweep cost.
+void RunOneSweep(benchmark::State& state, const RunContext* ctx) {
   const Index side = state.range(0);
-  SetBlasThreads(static_cast<int>(state.range(1)));
+  const int threads = static_cast<int>(state.range(1));
+  SetBlasThreads(threads);
   Tensor x = BenchTensor(side);
   SliceApproximation approx = BenchApprox(x);
   DTuckerOptions opt = BenchOptions();
-  TuckerDecomposition dec =
-      DTuckerInitializeOnly(approx, opt).value();
-  internal_dtucker::SweepWorkspace ws;
+  opt.tucker.max_iterations = 1;
+  opt.tucker.run_context = ctx;
+  opt.num_threads = threads;
   for (auto _ : state) {
-    internal_dtucker::DTuckerSweep(approx, opt.tucker.ranks, &dec.factors, &dec.core,
-                                   &ws, 1.0);
-    benchmark::DoNotOptimize(dec.core.data());
+    TuckerStats stats;
+    auto dec = DTuckerFromApproximation(approx, opt, &stats);
+    benchmark::DoNotOptimize(dec.ok());
+    state.SetIterationTime(stats.iterate_seconds);
   }
   SetBlasThreads(1);
 }
+
+// args: {side, threads}.
+void BM_DTuckerSweep(benchmark::State& state) { RunOneSweep(state, nullptr); }
 BENCHMARK(BM_DTuckerSweep)
+    ->UseManualTime()
     ->Args({64, 1})
     ->Args({64, 8})
     ->Args({128, 1})
@@ -171,24 +181,12 @@ BENCHMARK(BM_DTuckerSweep)
 // overhead. Must stay within run-to-run noise (±3%) of the un-armed
 // number — see EXPERIMENTS.md.
 void BM_DTuckerSweepArmed(benchmark::State& state) {
-  const Index side = state.range(0);
-  SetBlasThreads(static_cast<int>(state.range(1)));
-  Tensor x = BenchTensor(side);
-  SliceApproximation approx = BenchApprox(x);
-  DTuckerOptions opt = BenchOptions();
-  TuckerDecomposition dec =
-      DTuckerInitializeOnly(approx, opt).value();
-  internal_dtucker::SweepWorkspace ws;
   RunContext ctx;
   ctx.SetDeadlineAfter(3600.0);  // Armed but never firing.
-  for (auto _ : state) {
-    internal_dtucker::DTuckerSweep(approx, opt.tucker.ranks, &dec.factors,
-                                   &dec.core, &ws, 1.0, &ctx);
-    benchmark::DoNotOptimize(dec.core.data());
-  }
-  SetBlasThreads(1);
+  RunOneSweep(state, &ctx);
 }
 BENCHMARK(BM_DTuckerSweepArmed)
+    ->UseManualTime()
     ->Args({128, 1})
     ->Args({128, 8})
     ->Args({256, 1})

@@ -16,17 +16,11 @@
 //      comm.ops.* metrics. This isolates rendezvous latency (compute skew
 //      is negligible), which is where the shm transport's mmap'd-atomic
 //      mailboxes beat the file transport's stat/rename polling.
-//   3. Trailing comparison: on a --trailing_dim^3 cube at Tucker rank
-//      --trailing_rank, iteration-phase seconds for the new stack (shm
-//      transport + sharded trailing updates) against the prior
-//      replicated-trailing baseline stack (file transport + gathered-Z
-//      updates, the PR 6 configuration), with a same-transport ablation
-//      (shm + replicated) isolating the trailing change alone and a
-//      1-rank sharded run for the bitwise check. At modest slice counts
-//      the trailing compute is milliseconds, so the headline win is
-//      dropping the per-sweep gathered-Z collectives from the slow
-//      transport; the sharded update's compute advantage grows with the
-//      slice count (the replicated Gram and eig scale as L^2 and L^3).
+//   3. Iteration-phase transports: on a --trailing_dim^3 cube at Tucker
+//      rank --trailing_rank, iteration-phase seconds at --trailing_ranks
+//      ranks on the shm transport against the file transport (the
+//      per-sweep collectives are where the slow transport shows), plus a
+//      1-rank run for the bitwise check.
 //
 // Timing model: the approximation phase is reported as the *busiest rank's
 // CPU seconds* (reduced with AllReduceMax), not parent wall-clock. With
@@ -42,7 +36,7 @@
 // per-rank-count phase times, approximation speedup vs 1 rank, parallel
 // efficiency, per-rank resident bytes, bitwise-identity checks against the
 // 1-rank run, the per-transport mean collective wait (and the shm-vs-file
-// ratio), and the trailing-update speedup.
+// ratio), and the iteration-phase shm-vs-file speedup.
 #include <sys/wait.h>
 #include <time.h>
 #include <unistd.h>
@@ -157,7 +151,7 @@ struct RankReport {
 Result<RankReport> RunRank(const std::string& path, CommTransport transport,
                            const std::string& scratch, int rank, int size,
                            const std::vector<Index>& full_shape, Index rank_j,
-                           int iters, bool shard_trailing) {
+                           int iters) {
   SetBlasThreads(1);  // The claim under test: R ranks x 1 thread each.
   Result<std::unique_ptr<Communicator>> comm_r =
       CreateBenchCommunicator(transport, scratch, rank, size);
@@ -191,7 +185,6 @@ Result<RankReport> RunRank(const std::string& path, CommTransport transport,
   opt.tucker.ranks.assign(full_shape.size(), rank_j);
   opt.tucker.max_iterations = iters;
   opt.tucker.tolerance = 0;  // Fixed sweep count: every run does the same work.
-  opt.shard_trailing_updates = shard_trailing;
   TuckerStats stats;
   DT_ASSIGN_OR_RETURN(TuckerDecomposition dec,
                       ShardedDTuckerFromLocalApproximation(
@@ -295,10 +288,13 @@ int Run(int argc, char** argv) {
   flags.AddInt("wait_iters", 300,
                "collective pairs per transport in the wait probe");
   flags.AddInt("trailing_dim", 256,
-               "cube side for the trailing-update comparison (0 = skip)");
-  flags.AddInt("trailing_rank", 10, "Tucker rank for the trailing comparison");
-  flags.AddInt("trailing_ranks", 4, "rank count for the trailing comparison");
-  flags.AddInt("trailing_iters", 3, "ALS sweeps in the trailing comparison");
+               "cube side for the iteration-phase comparison (0 = skip)");
+  flags.AddInt("trailing_rank", 10,
+               "Tucker rank for the iteration-phase comparison");
+  flags.AddInt("trailing_ranks", 4,
+               "rank count for the iteration-phase comparison");
+  flags.AddInt("trailing_iters", 3,
+               "HOOI sweeps in the iteration-phase comparison");
   flags.AddString("path", "/tmp/dtucker_bench_shard.dtnsr", "scratch tensor");
   flags.AddString("scratch", "/tmp/dtucker_bench_shard_comm",
                   "communicator scratch directory prefix");
@@ -365,7 +361,7 @@ int Run(int argc, char** argv) {
     Status run_st = RunRankProcesses(size, [&](int r) -> Status {
       Result<RankReport> rep =
           RunRank(path, CommTransport::kFile, dir, r, size, full_shape, rank_j,
-                  iters, /*shard_trailing=*/true);
+                  iters);
       DT_RETURN_NOT_OK(rep.status());
       if (r == 0) record.report = std::move(rep).ValueOrDie();
       return Status::OK();
@@ -437,14 +433,13 @@ int Run(int argc, char** argv) {
       wait_ranks, wait_iters, file_wait_ns * 1e-3, shm_wait_ns * 1e-3,
       wait_speedup);
 
-  // --- Phase 3: sharded vs replicated trailing updates. -----------------
+  // --- Phase 3: iteration phase on shm vs file. -------------------------
   const Index tdim = flags.GetInt("trailing_dim");
   const Index trank = flags.GetInt("trailing_rank");
   const int tranks = static_cast<int>(flags.GetInt("trailing_ranks"));
   const int titers = static_cast<int>(flags.GetInt("trailing_iters"));
-  double trailing_sharded_s = 0;        // new stack: shm + sharded trailing
-  double trailing_repl_shm_s = 0;       // ablation: shm + replicated trailing
-  double trailing_repl_file_s = 0;      // baseline stack: file + replicated
+  double iterate_shm_s = 0;
+  double iterate_file_s = 0;
   bool trailing_bitwise = true;
   if (tdim > 0) {
     const std::string tpath = path + ".trail";
@@ -454,21 +449,19 @@ int Run(int argc, char** argv) {
       std::fprintf(stderr, "writing failed: %s\n", tws.ToString().c_str());
       return 1;
     }
-    Tensor trailing_cores[4];
+    Tensor trailing_cores[3];
     struct TrailingConfig {
       int size;
-      bool shard_trailing;
       CommTransport transport;
       double* seconds;
     };
     double reference_seconds = 0;
-    const TrailingConfig configs[4] = {
-        {tranks, true, CommTransport::kShm, &trailing_sharded_s},
-        {tranks, false, CommTransport::kShm, &trailing_repl_shm_s},
-        {tranks, false, CommTransport::kFile, &trailing_repl_file_s},
-        {1, true, CommTransport::kShm, &reference_seconds},
+    const TrailingConfig configs[3] = {
+        {tranks, CommTransport::kShm, &iterate_shm_s},
+        {tranks, CommTransport::kFile, &iterate_file_s},
+        {1, CommTransport::kShm, &reference_seconds},
     };
-    for (int c = 0; c < 4; ++c) {
+    for (int c = 0; c < 3; ++c) {
       const bool is_file = configs[c].transport == CommTransport::kFile;
       const std::string scratch =
           is_file ? flags.GetString("scratch") + "_trail" + std::to_string(c)
@@ -476,7 +469,7 @@ int Run(int argc, char** argv) {
       Status run_st = RunRankProcesses(configs[c].size, [&](int r) -> Status {
         Result<RankReport> rep =
             RunRank(tpath, configs[c].transport, scratch, r, configs[c].size,
-                    tshape, trank, titers, configs[c].shard_trailing);
+                    tshape, trank, titers);
         DT_RETURN_NOT_OK(rep.status());
         if (r == 0) {
           *configs[c].seconds = rep.value().iterate_seconds;
@@ -492,23 +485,19 @@ int Run(int argc, char** argv) {
         }
       }
       if (!run_st.ok()) {
-        std::fprintf(stderr, "trailing config %d failed: %s\n", c,
+        std::fprintf(stderr, "iteration config %d failed: %s\n", c,
                      run_st.ToString().c_str());
         return 1;
       }
     }
     std::remove(tpath.c_str());
-    trailing_bitwise = BitwiseEqual(trailing_cores[0], trailing_cores[3]);
+    trailing_bitwise = BitwiseEqual(trailing_cores[0], trailing_cores[2]) &&
+                       BitwiseEqual(trailing_cores[1], trailing_cores[2]);
     std::printf(
-        "trailing updates (%td^3, J=%td, %d ranks, %d sweeps): sharded+shm "
-        "%.3fs, replicated+shm %.3fs, replicated+file (PR 6 stack) %.3fs -> "
-        "%.2fx vs baseline stack (%.2fx same-transport); bitwise=1rank: %s\n",
-        tdim, trank, tranks, titers, trailing_sharded_s, trailing_repl_shm_s,
-        trailing_repl_file_s,
-        trailing_sharded_s > 0 ? trailing_repl_file_s / trailing_sharded_s
-                               : 0.0,
-        trailing_sharded_s > 0 ? trailing_repl_shm_s / trailing_sharded_s
-                               : 0.0,
+        "iteration phase (%td^3, J=%td, %d ranks, %d sweeps): shm %.3fs, "
+        "file %.3fs -> %.2fx; bitwise=1rank: %s\n",
+        tdim, trank, tranks, titers, iterate_shm_s, iterate_file_s,
+        iterate_shm_s > 0 ? iterate_file_s / iterate_shm_s : 0.0,
         trailing_bitwise ? "yes" : "NO");
   }
 
@@ -569,28 +558,14 @@ int Run(int argc, char** argv) {
                wait_ranks, wait_iters, file_wait_ns, shm_wait_ns,
                wait_speedup);
   std::fprintf(json,
-               "  \"trailing\": {\"dim\": %td, \"tucker_rank\": %td, "
+               "  \"iteration\": {\"dim\": %td, \"tucker_rank\": %td, "
                "\"ranks\": %d, \"sweeps\": %d, "
-               "\"sharded_shm_iterate_seconds\": %.6f, "
-               "\"replicated_shm_iterate_seconds\": %.6f, "
-               "\"replicated_file_iterate_seconds\": %.6f, "
-               "\"trailing_speedup\": %.3f, "
-               "\"trailing_speedup_same_transport\": %.3f, "
-               "\"note\": \"trailing_speedup compares the new stack (shm "
-               "transport + sharded trailing updates) against the prior "
-               "replicated-trailing baseline stack (file transport, the "
-               "only multi-process transport before shm); the "
-               "same-transport ablation isolates the trailing change "
-               "alone\", "
+               "\"shm_iterate_seconds\": %.6f, "
+               "\"file_iterate_seconds\": %.6f, "
+               "\"shm_speedup_vs_file\": %.3f, "
                "\"core_bitwise_matches_1rank\": %s}\n}\n",
-               tdim, trank, tranks, titers, trailing_sharded_s,
-               trailing_repl_shm_s, trailing_repl_file_s,
-               trailing_sharded_s > 0
-                   ? trailing_repl_file_s / trailing_sharded_s
-                   : 0.0,
-               trailing_sharded_s > 0
-                   ? trailing_repl_shm_s / trailing_sharded_s
-                   : 0.0,
+               tdim, trank, tranks, titers, iterate_shm_s, iterate_file_s,
+               iterate_shm_s > 0 ? iterate_file_s / iterate_shm_s : 0.0,
                trailing_bitwise ? "true" : "false");
   std::fclose(json);
   std::printf("\nwrote %s\n", flags.GetString("json").c_str());

@@ -343,9 +343,9 @@ int Run(int argc, char** argv) {
   flags.AddDouble("energy", 0.9, "energy threshold for --op=ranks");
   flags.AddInt("iters", 20, "max ALS sweeps");
   flags.AddInt("ranks", 0,
-               "slice-parallel shard count for --method=D-Tucker "
-               "(0 = classic unsharded solver; >= 1 runs the sharded "
-               "solver with that many in-process ranks)");
+               "explicit rank count for --method=D-Tucker, on --transport "
+               "(0 = --threads in-process ranks; the result is the same "
+               "either way)");
   flags.AddString("transport", "inproc",
                   "rank transport for --ranks >= 1: inproc | file | shm "
                   "(results are bitwise-identical across the three)");
@@ -355,9 +355,9 @@ int Run(int argc, char** argv) {
                 "--trace-out/--metrics-out still produce single merged "
                 "files via the end-of-run gather");
   flags.AddInt("threads", 1,
-               "worker threads for every phase (approximation, "
-               "initialization, iteration); default 1 = serial, 0 = all "
-               "hardware threads");
+               "threads for every phase; D-Tucker runs them as in-process "
+               "ranks of the slice grid (at most 8); default 1 = serial, "
+               "0 = all hardware threads");
   AddTelemetryFlags(&flags);
   Status st = flags.Parse(argc, argv);
   if (!st.ok()) {

@@ -232,26 +232,34 @@ Status Communicator::Barrier() {
   return Broadcast(&token, 1, /*root=*/0);
 }
 
-Status Communicator::Gather(const double* send, std::size_t n, double* recv,
-                            int root) {
+Status Communicator::Gather(const double* send,
+                            const std::vector<std::size_t>& counts,
+                            double* recv, int root) {
   TraceSpan span("comm.gather", NextFlowId(), FlowPhase());
   OpScope scope(this, "gather");
   DT_CHECK(root >= 0 && root < size_) << "gather root out of range";
+  DT_CHECK_EQ(counts.size(), static_cast<std::size_t>(size_))
+      << "one count per rank";
   const std::uint64_t op = NextTag();
-  if (rank_ == root) {
-    for (int peer = 0; peer < size_; ++peer) {
-      double* dst = recv + static_cast<std::size_t>(peer) * n;
-      if (peer == root) {
-        if (n > 0) std::memcpy(dst, send, n * sizeof(double));
-        continue;
-      }
-      const std::uint64_t tag = op * 64 + static_cast<std::uint64_t>(peer % 64);
-      DT_RETURN_NOT_OK(RecvCombine(peer, tag, dst, n, Combine::kCopy));
-    }
-    return Status::OK();
+  if (rank_ != root) {
+    const std::size_t mine = counts[static_cast<std::size_t>(rank_)];
+    if (mine == 0) return Status::OK();
+    const std::uint64_t tag = op * 64 + static_cast<std::uint64_t>(rank_ % 64);
+    return SendTo(root, tag, send, mine);
   }
-  const std::uint64_t tag = op * 64 + static_cast<std::uint64_t>(rank_ % 64);
-  return SendTo(root, tag, send, n);
+  double* dst = recv;
+  for (int peer = 0; peer < size_; ++peer) {
+    const std::size_t cnt = counts[static_cast<std::size_t>(peer)];
+    if (cnt == 0) continue;
+    if (peer == root) {
+      std::memcpy(dst, send, cnt * sizeof(double));
+    } else {
+      const std::uint64_t tag = op * 64 + static_cast<std::uint64_t>(peer % 64);
+      DT_RETURN_NOT_OK(RecvCombine(peer, tag, dst, cnt, Combine::kCopy));
+    }
+    dst += cnt;
+  }
+  return Status::OK();
 }
 
 Status Communicator::AllGatherV(const double* send,
@@ -259,32 +267,9 @@ Status Communicator::AllGatherV(const double* send,
                                 double* recv) {
   TraceSpan span("comm.allgatherv", NextFlowId(), FlowPhase());
   OpScope scope(this, "allgatherv");
-  DT_CHECK_EQ(counts.size(), static_cast<std::size_t>(size_))
-      << "one count per rank";
+  DT_RETURN_NOT_OK(Gather(send, counts, recv, /*root=*/0));
   std::size_t total = 0;
-  std::vector<std::size_t> offsets(counts.size());
-  for (std::size_t r = 0; r < counts.size(); ++r) {
-    offsets[r] = total;
-    total += counts[r];
-  }
-  const std::size_t mine = counts[static_cast<std::size_t>(rank_)];
-  const std::uint64_t op = NextTag();
-  if (rank_ == 0) {
-    for (int peer = 0; peer < size_; ++peer) {
-      double* dst = recv + offsets[static_cast<std::size_t>(peer)];
-      const std::size_t cnt = counts[static_cast<std::size_t>(peer)];
-      if (cnt == 0) continue;
-      if (peer == 0) {
-        std::memcpy(dst, send, cnt * sizeof(double));
-        continue;
-      }
-      const std::uint64_t tag = op * 64 + static_cast<std::uint64_t>(peer % 64);
-      DT_RETURN_NOT_OK(RecvCombine(peer, tag, dst, cnt, Combine::kCopy));
-    }
-  } else if (mine > 0) {
-    const std::uint64_t tag = op * 64 + static_cast<std::uint64_t>(rank_ % 64);
-    DT_RETURN_NOT_OK(SendTo(0, tag, send, mine));
-  }
+  for (std::size_t c : counts) total += c;
   return Broadcast(recv, total, /*root=*/0);
 }
 

@@ -137,15 +137,16 @@ class Communicator {
   // needed for determinism.
   Status AllReduceMax(double* data, std::size_t n);
 
-  // Concatenates every rank's `send[0, n)` on the root in ascending rank
-  // order. `recv` (root only) must hold size() * n doubles.
-  Status Gather(const double* send, std::size_t n, double* recv, int root = 0);
+  // Variable-count gather: rank r contributes `send[0, counts[r])`, and the
+  // root receives the ascending-rank concatenation (sum(counts) doubles)
+  // in `recv` (root only).
+  Status Gather(const double* send, const std::vector<std::size_t>& counts,
+                double* recv, int root = 0);
 
-  // Variable-count all-gather: rank r contributes counts[r] doubles, and
-  // every rank exits with the ascending-rank concatenation (sum(counts)
-  // doubles) in `recv`. Concatenation involves no floating-point combine,
-  // so the result is trivially bitwise deterministic. Implemented as a
-  // gather to rank 0 plus a broadcast.
+  // Variable-count all-gather: Gather to rank 0, then a broadcast, so every
+  // rank exits with the concatenation in `recv`. Concatenation involves no
+  // floating-point combine, so the result is trivially bitwise
+  // deterministic.
   Status AllGatherV(const double* send, const std::vector<std::size_t>& counts,
                     double* recv);
 

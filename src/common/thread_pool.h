@@ -20,32 +20,30 @@
 
 namespace dtucker {
 
-// Process-wide count of concurrently active compute partitions (in-process
-// ranks of a sharded run) sharing any pool. Default 1: a ParallelFor caller
-// fans out across the whole pool. When a sharded driver runs R ranks as
-// threads of this process, it brackets the run with SetPoolPartitions(R) so
-// each rank's parallel loops claim only ~num_threads/R workers' worth of
-// range fan-out instead of each rank flooding the full pool — R ranks that
-// each split work T ways would queue R*T oversized tasks and serialize on
-// each other's Wait(). Partitioning keeps the total in-flight fan-out at
-// the pool width. Bitwise-safe: every determinism-sensitive caller either
-// uses fixed chunk grids or per-item-independent bodies (see ForEachSlice
-// and the packed-GEMM contract), so the fan-out width never changes result
-// bits. Relaxed atomic; set before the ranks start, restore after they
-// join.
+// Process-wide count of concurrently active compute partitions sharing any
+// pool. Default 1: a ParallelFor caller fans out across the whole pool.
+// With R partitions each caller's parallel loops claim only
+// ~num_threads/R workers' worth of range fan-out instead of each flooding
+// the full pool — R callers that each split work T ways would queue R*T
+// oversized tasks and serialize on each other's Wait(). Partitioning keeps
+// the total in-flight fan-out at the pool width. Bitwise-safe: every
+// determinism-sensitive caller either uses fixed chunk grids or
+// per-item-independent bodies (see the packed-GEMM contract), so the
+// fan-out width never changes result bits. Relaxed atomic; set before the
+// callers start, restore after they finish.
 void SetPoolPartitions(int partitions);
 int PoolPartitions();
 
 // RAII partition lease for callers that come and go concurrently (the
-// serving layer's jobs): each concurrently *running* job holds one lease
-// for the duration of its solve, and the effective partition count is
+// serving layer's jobs, the in-process ranks of a D-Tucker solve — see
+// RunRankThreads in comm/sharding.h): each concurrently *running* caller
+// holds one lease, and the effective partition count is
 // max(SetPoolPartitions value, active leases). Two jobs in flight thus
 // each claim ~half the pool's fan-out instead of both flooding it, and
 // when the last lease drops the pool returns to whole-pool fan-out —
-// without the jobs having to coordinate absolute partition counts the way
-// the sharded driver (which knows its rank count up front) does. Same
-// bitwise-safety argument as SetPoolPartitions: partitioning only narrows
-// fan-out width, never changes result bits.
+// without the callers having to coordinate absolute partition counts.
+// Same bitwise-safety argument as SetPoolPartitions: partitioning only
+// narrows fan-out width, never changes result bits.
 class PoolPartitionLease {
  public:
   PoolPartitionLease();

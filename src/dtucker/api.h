@@ -11,9 +11,10 @@
 //   - dtucker/dtucker.h          Direct D-Tucker entry points + options.
 //   - dtucker/online_dtucker.h   D-TuckerO streaming updates.
 //   - dtucker/out_of_core.h      File-streaming approximation.
-//   - dtucker/sharded_dtucker.h  Sharded slice-parallel solver (and, via
-//                                it, comm/communicator.h + comm/sharding.h
-//                                — the rank collectives and shard plans).
+//   - dtucker/sharded_dtucker.h  The rank-parallel core's explicit-rank
+//                                and SPMD entry points (and, via it,
+//                                comm/communicator.h + comm/sharding.h —
+//                                the rank collectives and shard plans).
 //   - dtucker/slice_approximation.h  The compressed slice form.
 //   - serve/server.h             Multi-tenant DecompositionServer (job
 //                                scheduler, model cache, factor-space

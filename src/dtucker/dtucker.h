@@ -13,10 +13,16 @@
 //   3. Iteration      — HOOI sweeps whose contractions are decoupled slice
 //                       by slice so each update costs O((I1+I2) L Js J)
 //                       instead of O(J prod I_n).
+//
+// Every entry point runs one core (dtucker/sharded_dtucker.h): the slices
+// are split into ranks that each own a contiguous slice range, and every
+// sum over slices reduces through one fixed chunk tree, so the result bits
+// do not depend on the thread or rank count.
 #ifndef DTUCKER_DTUCKER_DTUCKER_H_
 #define DTUCKER_DTUCKER_DTUCKER_H_
 
 #include <functional>
+#include <span>
 
 #include "common/status.h"
 #include "dtucker/slice_approximation.h"
@@ -37,25 +43,17 @@ struct DTuckerOptions {
   Index slice_rank = 0;
   Index oversampling = 5;    // rSVD oversampling in the approximation phase.
   int power_iterations = 1;  // rSVD power iterations.
-  // If true, modes are permuted so the two largest lead (the layout the
-  // slice compression wants) and results are permuted back.
+  // If true, the tensor entry points (DTucker, ShardedDTucker and
+  // ShardedDTuckerRank) permute the modes so the two largest lead (the
+  // layout the slice compression wants) before the ranks start, and
+  // permute the result back. Compressed and file inputs keep their stored
+  // mode order.
   bool auto_reorder = false;
-  // Worker threads for the approximation phase (see
-  // SliceApproximationOptions::num_threads). The initialization and
-  // iteration phases thread through the process-wide BLAS pool instead —
-  // set SetBlasThreads (linalg/blas.h) to parallelize them.
+  // Threads for every phase: the solve runs as min(num_threads, C)
+  // in-process ranks (C = min(8, L) fixed slice chunks), each owning one
+  // slice range and one share of the BLAS pool (comm/sharding.h). The
+  // result is bitwise identical for every value.
   int num_threads = 1;
-
-  // Sharded path only (dtucker/sharded_dtucker.h); the unsharded solver
-  // ignores it. When true (default), the iteration phase's trailing-mode
-  // factor updates and core refresh run sharded over the rank's own Z
-  // slab (small-side Grams + carrier slabs reduced through the canonical
-  // chunk tree) instead of replicated on a gathered Z — same fixed
-  // reduction shape, so results stay bitwise identical across power-of-two
-  // rank counts, but the bits differ from the replicated variant. False
-  // restores the replicated trailing updates (the PR 6 behavior), kept as
-  // the benchmark baseline.
-  bool shard_trailing_updates = true;
 
   // Invoked after each HOOI sweep with that sweep's convergence telemetry
   // (fit, delta-fit, wall time, subspace-iteration count). Runs on the
@@ -87,13 +85,14 @@ Result<TuckerDecomposition> DTucker(const Tensor& x,
 
 // Initialization + iteration on an already-compressed tensor. This is the
 // "query" entry point when the approximation is computed once and reused
-// (e.g. for several target ranks, or by the online variant).
+// (e.g. for several target ranks, or by the online variant). Each rank
+// reads its slice range of `approx` in place.
 Result<TuckerDecomposition> DTuckerFromApproximation(
     const SliceApproximation& approx, const DTuckerOptions& options,
     TuckerStats* stats = nullptr);
 
-// Initialization phase only (no HOOI sweeps) — used by ablation E8 and as
-// a cheap one-shot decomposition.
+// Initialization phase only (DTuckerFromApproximation with no HOOI
+// sweeps) — used by ablation E8 and as a cheap one-shot decomposition.
 Result<TuckerDecomposition> DTuckerInitializeOnly(
     const SliceApproximation& approx, const DTuckerOptions& options);
 
@@ -109,14 +108,14 @@ Result<RankSuggestion> SuggestRanksFromApproximation(
 
 namespace internal_dtucker {
 
-// Reusable buffers threaded through repeated DTuckerSweep calls so
-// steady-state iterations stop churning the allocator: the carrier and
-// projected-core builders resize these in place (vector capacity is
-// retained across iterations) and the trailing TTM chain ping-pongs
-// between ttm_a and ttm_b.
+// Reusable buffers threaded through a rank's sweeps so steady-state
+// iterations stop churning the allocator: the carrier and projected-core
+// builders resize these in place (vector capacity is retained across
+// iterations) and the trailing TTM chain ping-pongs between ttm_a and
+// ttm_b.
 struct SweepWorkspace {
   Tensor carrier;  // Mode-1/2 carrier target (T1, then T2).
-  Tensor z;        // Projected tensor Z.
+  Tensor z;        // Projected tensor Z, gathered over every slice.
   Tensor ttm_a;    // Trailing-contraction ping-pong buffers.
   Tensor ttm_b;
   // Per-mode warm-start bases for the factor updates' subspace iterations
@@ -126,35 +125,31 @@ struct SweepWorkspace {
   std::vector<Matrix> subspace;
 };
 
-// The small projected tensor Z (J1 x J2 x I3 x ... x IN) with frontal
-// slices (A1^T U<l> S<l>) (V<l>^T A2). Exposed for the online variant and
-// white-box tests.
-Tensor BuildProjectedCore(const SliceApproximation& approx, const Matrix& a1,
-                          const Matrix& a2);
+// Slice kernels of the initialization and iteration phases. Each runs
+// serially over `slices` (a rank's slice range, read in place) and writes
+// slice l's result into frontal slab l of its order-3 output; per-slice
+// temporaries live in thread-local grow-only scratch, and `s_inv` rescales
+// the singular values on the fly (1.0 for unscaled).
+//
+// Z (J1 x J2 x n): slabs (A1^T U<l> S<l>) (V<l>^T A2).
+void BuildProjectedCoreInto(std::span<const SliceSvd> slices,
+                            const Matrix& a1, const Matrix& a2, double s_inv,
+                            Tensor* z);
+// T1 (I1 x J2 x n): slabs (U<l> S<l>) (V<l>^T A2), I1 = the slices' rows.
+void BuildModeOneCarrierInto(std::span<const SliceSvd> slices, Index i1,
+                             const Matrix& a2, double s_inv, Tensor* t);
+// T2 (I2 x J1 x n): slabs V<l> (S<l> U<l>^T A1). Stored mode-1-first (the
+// transpose of the paper's J1 x I2 slabs) so the mode-2 factor update is a
+// mode-0 problem whose unfolding is the flat buffer, which unlocks the
+// small-side Gram path of LeadingModeVectorsViaGram.
+void BuildModeTwoCarrierInto(std::span<const SliceSvd> slices, Index i2,
+                             const Matrix& a1, double s_inv, Tensor* t);
 
-// Workspace variant of BuildProjectedCore: writes Z into *z (resized in
-// place), parallelized across the L slices on the shared BLAS pool (each
-// slice writes a disjoint frontal slab; per-slice temporaries live in TLS
-// grow-only scratch). `s_inv` rescales the slice singular values on the fly
-// (see the scale normalization in dtucker.cc); pass 1.0 for unscaled.
-void BuildProjectedCoreInto(const SliceApproximation& approx, const Matrix& a1,
-                            const Matrix& a2, double s_inv, Tensor* z);
-
-// Carrier builders, same slice-parallel contract as BuildProjectedCoreInto:
-// T1 (I1 x J2 x trailing) with slices (U<l> S<l>) (V<l>^T A2), and
-// T2 (I2 x J1 x trailing) with slices V<l> (S<l> U<l>^T A1) — T2 is stored
-// mode-1-first so the mode-2 factor update is a mode-0 problem on it (its
-// flat buffer is the unfolding), unlocking the small-side Gram path.
-void BuildModeOneCarrierInto(const SliceApproximation& approx, const Matrix& a2,
-                             double s_inv, Tensor* t);
-void BuildModeTwoCarrierInto(const SliceApproximation& approx, const Matrix& a1,
-                             double s_inv, Tensor* t);
-
-// gram (+)= F diag(s * s_inv)^2 F^T for F = slice U (m == 0) or V (m == 1),
-// staging the scaled factor in TLS scratch instead of allocating
-// UTimesS()/VTimesS() copies. `beta` 0 overwrites the accumulator, 1 adds.
+// gram (+)= F diag(s * s_inv)^2 F^T for F = slice U (m == 0) or V (m == 1)
+// into the dim x dim column-major `gram`, staging the scaled factor in TLS
+// scratch. `beta` 0 overwrites the accumulator, 1 adds.
 void AccumulateScaledFactorGram(const SliceSvd& sl, int m, double s_inv,
-                                double beta, Matrix* gram);
+                                double beta, double* gram);
 
 // Contracts trailing modes (2..N-1, optionally skipping one) of `t` with
 // factors[n]^T, visiting modes in decreasing dim->rank shrinkage order so
@@ -165,23 +160,15 @@ const Tensor* ContractTrailing(const Tensor& t,
                                const std::vector<Matrix>& factors,
                                Index skip_mode, SweepWorkspace* ws);
 
-// One HOOI sweep over the slice structure (mode 1, mode 2, trailing modes,
-// core refresh). `factors` must hold one column-orthogonal matrix per mode
-// with row counts matching approx.shape. `ctx` (optional) is polled before
-// each mode update; on interruption the sweep returns false immediately
-// and *factors/*core are left mid-update (the caller restores its
-// pre-sweep snapshot — see DTuckerFromApproximation). Returns true when
-// the sweep ran to completion.
-bool DTuckerSweep(const SliceApproximation& approx,
-                  const std::vector<Index>& ranks,
-                  std::vector<Matrix>* factors, Tensor* core,
-                  SweepWorkspace* workspace, double s_inv = 1.0,
-                  const RunContext* ctx = nullptr);
-
-// Convenience overload with a transient workspace (white-box tests).
-bool DTuckerSweep(const SliceApproximation& approx,
-                  const std::vector<Index>& ranks,
-                  std::vector<Matrix>* factors, Tensor* core);
+// DTuckerOptions::auto_reorder for the tensor entry points: runs
+// `solve` on `x` with its two largest modes permuted to the front (ranks
+// permuted alike, auto_reorder cleared), and permutes the result back.
+// Without auto_reorder, or when the modes already lead, runs `solve` on
+// `x` itself.
+Result<TuckerDecomposition> SolveReordered(
+    const Tensor& x, const DTuckerOptions& options,
+    const std::function<Result<TuckerDecomposition>(
+        const Tensor&, const DTuckerOptions&)>& solve);
 
 }  // namespace internal_dtucker
 

@@ -134,8 +134,7 @@ Result<EngineRun> Engine::Solve(const Tensor& x, const RunContext* ctx) {
   DT_RETURN_NOT_OK(options_.Validate(x.shape()));
   ApplyBlasThreads();
   if (options_.num_ranks > 0) {
-    // Sharded slice-parallel path (num_ranks == 1 still shards, so rank
-    // counts compare within one reduction scheme).
+    // An explicit rank count (and transport) instead of num_threads.
     EngineRun run;
     ShardedDTuckerOptions sharded = ShardedOptionsFromMethod(effective);
     if (options_.spmd_rank >= 0) {
@@ -225,10 +224,28 @@ Result<EngineRun> Engine::SolveApproximation(const SliceApproximation& approx,
   const RunContext* effective = EffectiveContext(ctx);
   DT_RETURN_NOT_OK(RequireDTucker("SolveApproximation"));
   ApplyBlasThreads();
-  DTuckerOptions opt = DTuckerOptionsFromMethod(effective);
   EngineRun run;
-  DT_ASSIGN_OR_RETURN(run.decomposition,
-                      DTuckerFromApproximation(approx, opt, &run.stats));
+  if (options_.num_ranks > 0) {
+    DT_RETURN_NOT_OK(options_.Validate(approx.shape));
+    ShardedDTuckerOptions sharded = ShardedOptionsFromMethod(effective);
+    if (options_.spmd_rank >= 0) {
+      DT_ASSIGN_OR_RETURN(std::unique_ptr<Communicator> comm,
+                          MakeSpmdCommunicator(effective));
+      DT_ASSIGN_OR_RETURN(
+          run.decomposition,
+          ShardedDTuckerRankFromApproximation(approx, sharded.dtucker,
+                                              comm.get(), &run.stats));
+    } else {
+      DT_ASSIGN_OR_RETURN(
+          run.decomposition,
+          ShardedDTuckerFromApproximation(approx, sharded, &run.stats));
+    }
+  } else {
+    DT_ASSIGN_OR_RETURN(
+        run.decomposition,
+        DTuckerFromApproximation(approx, DTuckerOptionsFromMethod(effective),
+                                 &run.stats));
+  }
   run.stored_bytes = approx.ByteSize();
   if (!run.stats.error_history.empty()) {
     run.relative_error = run.stats.error_history.back();

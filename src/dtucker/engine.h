@@ -44,18 +44,17 @@ struct EngineOptions {
   // When > 0, the process-wide BLAS pool is sized to this before solving
   // (linalg/blas.h SetBlasThreads). 0 leaves the current setting alone.
   int blas_threads = 0;
-  // Rank count for sharded slice-parallel D-Tucker
-  // (dtucker/sharded_dtucker.h). 0 (default) keeps the classic unsharded
-  // solver. Any value >= 1 — including 1 — routes Solve/SolveFile through
-  // the sharded path with that many in-process ranks, so rank-count
-  // comparisons (--ranks=4 vs --ranks=1) stay within one reduction scheme
-  // and are bitwise-comparable; requires method == kDTucker. The shared
-  // BLAS pool is partitioned across the ranks for the run's duration.
+  // Explicit rank count for D-Tucker (dtucker/sharded_dtucker.h). 0
+  // (default) runs method_options.num_threads in-process ranks; a value
+  // >= 1 runs Solve/SolveFile/SolveApproximation on exactly that many
+  // ranks, over comm_transport. Either way the result bits are the same;
+  // requires method == kDTucker. The shared BLAS pool is partitioned
+  // across the ranks for the run's duration.
   int num_ranks = 0;
-  // Transport the sharded path's rank communicators use (num_ranks > 0
-  // only): in-process mailboxes, a shared directory, or a POSIX
-  // shared-memory segment. Results are bitwise-identical across the three
-  // (comm/communicator.h); the CLI spells this --transport={inproc,file,shm}.
+  // Transport the rank communicators use when num_ranks > 0: in-process
+  // mailboxes, a shared directory, or a POSIX shared-memory segment.
+  // Results are bitwise-identical across the three (comm/communicator.h);
+  // the CLI spells this --transport={inproc,file,shm}.
   CommTransport comm_transport = CommTransport::kInProcess;
   // SPMD rank mode: when >= 0, this process *is* rank `spmd_rank` of an
   // externally launched group of num_ranks processes (the CLI's

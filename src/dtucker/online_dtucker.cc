@@ -1,11 +1,6 @@
 #include "dtucker/online_dtucker.h"
 
 #include "common/timer.h"
-#include "linalg/blas.h"
-#include "linalg/eigen_sym.h"
-#include "tensor/tensor_ops.h"
-#include "tucker/hosvd.h"
-#include "tucker/tucker_als.h"
 
 namespace dtucker {
 
@@ -20,66 +15,18 @@ Status OnlineDTuckerOptions::Validate(const std::vector<Index>& shape) const {
 OnlineDTucker::OnlineDTucker(OnlineDTuckerOptions options)
     : options_(std::move(options)) {}
 
-void OnlineDTucker::AccumulateGrams(Index first) {
-  for (Index l = first; l < approx_.NumSlices(); ++l) {
-    const SliceSvd& sl = approx_.slices[static_cast<std::size_t>(l)];
-    // The scaled factors are staged in TLS scratch — no per-slice
-    // UTimesS()/VTimesS() allocations.
-    internal_dtucker::AccumulateScaledFactorGram(sl, 0, /*s_inv=*/1.0,
-                                                 /*beta=*/1.0, &gram1_);
-    internal_dtucker::AccumulateScaledFactorGram(sl, 1, /*s_inv=*/1.0,
-                                                 /*beta=*/1.0, &gram2_);
-  }
-}
-
 StatusCode OnlineDTucker::Refit(int sweeps) {
-  const std::vector<Index>& ranks = options_.dtucker.tucker.ranks;
-  const RunContext* ctx = options_.dtucker.tucker.run_context;
-  const Index order = static_cast<Index>(approx_.shape.size());
-  std::vector<Matrix> factors(static_cast<std::size_t>(order));
-
-  // A1/A2 from the incrementally maintained Grams.
-  factors[0] = TopEigenvectorsSym(gram1_, ranks[0]);
-  factors[1] = TopEigenvectorsSym(gram2_, ranks[1]);
-  // Trailing factors (including the grown temporal mode) from the small
-  // projected tensor, matricization-free via the mode Grams. The workspace
-  // is shared across the refit sweeps so they stop churning the allocator.
-  internal_dtucker::SweepWorkspace ws;
-  internal_dtucker::BuildProjectedCoreInto(approx_, factors[0], factors[1],
-                                           /*s_inv=*/1.0, &ws.z);
-  for (Index n = 2; n < order; ++n) {
-    factors[static_cast<std::size_t>(n)] = LeadingModeVectorsViaGram(
-        ws.z, n, ranks[static_cast<std::size_t>(n)]);
-  }
-  Tensor core = *internal_dtucker::ContractTrailing(ws.z, factors,
-                                                    /*skip_mode=*/-1, &ws);
-
-  // The rebuild above always completes (each step is bounded and a valid
-  // decomposition needs all of them); only the sweep loop is interruptible,
-  // with the same snapshot/rollback contract as DTuckerFromApproximation.
-  StatusCode stop = StatusCode::kOk;
-  const bool armed = ctx != nullptr;
-  std::vector<Matrix> factors_snapshot;
-  Tensor core_snapshot;
-  for (int s = 0; s < sweeps; ++s) {
-    stop = RunContext::CheckOrOk(ctx);
-    if (stop != StatusCode::kOk) break;
-    if (armed) {
-      factors_snapshot = factors;
-      core_snapshot = core;
-    }
-    if (!internal_dtucker::DTuckerSweep(approx_, ranks, &factors, &core, &ws,
-                                        /*s_inv=*/1.0, ctx)) {
-      factors = std::move(factors_snapshot);
-      core = std::move(core_snapshot);
-      stop = RunContext::CheckOrOk(ctx);
-      if (stop == StatusCode::kOk) stop = StatusCode::kCancelled;
-      break;
-    }
-  }
-  dec_.factors = std::move(factors);
-  dec_.core = std::move(core);
-  return stop;
+  // Initialization plus exactly `sweeps` HOOI sweeps on everything
+  // ingested, through the one D-Tucker core.
+  DTuckerOptions options = options_.dtucker;
+  options.tucker.max_iterations = sweeps;
+  options.tucker.tolerance = 0.0;
+  TuckerStats stats;
+  Result<TuckerDecomposition> dec =
+      DTuckerFromApproximation(approx_, options, &stats);
+  if (!dec.ok()) return dec.status().code();
+  dec_ = std::move(dec).ValueOrDie();
+  return stats.completion;
 }
 
 Status OnlineDTucker::Initialize(const Tensor& x) {
@@ -100,10 +47,6 @@ Status OnlineDTucker::Initialize(const Tensor& x) {
   approx_opts.run_context = options_.dtucker.tucker.run_context;
   DT_ASSIGN_OR_RETURN(approx_, ApproximateSlices(x, approx_opts));
   last_stats_.preprocess_seconds = timer.Seconds();
-
-  gram1_ = Matrix(x.dim(0), x.dim(0));
-  gram2_ = Matrix(x.dim(1), x.dim(1));
-  AccumulateGrams(0);
 
   Timer refit_timer;
   const StatusCode stop = Refit(options_.dtucker.tucker.max_iterations);
@@ -149,15 +92,12 @@ Status OnlineDTucker::Append(const Tensor& chunk) {
       options_.dtucker.tucker.seed + 0x51ED270B * (approx_.NumSlices() + 1);
   approx_opts.num_threads = options_.dtucker.num_threads;
   approx_opts.run_context = options_.dtucker.tucker.run_context;
-  DT_ASSIGN_OR_RETURN(
-      std::vector<SliceSvd> new_slices,
-      ApproximateSliceRange(chunk, 0, chunk.NumFrontalSlices(), approx_opts));
+  DT_ASSIGN_OR_RETURN(SliceApproximation added,
+                      ApproximateSlices(chunk, approx_opts));
   last_stats_.preprocess_seconds = timer.Seconds();
 
-  const Index old_count = approx_.NumSlices();
-  for (auto& sl : new_slices) approx_.slices.push_back(std::move(sl));
+  for (auto& sl : added.slices) approx_.slices.push_back(std::move(sl));
   approx_.shape[static_cast<std::size_t>(last)] += chunk.dim(last);
-  AccumulateGrams(old_count);
 
   Timer refit_timer;
   const StatusCode stop = Refit(options_.refit_sweeps);

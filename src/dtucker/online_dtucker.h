@@ -2,11 +2,11 @@
 //
 // When new data arrives along the last (temporal) mode, only the new
 // frontal slices are compressed with randomized SVD; previously compressed
-// slices and the incrementally maintained mode-1/mode-2 Gram matrices are
-// reused. The factors are then refreshed with a small number of warm HOOI
-// sweeps over the slice structure. The expensive part of D-Tucker — the
-// O(I1*I2*L*Js) approximation pass — is thus paid only for the new slices,
-// which is the paper family's streaming story (experiment E9).
+// slices are reused. The factors are then refit on the whole compressed
+// form — initialization plus a small number of HOOI sweeps, through the
+// same core as DTuckerFromApproximation. The expensive part of D-Tucker —
+// the O(I1*I2*L*Js) approximation pass — is thus paid only for the new
+// slices, which is the paper family's streaming story (experiment E9).
 #ifndef DTUCKER_DTUCKER_ONLINE_DTUCKER_H_
 #define DTUCKER_DTUCKER_ONLINE_DTUCKER_H_
 
@@ -22,7 +22,7 @@ struct OnlineDTuckerOptions {
   // during a refit leaves the ingested state consistent and returns
   // kCancelled/kDeadlineExceeded from Initialize/Append.
   DTuckerOptions dtucker;
-  // HOOI sweeps run after each Append (warm-started; a few suffice).
+  // HOOI sweeps run after each Append (a few suffice).
   int refit_sweeps = 3;
 
   Status Validate(const std::vector<Index>& shape) const;
@@ -64,19 +64,13 @@ class OnlineDTucker {
   const TuckerStats& last_stats() const { return last_stats_; }
 
  private:
-  // Recomputes A1/A2 from the incremental Grams, trailing factors from the
-  // projected tensor, then runs `sweeps` warm HOOI sweeps. Returns kOk, or
-  // the interruption code when the sweep loop was cut short (dec_ then
-  // holds the last completed state).
+  // DTuckerFromApproximation on approx_ with exactly `sweeps` sweeps.
+  // Returns kOk, or the interruption code when the refit was cut short
+  // (dec_ then holds the last completed state).
   StatusCode Refit(int sweeps);
-
-  // Adds the Gram contributions of slices [first, end) to gram1_/gram2_.
-  void AccumulateGrams(Index first);
 
   OnlineDTuckerOptions options_;
   SliceApproximation approx_;
-  Matrix gram1_;  // sum_l (U<l>S<l>)(U<l>S<l>)^T, I1 x I1.
-  Matrix gram2_;  // sum_l (V<l>S<l>)(V<l>S<l>)^T, I2 x I2.
   TuckerDecomposition dec_;
   TuckerStats last_stats_;
   bool initialized_ = false;

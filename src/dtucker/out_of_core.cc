@@ -2,8 +2,9 @@
 
 #include <algorithm>
 
-#include "common/timer.h"
+#include "comm/sharding.h"
 #include "data/tensor_file.h"
+#include "dtucker/sharded_dtucker.h"
 #include "rsvd/rsvd.h"
 
 namespace dtucker {
@@ -76,41 +77,44 @@ Result<std::vector<SliceSvd>> ApproximateSliceRangeFromFile(
 
 Result<SliceApproximation> ApproximateSlicesFromFile(
     const std::string& path, const SliceApproximationOptions& options) {
-  // Header peek for the shape; the range routine re-opens, which is cheap
-  // next to streaming the payload.
+  // Validates the header and options once; each thread then opens the
+  // file itself and streams the slice range one rank of a
+  // num_threads-thread solve owns.
+  DT_RETURN_NOT_OK(ApproximateSliceRangeFromFile(path, 0, 0, options).status());
   DT_ASSIGN_OR_RETURN(TensorFileReader reader, TensorFileReader::Open(path));
   const Index num_slices = reader.NumFrontalSlices();
-  DT_ASSIGN_OR_RETURN(
-      std::vector<SliceSvd> slices,
-      ApproximateSliceRangeFromFile(path, 0, num_slices, options));
   SliceApproximation approx;
   approx.shape = reader.shape();
   approx.slice_rank = options.slice_rank;
-  approx.slices = std::move(slices);
+  approx.slices.resize(static_cast<std::size_t>(num_slices));
+  if (num_slices == 0) return approx;
+  const int num_ranks = RanksForThreads(options.num_threads, num_slices);
+  std::vector<Status> status(static_cast<std::size_t>(num_ranks));
+  RunRankThreads(num_ranks, [&](int r) {
+    const ShardPlan plan =
+        MakeShardPlan(num_slices, num_ranks, r).ValueOrDie();
+    Result<std::vector<SliceSvd>> part = ApproximateSliceRangeFromFile(
+        path, plan.slice_begin, plan.NumLocalSlices(), options);
+    if (!part.ok()) {
+      status[static_cast<std::size_t>(r)] = part.status();
+      return;
+    }
+    std::move(part.value().begin(), part.value().end(),
+              approx.slices.begin() + plan.slice_begin);
+  });
+  for (const Status& st : status) DT_RETURN_NOT_OK(st);
   return approx;
 }
 
 Result<TuckerDecomposition> DTuckerFromFile(const std::string& path,
                                             const DTuckerOptions& options,
                                             TuckerStats* stats) {
-  // Peek the header to clamp the slice rank against the actual slice dims.
-  Index min_dim;
-  {
-    DT_ASSIGN_OR_RETURN(TensorFileReader reader, TensorFileReader::Open(path));
-    min_dim = std::min(reader.dim(0), reader.dim(1));
-  }
-  SliceApproximationOptions approx_opts;
-  approx_opts.oversampling = options.oversampling;
-  approx_opts.power_iterations = options.power_iterations;
-  approx_opts.seed = options.tucker.seed;
-  approx_opts.slice_rank = std::min(options.EffectiveSliceRank(), min_dim);
-  approx_opts.run_context = options.tucker.run_context;
-
-  Timer timer;
-  DT_ASSIGN_OR_RETURN(SliceApproximation approx,
-                      ApproximateSlicesFromFile(path, approx_opts));
-  if (stats != nullptr) stats->preprocess_seconds = timer.Seconds();
-  return DTuckerFromApproximation(approx, options, stats);
+  DT_ASSIGN_OR_RETURN(TensorFileReader reader, TensorFileReader::Open(path));
+  ShardedDTuckerOptions sharded;
+  sharded.dtucker = options;
+  sharded.num_ranks =
+      RanksForThreads(options.num_threads, reader.NumFrontalSlices());
+  return ShardedDTuckerFromFile(path, sharded, stats);
 }
 
 }  // namespace dtucker

@@ -18,8 +18,8 @@
 namespace dtucker {
 
 // Streams the tensor in `path` (DTNSR001, order >= 3) slice by slice and
-// compresses it. Peak resident tensor data: one slice (times num_threads
-// when threaded).
+// compresses it, one slice range per thread (options.num_threads). Peak
+// resident tensor data: one slice per thread.
 Result<SliceApproximation> ApproximateSlicesFromFile(
     const std::string& path, const SliceApproximationOptions& options);
 
@@ -35,8 +35,9 @@ Result<std::vector<SliceSvd>> ApproximateSliceRangeFromFile(
     const std::string& path, Index first, Index count,
     const SliceApproximationOptions& options);
 
-// Full out-of-core D-Tucker: stream-compress, then run the initialization
-// and iteration phases on the compressed form. The raw tensor never
+// Full out-of-core D-Tucker: options.num_threads in-process ranks each
+// stream-compress their own slice range, then run the initialization and
+// iteration phases on it (ShardedDTuckerFromFile). The raw tensor never
 // resides in memory.
 Result<TuckerDecomposition> DTuckerFromFile(const std::string& path,
                                             const DTuckerOptions& options,

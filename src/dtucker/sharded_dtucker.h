@@ -1,45 +1,38 @@
-// Sharded slice-parallel D-Tucker: the slice dimension distributed across
-// communicator ranks.
+// The D-Tucker core: the slice dimension split across ranks.
 //
-// D-Tucker's three phases decompose naturally over the L frontal slices:
+// Every D-Tucker entry point runs here — DTucker, DTuckerFromApproximation
+// and DTuckerFromFile as min(num_threads, C) in-process ranks, --ranks as
+// an explicit rank count on a chosen transport. D-Tucker's three phases
+// decompose naturally over the L frontal slices:
 //
 //   Approximation   — embarrassingly parallel; rank r compresses only its
 //                     owned slice range (streaming just that shard when the
 //                     tensor lives in a file), so no rank ever touches
 //                     tensor data it does not own.
-//   Initialization  — the stacked-factor Grams sum per-slice contributions;
-//                     each rank accumulates its shard's partial and a
-//                     tree-shaped AllReduceSum combines them. The small
+//   Initialization  — the stacked-factor Grams sum per-slice contributions
+//                     through the canonical chunk tree. The small
 //                     projected tensor Z is assembled by a pure-concatenation
 //                     all-gather of per-shard slabs.
 //   Iteration       — the mode-1/2 carrier contractions reduce per-chunk
-//                     GEMM partials through the same tree. Trailing-mode
-//                     updates are sharded too (order-3, the paper's
-//                     primary case): the small-side trailing Gram
-//                     accumulates per-slice outer products of the rank's
-//                     own Z slab through the canonical chunk tree, each
-//                     rank recovers its own rows of the factor panel
-//                     locally, and a pure-concatenation all-gather plus a
-//                     replicated thin QR finishes the update — the
-//                     gathered Z is never materialized during sweeps. The
-//                     core refresh reduces the rank's Z slab against the
-//                     full trailing Kronecker weights through the same
-//                     tree (any order). Orders >= 4 keep the replicated
-//                     gathered-Z trailing updates (Z is small there and
-//                     the per-i_n column groups straddle shard
-//                     boundaries); DTuckerOptions::shard_trailing_updates
-//                     = false restores the fully replicated PR 6 behavior
-//                     as a benchmark baseline.
+//                     GEMM partials through the same tree. For order 3 with
+//                     J1*J2 <= L the trailing update is sharded too: the
+//                     small-side trailing Gram accumulates per-slice outer
+//                     products of the rank's own Z slab, each rank recovers
+//                     its own rows of the factor panel, and a
+//                     pure-concatenation all-gather plus a replicated thin
+//                     QR finishes the update. Otherwise the trailing
+//                     updates run on the gathered Z, whose L x L mode Gram
+//                     is then the small side. The core refresh contracts
+//                     the rank's Z slab over the trailing modes and reduces
+//                     it through the same tree (any order).
 //
-// Determinism: every floating-point reduction follows the canonical chunk
-// grid of comm/sharding.h — fixed chunks, serial accumulation within a
-// chunk, pairwise tree over chunk partials, binomial tree across ranks.
-// Because shard boundaries are chunk boundaries, the composed global
-// reduction tree is the *same tree* for every power-of-two rank count
-// (<= kShardChunkCount), so a 4-rank run reproduces a 1-rank sharded run
-// bit for bit (given equal BLAS settings per rank). The sharded path's
-// bits differ from the unsharded solver's (dtucker.h), whose left-fold
-// reduction predates the tree — the two agree to rounding error only.
+// Determinism: every floating-point sum over slices follows the canonical
+// chunk grid of comm/sharding.h — fixed chunks, serial accumulation within
+// a chunk, one pairwise tree over the chunk partials whichever rank
+// computed them (ChunkTreeAllReduce). Everything else is concatenation,
+// exact max, or replicated deterministic compute on identical inputs, so
+// plain calls, Engine, every thread count and every rank count in [1, L]
+// give one bitwise result.
 //
 // Execution control: each rank polls its own RunContext
 // (options.tucker.run_context) locally, but never aborts a collective
@@ -48,10 +41,9 @@
 // deadline on any one rank stops every rank at the same boundary with the
 // same rolled-back state — all ranks return the last completed sweep.
 //
-// Threading: in-process ranks share the process-wide BLAS pool; the driver
-// brackets the run with SetPoolPartitions so R ranks split the pool
-// instead of oversubscribing it, and splits the approximation-phase worker
-// budget (num_threads) evenly across ranks.
+// Threading: in-process ranks share the process-wide BLAS pool; while R > 1
+// ranks run, each holds a PoolPartitionLease, so the R ranks split the pool
+// instead of oversubscribing it.
 #ifndef DTUCKER_DTUCKER_SHARDED_DTUCKER_H_
 #define DTUCKER_DTUCKER_SHARDED_DTUCKER_H_
 
@@ -65,12 +57,15 @@
 namespace dtucker {
 
 struct ShardedDTuckerOptions {
+  // num_threads is not used here: the in-process drivers run `num_ranks`
+  // ranks of one BLAS-pool share each.
   DTuckerOptions dtucker;
-  // Rank count for the in-process drivers (ShardedDTucker /
-  // ShardedDTuckerFromFile), which spawn one thread per rank. Must be in
-  // [1, L] for a tensor with L frontal slices; ranks beyond the chunk grid
-  // (kShardChunkCount) own zero slices but stay in lockstep. The SPMD
-  // entry points ignore this field (the communicator fixes the group).
+  // Rank count for the in-process drivers (ShardedDTucker,
+  // ShardedDTuckerFromFile, ShardedDTuckerFromApproximation), which spawn
+  // one thread per rank. Must be in [1, L] for a tensor with L frontal
+  // slices; ranks beyond the chunk grid (kShardChunkCount) own zero slices
+  // but stay in lockstep. The SPMD entry points ignore this field (the
+  // communicator fixes the group).
   int num_ranks = 1;
   // Upper bound on any single blocking communicator wait; a crashed peer
   // surfaces as kUnavailable after this long instead of a deadlock.
@@ -98,8 +93,9 @@ struct ShardedDTuckerOptions {
 // In-process driver: runs `options.num_ranks` rank threads over an
 // InProcessGroup and returns rank 0's decomposition (all ranks finish with
 // bitwise-identical results). `stats`, `sweep_callback` and the error
-// history are reported from rank 0's perspective. auto_reorder is not
-// supported in the sharded path (InvalidArgument).
+// history are reported from rank 0's perspective; stats->working_bytes is
+// the compressed form of every rank together. With auto_reorder the tensor
+// is permuted once, before the ranks start.
 Result<TuckerDecomposition> ShardedDTucker(const Tensor& x,
                                            const ShardedDTuckerOptions& options,
                                            TuckerStats* stats = nullptr);
@@ -111,13 +107,18 @@ Result<TuckerDecomposition> ShardedDTuckerFromFile(
     const std::string& path, const ShardedDTuckerOptions& options,
     TuckerStats* stats = nullptr);
 
+// Query-phase in-process driver: each rank reads its slice range of
+// `approx` in place (no per-rank copy).
+Result<TuckerDecomposition> ShardedDTuckerFromApproximation(
+    const SliceApproximation& approx, const ShardedDTuckerOptions& options,
+    TuckerStats* stats = nullptr);
+
 // SPMD entry points: one call per rank, `comm` fixes the rank/group (e.g.
 // a FileCommunicator when ranks are separate processes — the no-MPI
 // multi-process transport). Every rank must call with identical `options`
-// and tensor/path; each returns the full (identical) decomposition.
-// `options.num_threads` is used as given — per-process callers own their
-// thread budget. The caller is responsible for SetPoolPartitions when
-// ranks share one process.
+// and tensor/path/approximation; each returns the full (identical)
+// decomposition. The caller owns the BLAS-pool split when ranks share one
+// process.
 Result<TuckerDecomposition> ShardedDTuckerRank(const Tensor& x,
                                                const DTuckerOptions& options,
                                                Communicator* comm,
@@ -127,11 +128,15 @@ Result<TuckerDecomposition> ShardedDTuckerRankFromFile(
     const std::string& path, const DTuckerOptions& options, Communicator* comm,
     TuckerStats* stats = nullptr);
 
-// Query-phase SPMD entry: initialization + iteration on a rank's local
-// shard of an existing slice approximation. `local` holds only the owned
-// slices with shape {I1, I2, NumLocalSlices} matching `plan`; `full_shape`
-// is the global tensor shape. Building block of the entry points above and
-// of white-box tests.
+// Reads only this rank's slice range of the full approximation `approx`.
+Result<TuckerDecomposition> ShardedDTuckerRankFromApproximation(
+    const SliceApproximation& approx, const DTuckerOptions& options,
+    Communicator* comm, TuckerStats* stats = nullptr);
+
+// Query phase on the shard this rank holds: `local` has only the owned
+// slices, with shape {I1, I2, NumLocalSlices} matching `plan`, and
+// `full_shape` is the global tensor shape — for a rank process that never
+// holds the rest of the approximation.
 Result<TuckerDecomposition> ShardedDTuckerFromLocalApproximation(
     const SliceApproximation& local, const std::vector<Index>& full_shape,
     const ShardPlan& plan, const DTuckerOptions& options, Communicator* comm,

@@ -1,12 +1,10 @@
 #include "dtucker/slice_approximation.h"
 
 #include <algorithm>
-#include <atomic>
 
-#include "common/thread_pool.h"
+#include "comm/sharding.h"
 #include "common/trace.h"
 #include "linalg/blas.h"
-#include "linalg/gemm_kernel.h"
 
 namespace dtucker {
 
@@ -90,9 +88,10 @@ Status SliceApproximation::Validate() const {
   return Status::OK();
 }
 
-Result<std::vector<SliceSvd>> ApproximateSliceRange(
-    const Tensor& x, Index first, Index count,
-    const SliceApproximationOptions& options) {
+namespace {
+
+Status CheckSliceRange(const Tensor& x, Index first, Index count,
+                       const SliceApproximationOptions& options) {
   if (x.order() < 3) {
     return Status::InvalidArgument(
         "slice approximation requires an order >= 3 tensor");
@@ -105,31 +104,27 @@ Result<std::vector<SliceSvd>> ApproximateSliceRange(
   if (first < 0 || count < 0 || first + count > x.NumFrontalSlices()) {
     return Status::OutOfRange("slice range outside the tensor");
   }
+  return Status::OK();
+}
 
+// Compresses slices [first, first + count) of `x` serially into out[0,
+// count), polling the run context once per slice. The approximation phase
+// has no usable partial state, so an interruption is a hard stop.
+Status CompressSliceRange(const Tensor& x, Index first, Index count,
+                          const SliceApproximationOptions& options,
+                          SliceSvd* out) {
+  DT_TRACE_SPAN("dtucker.slice_range");
   RsvdOptions base;
   base.rank = options.slice_rank;
   base.oversampling = options.oversampling;
   base.power_iterations = options.power_iterations;
-
-  DT_TRACE_SPAN("dtucker.slice_range");
-  std::vector<SliceSvd> out(static_cast<std::size_t>(count));
-  // Per-slice interruption checkpoint. The first worker to observe a
-  // cancellation/deadline records the code; later slices (on any thread)
-  // skip their work so the whole loop drains within one slice's worth of
-  // compute per worker.
-  std::atomic<int> stop_code{static_cast<int>(StatusCode::kOk)};
-  auto compress_one = [&](std::size_t i) {
-    if (stop_code.load(std::memory_order_relaxed) !=
-        static_cast<int>(StatusCode::kOk)) {
-      return;
-    }
+  for (Index i = 0; i < count; ++i) {
     const StatusCode check = RunContext::CheckOrOk(options.run_context);
     if (check != StatusCode::kOk) {
-      stop_code.store(static_cast<int>(check), std::memory_order_relaxed);
-      return;
+      return Status(check, "slice approximation interrupted");
     }
     DT_TRACE_SPAN("dtucker.slice_svd");
-    const Index l = first + static_cast<Index>(i);
+    const Index l = first + i;
     Matrix slice = x.FrontalSlice(l);
     // Extreme magnitudes denormalize the squared quantities inside the SVD
     // (Gram entries, Jacobi dots); normalize the slice and fold the scale
@@ -170,40 +165,42 @@ Result<std::vector<SliceSvd>> ApproximateSliceRange(
       for (double& s : svd.s) s *= scale;
     }
     out[i] = SliceSvd{std::move(svd.u), std::move(svd.s), std::move(svd.v)};
-  };
-  if (options.num_threads > 1 && count > 1) {
-    // Slice-level parallelism is the better axis here (independent rSVDs);
-    // the worker scope keeps the per-slice GEMMs off the shared BLAS pool,
-    // which would otherwise oversubscribe the machine.
-    ThreadPool pool(static_cast<std::size_t>(options.num_threads));
-    pool.ParallelFor(static_cast<std::size_t>(count), [&](std::size_t i) {
-      BlasWorkerScope scope;
-      compress_one(i);
-    });
-  } else {
-    for (std::size_t i = 0; i < static_cast<std::size_t>(count); ++i) {
-      compress_one(i);
-    }
   }
-  const StatusCode stopped =
-      static_cast<StatusCode>(stop_code.load(std::memory_order_relaxed));
-  if (stopped != StatusCode::kOk) {
-    // No partial result: a half-compressed tensor cannot seed the query
-    // phase, so the interruption is a hard stop here.
-    return Status(stopped, "slice approximation interrupted");
-  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<std::vector<SliceSvd>> ApproximateSliceRange(
+    const Tensor& x, Index first, Index count,
+    const SliceApproximationOptions& options) {
+  DT_RETURN_NOT_OK(CheckSliceRange(x, first, count, options));
+  std::vector<SliceSvd> out(static_cast<std::size_t>(count));
+  DT_RETURN_NOT_OK(CompressSliceRange(x, first, count, options, out.data()));
   return out;
 }
 
 Result<SliceApproximation> ApproximateSlices(
     const Tensor& x, const SliceApproximationOptions& options) {
-  DT_ASSIGN_OR_RETURN(
-      std::vector<SliceSvd> slices,
-      ApproximateSliceRange(x, 0, x.NumFrontalSlices(), options));
+  const Index num_slices = x.order() < 3 ? 0 : x.NumFrontalSlices();
+  DT_RETURN_NOT_OK(CheckSliceRange(x, 0, num_slices, options));
   SliceApproximation approx;
   approx.shape = x.shape();
   approx.slice_rank = options.slice_rank;
-  approx.slices = std::move(slices);
+  approx.slices.resize(static_cast<std::size_t>(num_slices));
+  if (num_slices == 0) return approx;
+  // Threads compress the slice ranges the solver's ranks own (the seeds
+  // are per slice, so the result does not depend on the split).
+  const int num_ranks = RanksForThreads(options.num_threads, num_slices);
+  std::vector<Status> status(static_cast<std::size_t>(num_ranks));
+  RunRankThreads(num_ranks, [&](int r) {
+    const ShardPlan plan =
+        MakeShardPlan(num_slices, num_ranks, r).ValueOrDie();
+    status[static_cast<std::size_t>(r)] = CompressSliceRange(
+        x, plan.slice_begin, plan.NumLocalSlices(), options,
+        approx.slices.data() + plan.slice_begin);
+  });
+  for (const Status& st : status) DT_RETURN_NOT_OK(st);
   return approx;
 }
 

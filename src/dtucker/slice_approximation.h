@@ -49,9 +49,11 @@ struct SliceApproximationOptions {
   // slice_rank, floor 1). Smooth scenes store fewer numbers than busy
   // ones; every consumer of SliceApproximation handles per-slice ranks.
   double adaptive_tolerance = 0.0;
-  // Worker threads for the per-slice SVDs. Slices are independent and each
-  // draws from its own seeded stream, so the result is bit-identical to
-  // the single-threaded run. Default 1 matches the paper's protocol.
+  // Threads for ApproximateSlices: each compresses the slice range one
+  // rank of a num_threads-thread solve owns (comm/sharding.h). Slices are
+  // independent and each draws from its own seeded stream, so the result
+  // is bit-identical to the single-threaded run. Default 1 matches the
+  // paper's protocol.
   int num_threads = 1;
   // Optional execution control, polled once per slice. The approximation
   // phase has no usable partial state, so an interruption here surfaces as
@@ -94,8 +96,9 @@ struct SliceApproximation {
 Result<SliceApproximation> ApproximateSlices(
     const Tensor& x, const SliceApproximationOptions& options);
 
-// Compresses only slices [first, first+count) of `x` — the building block
-// for the online variant, which appends new slices without recompressing
+// Compresses only slices [first, first+count) of `x`, serially on the
+// calling thread — a rank's share of the approximation phase, and the
+// online variant's append, which compresses new slices without touching
 // old ones.
 Result<std::vector<SliceSvd>> ApproximateSliceRange(
     const Tensor& x, Index first, Index count,

@@ -499,6 +499,37 @@ void TrsmLowerRaw(Index n, Index ncols, const double* l, Index ldl, double* x,
   }
 }
 
+double MaxAbs(const double* x, Index n) {
+  // Every accumulator runs the scalar rule m = (m < |v|) ? |v| : m, so NaN
+  // entries never replace a value and the result is +0 when nothing beats
+  // it; max is exact, so splitting the chain across independent lanes
+  // (instead of one dependent std::max chain) leaves the bits unchanged.
+#if defined(__GNUC__) || defined(__clang__)
+  Vec acc0 = Vec{};
+  Vec acc1 = Vec{};
+  Index i = 0;
+  for (; i + 2 * kVecLen <= n; i += 2 * kVecLen) {
+    Vec v0 = *reinterpret_cast<const Vec*>(x + i);
+    Vec v1 = *reinterpret_cast<const Vec*>(x + i + kVecLen);
+    v0 = v0 < 0.0 ? -v0 : v0;
+    v1 = v1 < 0.0 ? -v1 : v1;
+    acc0 = acc0 < v0 ? v0 : acc0;
+    acc1 = acc1 < v1 ? v1 : acc1;
+  }
+  acc0 = acc0 < acc1 ? acc1 : acc0;
+  double m = 0.0;
+  for (Index l = 0; l < kVecLen; ++l) m = m < acc0[l] ? acc0[l] : m;
+#else
+  double m = 0.0;
+  Index i = 0;
+#endif
+  for (; i < n; ++i) {
+    const double a = std::fabs(x[i]);
+    m = m < a ? a : m;
+  }
+  return m;
+}
+
 double Nrm2(const double* x, Index n) {
   // Fast path: plain sum of squares, vectorized explicitly (no -ffast-math,
   // so the compiler would otherwise keep the serial reduction order and the

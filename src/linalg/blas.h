@@ -39,6 +39,8 @@ double Dot(const double* x, const double* y, Index n);
 void Axpy(double alpha, const double* x, double* y, Index n);
 void Scal(double alpha, double* x, Index n);
 double Nrm2(const double* x, Index n);
+// max_i |x_i|, ignoring NaN entries; 0 for an empty or all-NaN vector.
+double MaxAbs(const double* x, Index n);
 
 // Triangular kernels. `t`/`r`/`l` are n x n column-major with the given
 // leading dimension; entries outside the referenced triangle are never

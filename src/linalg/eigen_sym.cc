@@ -85,6 +85,8 @@ EigenSymResult EigenSym(const Matrix& a) {
 
 namespace {
 
+thread_local std::uint64_t tls_subspace_sweeps = 0;
+
 // Dense solve for the sketch-sized problems inside TopEigenvectorsSym: the
 // QL solver is several times faster than Jacobi at these sizes; Jacobi is
 // the fallback for (pathological) QL non-convergence.
@@ -136,6 +138,7 @@ Matrix TopEigenvectorsSym(const Matrix& a, Index k, Matrix* subspace,
   static Counter& subspace_sweeps = MetricCounter("eig.subspace_sweeps");
   for (int sweep = 0; sweep < max_sweeps; ++sweep) {
     subspace_sweeps.Add(1);
+    ++tls_subspace_sweeps;
     Gemm(Trans::kNo, Trans::kNo, 1.0, a, q, 0.0, &z);
     // Rayleigh quotient H = Q^T A Q for the convergence check.
     Gemm(Trans::kYes, Trans::kNo, 1.0, q, z, 0.0, &h);
@@ -176,5 +179,7 @@ Matrix TopEigenvectorsSym(const Matrix& a, Index k, Matrix* subspace,
   if (subspace != nullptr) *subspace = std::move(q);
   return out;
 }
+
+std::uint64_t SubspaceSweepsOnThisThread() { return tls_subspace_sweeps; }
 
 }  // namespace dtucker

@@ -5,6 +5,8 @@
 #ifndef DTUCKER_LINALG_EIGEN_SYM_H_
 #define DTUCKER_LINALG_EIGEN_SYM_H_
 
+#include <cstdint>
+
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -51,6 +53,11 @@ struct SubspaceIterationOptions {
 // reads nor writes it.
 Matrix TopEigenvectorsSym(const Matrix& a, Index k, Matrix* subspace = nullptr,
                           const SubspaceIterationOptions& options = {});
+
+// Subspace-iteration sweeps run so far on the calling thread: its share of
+// the process-wide "eig.subspace_sweeps" counter, so a solve can count its
+// own sweeps while other threads iterate too.
+std::uint64_t SubspaceSweepsOnThisThread();
 
 }  // namespace dtucker
 

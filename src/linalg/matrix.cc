@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/rng.h"
+#include "linalg/blas.h"
 
 namespace dtucker {
 
@@ -120,9 +121,7 @@ double Matrix::SquaredNorm() const {
 double Matrix::FrobeniusNorm() const { return std::sqrt(SquaredNorm()); }
 
 double Matrix::MaxAbs() const {
-  double m = 0.0;
-  for (double v : data_) m = std::max(m, std::fabs(v));
-  return m;
+  return dtucker::MaxAbs(data_.data(), static_cast<Index>(data_.size()));
 }
 
 std::string Matrix::ToString(int precision) const {

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "linalg/blas.h"
+
 namespace dtucker {
 
 Result<Tensor> SubTensor(const Tensor& x, Index mode, Index start,
@@ -96,11 +98,6 @@ Status ValidateFinite(const Tensor& x) {
   return Status::OK();
 }
 
-double MaxAbs(const Tensor& x) {
-  double m = 0.0;
-  const double* d = x.data();
-  for (Index i = 0; i < x.size(); ++i) m = std::max(m, std::fabs(d[i]));
-  return m;
-}
+double MaxAbs(const Tensor& x) { return MaxAbs(x.data(), x.size()); }
 
 }  // namespace dtucker

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include "common/rng.h"
+#include "tensor/tensor_utils.h"
 
 namespace dtucker {
 namespace {
@@ -118,6 +125,48 @@ TEST(BlasTest, DotAxpyScalNrm2) {
 TEST(BlasTest, Nrm2AvoidsOverflow) {
   std::vector<double> v = {1e200, 1e200};
   EXPECT_NEAR(Nrm2(v.data(), 2) / 1.4142135623730951e200, 1.0, 1e-12);
+}
+
+TEST(BlasTest, MaxAbsMatchesNaiveLoopOnSpecialValues) {
+  // The split-accumulator MaxAbs must return exactly the bits of the one
+  // std::max chain it replaced, for every length (vector body and scalar
+  // tail) and wherever a +-0, NaN or +-inf sits.
+  auto naive = [](const std::vector<double>& v) {
+    double m = 0.0;
+    for (double x : v) m = std::max(m, std::fabs(x));
+    return m;
+  };
+  auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> specials = {0.0, -0.0, nan, -nan, inf, -inf};
+  Rng rng(41);
+  for (Index n = 0; n <= 37; ++n) {
+    std::vector<double> base(static_cast<std::size_t>(n));
+    for (double& x : base) x = rng.Gaussian();
+    std::vector<std::vector<double>> inputs = {base};
+    for (double special : specials) {
+      inputs.emplace_back(static_cast<std::size_t>(n), special);
+      for (Index pos = 0; pos < n; pos += 5) {
+        std::vector<double> v = base;
+        v[static_cast<std::size_t>(pos)] = special;
+        inputs.push_back(v);
+      }
+    }
+    for (const std::vector<double>& v : inputs) {
+      const double want = naive(v);
+      EXPECT_TRUE(same_bits(MaxAbs(v.data(), n), want)) << "n=" << n;
+      if (n == 0) continue;
+      Matrix m(n, 1);
+      std::copy(v.begin(), v.end(), m.data());
+      EXPECT_TRUE(same_bits(m.MaxAbs(), want)) << "matrix n=" << n;
+      Tensor t({1, n});
+      std::copy(v.begin(), v.end(), t.data());
+      EXPECT_TRUE(same_bits(MaxAbs(t), want)) << "tensor n=" << n;
+    }
+  }
 }
 
 TEST(BlasTest, GramMatchesExplicit) {

@@ -5,6 +5,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -181,7 +182,8 @@ TEST(CommTest, GatherConcatenatesInRankOrder) {
   ExpectAllOk(RunRanks(4, [&](Communicator* comm) {
     double send[2] = {10.0 + comm->rank(), 20.0 + comm->rank()};
     DT_RETURN_NOT_OK(
-        comm->Gather(send, 2, comm->rank() == 0 ? recv.data() : nullptr, 0));
+        comm->Gather(send, std::vector<std::size_t>(4, 2),
+                     comm->rank() == 0 ? recv.data() : nullptr, 0));
     return Status::OK();
   }));
   EXPECT_EQ(recv, (std::vector<double>{10, 20, 11, 21, 12, 22, 13, 23}));
@@ -560,6 +562,59 @@ TEST(TreeCombineTest, PowerOfTwoShardsComposeToTheGlobalTree) {
       reference.push_back(rank_partials[0]);
     } else {
       EXPECT_EQ(rank_partials[0], reference[0]) << "R=" << R;
+    }
+  }
+}
+
+TEST(ChunkTreeAllReduceTest, EveryRankCountGivesTheCanonicalTreeBits) {
+  // Chunk partials whose sum depends on the grouping: the result must be
+  // TreeCombine over all C chunks, bit for bit, for every rank count —
+  // powers of two or not, and with degenerate shards past the chunk grid.
+  // Magnitudes spread over 2^-20..2^19: over 64 entries, a binomial
+  // reduce of per-rank sums differs from the tree in a third of them.
+  const std::size_t n = 64;
+  auto chunk_value = [](Index c, std::size_t k) {
+    const Index kk = static_cast<Index>(k);
+    const int exponent = static_cast<int>((37 * c + 11 * kk) % 40) - 20;
+    return std::sin(12.9898 * static_cast<double>(c) +
+                    78.233 * static_cast<double>(kk) + 0.5) *
+           std::ldexp(1.0, exponent);
+  };
+  for (Index num_slices : {1, 3, 5, 6, 7, 8, 12}) {
+    const Index chunks = std::min(kShardChunkCount, num_slices);
+    std::vector<std::vector<double>> parts(static_cast<std::size_t>(chunks));
+    for (Index c = 0; c < chunks; ++c) {
+      for (std::size_t k = 0; k < n; ++k) {
+        parts[static_cast<std::size_t>(c)].push_back(chunk_value(c, k));
+      }
+    }
+    TreeCombine(&parts, [](std::vector<double>* dst,
+                           const std::vector<double>& src) {
+      for (std::size_t k = 0; k < dst->size(); ++k) (*dst)[k] += src[k];
+    });
+    const int max_ranks = static_cast<int>(std::min<Index>(num_slices, 9));
+    for (int size = 1; size <= max_ranks; ++size) {
+      std::vector<std::vector<double>> out(static_cast<std::size_t>(size));
+      ExpectAllOk(RunRanks(size, [&](Communicator* comm) {
+        DT_ASSIGN_OR_RETURN(ShardPlan plan,
+                            MakeShardPlan(num_slices, size, comm->rank()));
+        std::vector<double> sum(n), scratch;
+        Index next = plan.chunk_begin;  // Chunks must arrive in order.
+        DT_RETURN_NOT_OK(ChunkTreeAllReduce(
+            comm, plan, n,
+            [&](Index c, double* block) {
+              EXPECT_EQ(c, next++);
+              for (std::size_t k = 0; k < n; ++k) block[k] = chunk_value(c, k);
+            },
+            sum.data(), &scratch));
+        EXPECT_EQ(next, plan.chunk_end);
+        out[static_cast<std::size_t>(comm->rank())] = sum;
+        return Status::OK();
+      }));
+      for (int r = 0; r < size; ++r) {
+        EXPECT_EQ(out[static_cast<std::size_t>(r)], parts[0])
+            << "L=" << num_slices << " R=" << size << " rank " << r;
+      }
     }
   }
 }

@@ -1,9 +1,9 @@
-// Stress tests for the matricization-free, slice-parallel iteration phase:
-// ModeGram vs. Gram-of-Unfold equivalence over a shape sweep, Unfold/Fold
-// roundtrips covering the mode-0 fast path, and bitwise thread-determinism
-// of ModeGram, the slice-parallel carrier/projected-core builders, one
-// DTuckerSweep, and the full DTucker pipeline (factors and core identical
-// across 1/2/8 BLAS threads). Runs under both `ctest -L tsan`
+// Stress tests for the matricization-free iteration phase: ModeGram vs.
+// Gram-of-Unfold equivalence over a shape sweep, Unfold/Fold roundtrips
+// covering the mode-0 fast path, and bitwise thread-determinism of
+// ModeGram, the carrier/projected-core slice kernels, one HOOI sweep, and
+// the full DTucker pipeline (factors and core identical across 1/2/8
+// threads). Runs under both `ctest -L tsan`
 // (-DDTUCKER_SANITIZE=thread) and `ctest -L asan`
 // (-DDTUCKER_SANITIZE=address).
 #include <gtest/gtest.h>
@@ -129,18 +129,19 @@ TEST_F(DTuckerStressTest, CarrierBuildersBitwiseDeterministicAcrossThreads) {
 
   SetBlasThreads(1);
   Tensor t1, t2, z;
-  internal_dtucker::BuildModeOneCarrierInto(approx, a2, 1.0, &t1);
-  internal_dtucker::BuildModeTwoCarrierInto(approx, a1, 1.0, &t2);
-  internal_dtucker::BuildProjectedCoreInto(approx, a1, a2, 1.0, &z);
-  // 10 slices: 2 and 8 threads run the slice-parallel loop; 16 threads
-  // (more workers than slices) run slices serially with GEMM-internal
-  // threading.
+  internal_dtucker::BuildModeOneCarrierInto(approx.slices, 14, a2, 1.0, &t1);
+  internal_dtucker::BuildModeTwoCarrierInto(approx.slices, 12, a1, 1.0, &t2);
+  internal_dtucker::BuildProjectedCoreInto(approx.slices, a1, a2, 1.0, &z);
+  // The kernels run their slices serially; with more BLAS threads the
+  // per-slice GEMMs thread internally (16: more workers than columns).
   for (int threads : {2, 8, 16}) {
     SetBlasThreads(threads);
     Tensor u1, u2, w;
-    internal_dtucker::BuildModeOneCarrierInto(approx, a2, 1.0, &u1);
-    internal_dtucker::BuildModeTwoCarrierInto(approx, a1, 1.0, &u2);
-    internal_dtucker::BuildProjectedCoreInto(approx, a1, a2, 1.0, &w);
+    internal_dtucker::BuildModeOneCarrierInto(approx.slices, 14, a2, 1.0,
+                                              &u1);
+    internal_dtucker::BuildModeTwoCarrierInto(approx.slices, 12, a1, 1.0,
+                                              &u2);
+    internal_dtucker::BuildProjectedCoreInto(approx.slices, a1, a2, 1.0, &w);
     EXPECT_TRUE(BitwiseEqualTensor(t1, u1)) << "threads " << threads;
     EXPECT_TRUE(BitwiseEqualTensor(t2, u2)) << "threads " << threads;
     EXPECT_TRUE(BitwiseEqualTensor(z, w)) << "threads " << threads;
@@ -152,23 +153,22 @@ TEST_F(DTuckerStressTest, SweepBitwiseDeterministicAcrossThreads) {
   const std::vector<Index> ranks = {5, 4, 3, 2};
   SliceApproximation approx = MakeApprox(shape, 6, 23);
 
-  auto run = [&]() {
+  // Initialization plus one sweep, at `threads` threads (ranks) and BLAS
+  // threads.
+  auto run = [&](int threads) {
+    SetBlasThreads(threads);
     DTuckerOptions opt;
     opt.tucker.ranks = ranks;
-    Result<TuckerDecomposition> init = DTuckerInitializeOnly(approx, opt);
-    EXPECT_TRUE(init.ok());
-    TuckerDecomposition dec = std::move(init).value();
-    internal_dtucker::SweepWorkspace ws;
-    internal_dtucker::DTuckerSweep(approx, ranks, &dec.factors, &dec.core,
-                                   &ws, 1.0);
-    return dec;
+    opt.tucker.max_iterations = 1;
+    opt.num_threads = threads;
+    Result<TuckerDecomposition> dec = DTuckerFromApproximation(approx, opt);
+    EXPECT_TRUE(dec.ok());
+    return std::move(dec).value();
   };
 
-  SetBlasThreads(1);
-  TuckerDecomposition ref = run();
+  TuckerDecomposition ref = run(1);
   for (int threads : {2, 8}) {
-    SetBlasThreads(threads);
-    TuckerDecomposition got = run();
+    TuckerDecomposition got = run(threads);
     for (std::size_t n = 0; n < ref.factors.size(); ++n) {
       EXPECT_TRUE(BitwiseEqualMatrix(ref.factors[n], got.factors[n]))
           << "factor " << n << " threads " << threads;
@@ -188,7 +188,7 @@ TEST_F(DTuckerStressTest, FullDTuckerBitwiseDeterministicAcrossThreads) {
     opt.tucker.ranks = {5, 4, 3, 2};
     opt.slice_rank = 6;
     opt.tucker.max_iterations = 4;
-    opt.num_threads = threads;  // Approximation-phase pool.
+    opt.num_threads = threads;
     Result<TuckerDecomposition> dec = DTucker(x, opt);
     EXPECT_TRUE(dec.ok());
     return std::move(dec).value();

@@ -244,24 +244,38 @@ TEST(CancelTest, SecondThreadCancelMidRunReturnsLastCompletedSweep) {
                    ref_stats.sweep_history.back().relative_error);
 }
 
-TEST(CancelTest, DTuckerSweepReturnsFalseOnCancelledContext) {
+TEST(CancelTest, QueryCancelStopsEveryRankAtTheSameSweep) {
+  // A cancel raised after sweep 2 on a 4-thread query solve: every rank
+  // agrees at the next sweep boundary, so the result is exactly the
+  // 2-sweep solve (at any thread count).
   Tensor x = TestTensor();
   SliceApproximationOptions aopt;
   aopt.slice_rank = 4;
   Result<SliceApproximation> approx = ApproximateSlices(x, aopt);
   ASSERT_TRUE(approx.ok());
-  Result<TuckerDecomposition> init =
-      DTuckerInitializeOnly(approx.value(), TestOptions());
-  ASSERT_TRUE(init.ok());
 
   RunContext ctx;
-  ctx.RequestCancel();
-  std::vector<Matrix> factors = init.value().factors;
-  Tensor core = init.value().core;
-  internal_dtucker::SweepWorkspace ws;
-  EXPECT_FALSE(internal_dtucker::DTuckerSweep(approx.value(), {4, 4, 4},
-                                              &factors, &core, &ws,
-                                              /*s_inv=*/1.0, &ctx));
+  DTuckerOptions opt = TestOptions(&ctx);
+  opt.num_threads = 4;
+  opt.sweep_callback = [&ctx](const SweepTelemetry& t) {
+    if (t.sweep == 2) ctx.RequestCancel();
+  };
+  TuckerStats stats;
+  Result<TuckerDecomposition> r =
+      DTuckerFromApproximation(approx.value(), opt, &stats);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(stats.completion, StatusCode::kCancelled);
+  EXPECT_EQ(stats.iterations, 2);
+
+  DTuckerOptions ref_opt = TestOptions();
+  ref_opt.tucker.max_iterations = 2;
+  Result<TuckerDecomposition> ref =
+      DTuckerFromApproximation(approx.value(), ref_opt);
+  ASSERT_TRUE(ref.ok());
+  for (std::size_t n = 0; n < ref.value().factors.size(); ++n) {
+    EXPECT_TRUE(AlmostEqual(r.value().factors[n], ref.value().factors[n], 0.0));
+  }
+  EXPECT_TRUE(AlmostEqual(r.value().core, ref.value().core, 0.0));
 }
 
 TEST(CancelTest, OnlineInitializeHonorsCancelledContext) {
@@ -282,7 +296,10 @@ TEST(CancelTest, OnlineInitializeHonorsCancelledContext) {
 class FaultInjectionTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/exec_control_faults.dtnsr";
+    // One file per test: ctest runs the cases as parallel processes.
+    path_ = ::testing::TempDir() + "/exec_control_faults_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".dtnsr";
     tensor_ = MakeLowRankTensor({12, 10, 6}, {3, 3, 3}, 0.05, 11);
     ASSERT_TRUE(SaveTensor(tensor_, path_).ok());
   }
