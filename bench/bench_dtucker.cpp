@@ -12,7 +12,6 @@
 
 #include "common/metrics.h"
 #include "common/rng.h"
-#include "common/trace.h"
 #include "dtucker/dtucker.h"
 #include "linalg/blas.h"
 #include "tensor/tensor_ops.h"
@@ -212,37 +211,6 @@ BENCHMARK(BM_DTuckerEndToEnd)
     ->Args({128, 8})
     ->Args({256, 1})
     ->Args({256, 8});
-
-// arg: {enabled}. Cost of one DT_TRACE_SPAN bracket. Disabled (the
-// default, arg 0) this is the price every instrumented kernel pays in
-// production: one relaxed load plus two predicted branches. Enabled
-// (arg 1) it adds two clock reads and a ring-buffer store.
-void BM_TraceSpan(benchmark::State& state) {
-  const bool enabled = state.range(0) != 0;
-  SetTraceEnabled(enabled);
-  for (auto _ : state) {
-    DT_TRACE_SPAN("bench.span");
-  }
-  SetTraceEnabled(false);
-  ClearTrace();
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TraceSpan)->Arg(0)->Arg(1);
-
-// Cost of one Histogram::Record: a log2 bucket index (clz), two relaxed
-// fetch_adds, and a CAS-max on the caller's shard. This is the per-sample
-// price of every comm-wait / sweep-stage / pool-task latency site.
-void BM_HistogramRecord(benchmark::State& state) {
-  Histogram& hist = MetricHistogram("bench.histogram_ns");
-  std::uint64_t ns = 1;
-  for (auto _ : state) {
-    hist.Record(ns);
-    ns = ns * 2654435761u % 1000000007u;  // Spread samples across buckets.
-  }
-  benchmark::DoNotOptimize(hist.Count());
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HistogramRecord);
 
 }  // namespace
 }  // namespace dtucker

@@ -14,7 +14,7 @@ namespace dtucker {
 namespace {
 
 // Reports GEMM throughput as a GFLOP/s counter (2*m*n*k flops per product)
-// so BENCH_gemm.json tracks the kernel's absolute efficiency across PRs.
+// so runs track the kernel's absolute efficiency, not just its time.
 void SetGemmCounters(benchmark::State& state, Index m, Index n, Index k) {
   const double flops = 2.0 * static_cast<double>(m) * static_cast<double>(n) *
                        static_cast<double>(k);
@@ -119,8 +119,8 @@ BENCHMARK(BM_GemmSlice)->Args({256, 0})->Args({256, 1});
 
 // Householder QR flop model (LAPACK working notes): factoring an m x n
 // matrix costs 2n^2(m - n/3), and forming the thin Q costs the same again.
-// The GFLOP/s counter makes BENCH_qr.json comparable across PRs the same
-// way BENCH_gemm.json is.
+// The GFLOP/s counter makes QR runs comparable across shapes the same way
+// the GEMM counter is.
 void SetQrCounters(benchmark::State& state, Index m, Index n, bool forms_q) {
   const double mn = static_cast<double>(m) - static_cast<double>(n) / 3.0;
   double flops = 2.0 * static_cast<double>(n) * static_cast<double>(n) * mn;

@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -270,21 +269,20 @@ int RunOp(const FlagParser& flags, int spmd_rank = -1,
 // quietly, flush their own telemetry (nothing when the gather handed the
 // merged documents to rank 0), and _exit.
 int RunDecomposeRankProcs(const FlagParser& flags, int ranks) {
-  const std::string transport = flags.GetString("transport");
-  if (transport != "file" && transport != "shm") {
+  Result<CommTransport> transport =
+      ParseCommTransport(flags.GetString("transport"));
+  if (!transport.ok()) return Fail(transport.status());
+  if (transport.value() != CommTransport::kShm) {
     return Fail(Status::InvalidArgument(
-        "--rank-procs needs a cross-process transport "
-        "(--transport=file or shm)"));
+        "--rank-procs needs the cross-process transport (--transport=shm)"));
   }
   if (flags.GetString("approx").empty() == false) {
     return Fail(Status::InvalidArgument(
         "--rank-procs decomposes a --tensor (the query phase is not "
         "sharded)"));
   }
-  const std::string pid_str = std::to_string(static_cast<long>(getpid()));
-  const std::string scratch = transport == "file"
-                                  ? "/tmp/dtucker_cli_comm_" + pid_str
-                                  : "/dtucker-cli-" + pid_str;
+  const std::string scratch =
+      "/dtucker-cli-" + std::to_string(static_cast<long>(getpid()));
   std::vector<pid_t> children;
   for (int r = 1; r < ranks; ++r) {
     const pid_t child = fork();
@@ -318,10 +316,6 @@ int RunDecomposeRankProcs(const FlagParser& flags, int ranks) {
       ++failed;
     }
   }
-  if (transport == "file") {
-    std::error_code ec;
-    std::filesystem::remove_all(scratch, ec);  // Shm cleans itself up.
-  }
   if (failed > 0) {
     return Fail(Status::Internal(std::to_string(failed) +
                                  " rank process(es) exited non-zero"));
@@ -347,11 +341,11 @@ int Run(int argc, char** argv) {
                "(0 = --threads in-process ranks; the result is the same "
                "either way)");
   flags.AddString("transport", "inproc",
-                  "rank transport for --ranks >= 1: inproc | file | shm "
-                  "(results are bitwise-identical across the three)");
+                  "rank transport for --ranks >= 1: inproc | shm "
+                  "(results are bitwise-identical across the two)");
   flags.AddBool("rank-procs", false,
                 "run each rank of --ranks as a fork()ed process instead of "
-                "a thread (decompose only; needs --transport=file|shm); "
+                "a thread (decompose only; needs --transport=shm); "
                 "--trace-out/--metrics-out still produce single merged "
                 "files via the end-of-run gather");
   flags.AddInt("threads", 1,

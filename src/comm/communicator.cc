@@ -9,7 +9,6 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <thread>
 
@@ -24,8 +23,6 @@ const char* CommTransportName(CommTransport transport) {
   switch (transport) {
     case CommTransport::kInProcess:
       return "inproc";
-    case CommTransport::kFile:
-      return "file";
     case CommTransport::kShm:
       return "shm";
   }
@@ -34,10 +31,9 @@ const char* CommTransportName(CommTransport transport) {
 
 Result<CommTransport> ParseCommTransport(const std::string& name) {
   if (name == "inproc") return CommTransport::kInProcess;
-  if (name == "file") return CommTransport::kFile;
   if (name == "shm") return CommTransport::kShm;
   return Status::InvalidArgument("unknown transport '" + name +
-                                 "' (expected inproc, file, or shm)");
+                                 "' (expected inproc or shm)");
 }
 
 // Elementwise combine of a received buffer into the local accumulator.
@@ -76,9 +72,9 @@ inline void CpuRelax() {
 // Adaptive wait phases: pure spinning covers rendezvous latencies in the
 // hundreds of nanoseconds (shm / in-process peers already in the
 // collective), yielding covers peers descheduled on a busy box, and the
-// exponential sleep bounds CPU burn when a peer is genuinely slow (file
-// transport IO, a rank still in its compute phase). The RunContext/timeout
-// poll runs at most every kCheckMask+1 spins so the hot phase stays cheap.
+// exponential sleep bounds CPU burn when a peer is genuinely slow (a rank
+// still in its compute phase). The RunContext/timeout poll runs at most
+// every kCheckMask+1 spins so the hot phase stays cheap.
 constexpr std::uint64_t kSpinPolls = 4096;
 constexpr std::uint64_t kYieldPolls = 256;
 constexpr std::uint64_t kCheckMask = 63;
@@ -137,7 +133,7 @@ Communicator::OpScope::OpScope(Communicator* comm, const char* op)
 Communicator::OpScope::~OpScope() {
   if (!outermost_) return;
   const std::string op = comm_->current_op_;
-  // Gauge (cumulative, what bench_shard reads) and histogram (the wait
+  // Gauge (cumulative, what bench_report reads) and histogram (the wait
   // *distribution* of this op kind) side by side.
   MetricGauge("comm.wait_ns." + op).Add(comm_->op_wait_ns_);
   MetricHistogram("comm.wait_ns." + op)
@@ -422,122 +418,6 @@ Communicator* InProcessGroup::comm(int rank) {
 InProcessGroup::~InProcessGroup() {
   comms_.clear();
   delete state_;
-}
-
-// ---------------------------------------------------------------------------
-// Multi-process file transport.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// Payloads are published as dir/m_<tag>_<sender>_<receiver> via write-to-
-// temp + rename (atomic on POSIX), so a reader never observes a partial
-// file. The receiver acknowledges with dir/a_<tag>_<sender>_<receiver>;
-// the sender then deletes both, keeping the directory bounded regardless
-// of how many collectives run. Waiting is the shared adaptive strategy:
-// a stat/open probe costs a syscall, but the spin phase's probes land in
-// the dentry cache, so short rendezvous stay far below the old fixed
-// 100 µs sleep while long waits still back off to sleeping.
-class FileCommunicator : public Communicator {
- public:
-  FileCommunicator(std::string dir, int rank, int size)
-      : Communicator(rank, size), dir_(std::move(dir)) {}
-
- protected:
-  Status SendTo(int peer, std::uint64_t tag, const double* data,
-                std::size_t n) override {
-    const std::string payload = PayloadPath(tag, rank(), peer);
-    const std::string tmp = payload + ".tmp" + std::to_string(rank());
-    {
-      FILE* f = std::fopen(tmp.c_str(), "wb");
-      if (f == nullptr) {
-        return Status::IoError("file communicator: cannot create " + tmp);
-      }
-      const std::size_t written = std::fwrite(data, sizeof(double), n, f);
-      const int rc = std::fclose(f);
-      if (written != n || rc != 0) {
-        std::remove(tmp.c_str());
-        return Status::IoError("file communicator: short write to " + tmp);
-      }
-    }
-    if (std::rename(tmp.c_str(), payload.c_str()) != 0) {
-      std::remove(tmp.c_str());
-      return Status::IoError("file communicator: cannot publish " + payload);
-    }
-    // Wait for the receiver's ack, then reclaim both files.
-    const std::string ack = AckPath(tag, rank(), peer);
-    AdaptiveWait wait;
-    for (;;) {
-      struct stat st;
-      if (::stat(ack.c_str(), &st) == 0) break;
-      DT_RETURN_NOT_OK(WaitStep(&wait));
-    }
-    FinishWait(wait);
-    std::remove(payload.c_str());
-    std::remove(ack.c_str());
-    return Status::OK();
-  }
-
-  Status RecvCombine(int peer, std::uint64_t tag, double* data, std::size_t n,
-                     Combine combine) override {
-    const std::string payload = PayloadPath(tag, peer, rank());
-    FILE* f = nullptr;
-    AdaptiveWait wait;
-    for (;;) {
-      f = std::fopen(payload.c_str(), "rb");
-      if (f != nullptr) break;
-      DT_RETURN_NOT_OK(WaitStep(&wait));
-    }
-    FinishWait(wait);
-    if (scratch_.size() < n) scratch_.resize(n);
-    const std::size_t read = std::fread(scratch_.data(), sizeof(double), n, f);
-    std::fclose(f);
-    if (read != n) {
-      return Status::IoError("file communicator: short read from " + payload);
-    }
-    ApplyCombine(data, scratch_.data(), n, static_cast<int>(combine));
-    // Publish the ack (atomically, same temp+rename discipline).
-    const std::string ack = AckPath(tag, peer, rank());
-    const std::string tmp = ack + ".tmp" + std::to_string(rank());
-    FILE* af = std::fopen(tmp.c_str(), "wb");
-    if (af == nullptr || std::fclose(af) != 0 ||
-        std::rename(tmp.c_str(), ack.c_str()) != 0) {
-      std::remove(tmp.c_str());
-      return Status::IoError("file communicator: cannot ack " + ack);
-    }
-    return Status::OK();
-  }
-
- private:
-  std::string PayloadPath(std::uint64_t tag, int sender, int receiver) const {
-    return dir_ + "/m_" + std::to_string(tag) + "_" + std::to_string(sender) +
-           "_" + std::to_string(receiver);
-  }
-  std::string AckPath(std::uint64_t tag, int sender, int receiver) const {
-    return dir_ + "/a_" + std::to_string(tag) + "_" + std::to_string(sender) +
-           "_" + std::to_string(receiver);
-  }
-
-  std::string dir_;
-  std::vector<double> scratch_;
-};
-
-}  // namespace
-
-Result<std::unique_ptr<Communicator>> CreateFileCommunicator(
-    const std::string& dir, int rank, int size) {
-  if (size < 1) {
-    return Status::InvalidArgument("file communicator: size must be >= 1");
-  }
-  if (rank < 0 || rank >= size) {
-    return Status::InvalidArgument("file communicator: rank out of range");
-  }
-  if (::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST) {
-    return Status::IoError("file communicator: cannot create directory " +
-                           dir);
-  }
-  return std::unique_ptr<Communicator>(
-      std::make_unique<FileCommunicator>(dir, rank, size));
 }
 
 // ---------------------------------------------------------------------------

@@ -24,22 +24,18 @@
 // over slices so the *global* reduction shape is also identical across
 // power-of-two rank counts.
 //
-// Three transports share the collective algorithms above (so results are
+// Two transports share the collective algorithms above (so results are
 // bitwise identical across transports) and differ only in how one rank's
 // buffer reaches another:
 //   - InProcessGroup: ranks are threads of one process sharing an address
 //     space; rendezvous is a lock-free seqlock-style mailbox exchange,
 //     suitable for tests and single-node multi-rank runs.
-//   - FileCommunicator: ranks are separate processes meeting in a shared
-//     directory (no MPI exists in this environment); payloads travel
-//     through files published with atomic renames. Slow per message but
-//     collectives here move O(rank^2) small matrices, not tensors.
 //   - ShmCommunicator: ranks are separate processes (or threads) meeting
 //     in one POSIX shared-memory segment (shm_open + mmap). Every ordered
 //     (sender, receiver) pair owns a fixed mailbox with atomic generation
 //     counters; payloads are copied through the mailbox in bounded chunks,
-//     so a collective makes *zero* filesystem syscalls — rendezvous
-//     latency is the adaptive wait below, not a 100 µs directory poll.
+//     so a collective makes *zero* filesystem syscalls and rendezvous
+//     latency is the adaptive wait below.
 //
 // Waiting: every transport blocks through one shared adaptive strategy —
 // spin (cpu-relax), then yield, then exponentially growing short sleeps —
@@ -54,7 +50,7 @@
 // kind — the time spent blocked on peers in the comm.wait_ns.<op> gauge
 // AND histogram (full p50/p90/p99 wait distributions) and the invocation
 // count in comm.ops.<op> (op in {barrier, broadcast, allreduce_sum,
-// allreduce_max, gather, allgatherv}), so --metrics-out and bench_shard
+// allreduce_max, gather, allgatherv}), so --metrics-out and bench_report
 // can split synchronization into compute vs wait.
 //
 // Cross-rank flows: every collective entry bumps a per-communicator
@@ -88,15 +84,14 @@ namespace dtucker {
 
 // Which transport a multi-rank driver builds its communicators on. The
 // collective algorithms (and therefore the numerical results) are
-// identical on all three; the choice trades setup constraints against
-// rendezvous latency (see the file comment and DESIGN.md §11).
+// identical on both; the choice is whether ranks may be separate processes
+// (see the file comment and DESIGN.md §11).
 enum class CommTransport {
   kInProcess,  // Threads of one process (InProcessGroup).
-  kFile,       // Processes meeting in a shared directory.
   kShm,        // Processes meeting in a POSIX shared-memory segment.
 };
 
-// "inproc" / "file" / "shm" <-> CommTransport. Parse rejects anything
+// "inproc" / "shm" <-> CommTransport. Parse rejects anything
 // else with the accepted list in the message.
 const char* CommTransportName(CommTransport transport);
 Result<CommTransport> ParseCommTransport(const std::string& name);
@@ -275,15 +270,6 @@ class InProcessGroup {
   State* state_ = nullptr;
   std::vector<std::unique_ptr<Communicator>> comms_;
 };
-
-// Multi-process transport over a shared directory. Every rank process
-// calls Create with the same `dir` (created if absent) and its own rank.
-// Ranks publish payload files atomically (write temp + rename) and poll
-// for their peers'; the directory must be on a filesystem with atomic
-// rename (any local POSIX fs). The caller removes the directory once all
-// ranks are done (rank 0 after a final Barrier, typically).
-Result<std::unique_ptr<Communicator>> CreateFileCommunicator(
-    const std::string& dir, int rank, int size);
 
 // Multi-process transport over one POSIX shared-memory segment. Every rank
 // calls Create with the same `name` (a shm_open name: leading '/', no

@@ -33,8 +33,8 @@ Status EngineOptions::Validate(const std::vector<Index>& shape) const {
     }
     if (comm_transport == CommTransport::kInProcess) {
       return Status::InvalidArgument(
-          "spmd_rank mode needs a cross-process transport (file or shm); "
-          "inproc cannot reach the other rank processes");
+          "spmd_rank mode needs the shm transport; inproc cannot reach "
+          "the other rank processes");
     }
     if (comm_scratch.empty()) {
       return Status::InvalidArgument(
@@ -107,18 +107,10 @@ std::uint64_t Fnv1aHash(const std::string& s) {
 
 Result<std::unique_ptr<Communicator>> Engine::MakeSpmdCommunicator(
     const RunContext* ctx) {
-  std::unique_ptr<Communicator> comm;
-  if (options_.comm_transport == CommTransport::kFile) {
-    DT_ASSIGN_OR_RETURN(comm,
-                        CreateFileCommunicator(options_.comm_scratch,
-                                               options_.spmd_rank,
-                                               options_.num_ranks));
-  } else {
-    DT_ASSIGN_OR_RETURN(comm,
-                        CreateShmCommunicator(options_.comm_scratch,
-                                              options_.spmd_rank,
-                                              options_.num_ranks));
-  }
+  DT_ASSIGN_OR_RETURN(std::unique_ptr<Communicator> comm,
+                      CreateShmCommunicator(options_.comm_scratch,
+                                            options_.spmd_rank,
+                                            options_.num_ranks));
   comm->set_run_context(ctx);
   comm->set_timeout_seconds(ShardedDTuckerOptions().comm_timeout_seconds);
   // Flow group from the shared rendezvous name: identical on every rank,

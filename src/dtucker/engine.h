@@ -52,22 +52,22 @@ struct EngineOptions {
   // across the ranks for the run's duration.
   int num_ranks = 0;
   // Transport the rank communicators use when num_ranks > 0: in-process
-  // mailboxes, a shared directory, or a POSIX shared-memory segment.
-  // Results are bitwise-identical across the three (comm/communicator.h);
-  // the CLI spells this --transport={inproc,file,shm}.
+  // mailboxes or a POSIX shared-memory segment. Results are
+  // bitwise-identical across the two (comm/communicator.h); the CLI spells
+  // this --transport={inproc,shm}.
   CommTransport comm_transport = CommTransport::kInProcess;
   // SPMD rank mode: when >= 0, this process *is* rank `spmd_rank` of an
   // externally launched group of num_ranks processes (the CLI's
   // --rank-procs fork mode). Solve/SolveFile then build one communicator
-  // on comm_transport (file or shm — inproc cannot cross processes)
+  // on comm_transport (shm — inproc cannot cross processes)
   // rendezvousing at comm_scratch and run the rank entry point directly
   // instead of spawning rank threads. -1 (default): the engine drives all
   // ranks itself.
   int spmd_rank = -1;
-  // Rendezvous point shared by the rank group: the file transport's
-  // directory or the shm segment name. Required in spmd_rank mode; in the
-  // self-driving mode it optionally pins the auto-generated rendezvous
-  // name (the caller then owns cleanup).
+  // Rendezvous point shared by the rank group: the shm segment name.
+  // Required in spmd_rank mode; in the self-driving mode it optionally
+  // pins the auto-generated rendezvous name (the caller then owns
+  // cleanup).
   std::string comm_scratch;
   // Measure the true reconstruction error after Solve() (O(volume); turn
   // off for pure-timing runs). File/approximation paths always report the

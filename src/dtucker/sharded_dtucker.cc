@@ -6,7 +6,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
-#include <filesystem>
 #include <functional>
 #include <memory>
 #include <span>
@@ -868,7 +867,6 @@ Result<TuckerDecomposition> RunInProcessRanks(
   std::vector<Communicator*> comms(static_cast<std::size_t>(num_ranks),
                                    nullptr);
   std::string scratch = options.comm_scratch;
-  bool remove_scratch_dir = false;
   switch (options.transport) {
     case CommTransport::kInProcess:
       group = InProcessGroup::Create(num_ranks);
@@ -876,20 +874,6 @@ Result<TuckerDecomposition> RunInProcessRanks(
         comms[static_cast<std::size_t>(r)] = group->comm(r);
       }
       break;
-    case CommTransport::kFile: {
-      if (scratch.empty()) {
-        scratch = "/tmp/dtucker_comm_" + std::to_string(getpid()) + "_" +
-                  std::to_string(run_counter.fetch_add(1));
-        remove_scratch_dir = true;
-      }
-      for (int r = 0; r < num_ranks; ++r) {
-        DT_ASSIGN_OR_RETURN(std::unique_ptr<Communicator> c,
-                            CreateFileCommunicator(scratch, r, num_ranks));
-        comms[static_cast<std::size_t>(r)] = c.get();
-        owned.push_back(std::move(c));
-      }
-      break;
-    }
     case CommTransport::kShm: {
       if (scratch.empty()) {
         scratch = "/dtucker-" + std::to_string(getpid()) + "-" +
@@ -930,15 +914,8 @@ Result<TuckerDecomposition> RunInProcessRanks(
             rank_options, comm, &rank_stats[static_cast<std::size_t>(r)]));
   });
 
-  // Auto-generated rendezvous state is this function's to clean up: the
-  // communicators first (rank 0's shm destructor unlinks the segment),
-  // then the file transport's scratch directory, best-effort. A
-  // caller-pinned scratch is the caller's to remove.
+  // Rank 0's shm destructor unlinks the segment.
   owned.clear();
-  if (remove_scratch_dir) {
-    std::error_code ec;
-    std::filesystem::remove_all(scratch, ec);
-  }
 
   // Rank 0 speaks for the group; a peer-only failure (possible only on an
   // asymmetric transport fault) still surfaces as an error.
@@ -1001,31 +978,6 @@ Result<TuckerDecomposition> ShardedDTuckerRankFromApproximation(
                                 static_cast<std::size_t>(
                                     plan.NumLocalSlices())),
                    approx.shape, plan, options, comm, stats);
-}
-
-Result<TuckerDecomposition> ShardedDTuckerFromLocalApproximation(
-    const SliceApproximation& local, const std::vector<Index>& full_shape,
-    const ShardPlan& plan, const DTuckerOptions& options, Communicator* comm,
-    TuckerStats* stats) {
-  // A degenerate shard (zero owned slices, legal when the rank count
-  // exceeds the chunk grid) fails the strict shape check — its trailing
-  // dimension is 0 — so it is validated structurally below instead.
-  if (!plan.Degenerate()) DT_RETURN_NOT_OK(local.Validate());
-  DT_RETURN_NOT_OK(options.Validate(full_shape));
-  if (plan.rank != comm->rank() || plan.num_ranks != comm->size()) {
-    return Status::InvalidArgument(
-        "shard plan does not match the communicator's rank/size");
-  }
-  if (plan.num_slices != TrailingVolume(full_shape)) {
-    return Status::InvalidArgument(
-        "shard plan slice count does not match the tensor shape");
-  }
-  if (local.NumSlices() != plan.NumLocalSlices() ||
-      local.Dim(0) != full_shape[0] || local.Dim(1) != full_shape[1]) {
-    return Status::InvalidArgument(
-        "local approximation does not match this rank's shard");
-  }
-  return SolveRank(local.slices, full_shape, plan, options, comm, stats);
 }
 
 Result<TuckerDecomposition> ShardedDTucker(const Tensor& x,

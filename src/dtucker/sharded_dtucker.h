@@ -72,16 +72,15 @@ struct ShardedDTuckerOptions {
   double comm_timeout_seconds = 120.0;
 
   // Transport the in-process drivers build their rank communicators on.
-  // All three produce bitwise-identical results (the collective algorithms
-  // are shared — see comm/communicator.h); kFile/kShm exist here mainly so
-  // tests and benchmarks can exercise the multi-process rendezvous paths
-  // from one process. The SPMD entry points ignore this field (the caller
-  // already built the communicator).
+  // Both produce bitwise-identical results (the collective algorithms are
+  // shared — see comm/communicator.h); kShm exists here mainly so tests
+  // can exercise the multi-process rendezvous path from one process. The
+  // SPMD entry points ignore this field (the caller already built the
+  // communicator).
   CommTransport transport = CommTransport::kInProcess;
-  // Rendezvous namespace for the multi-process transports: a scratch
-  // directory for kFile, a shm_open name ("/name") for kShm. Empty (the
-  // default) generates a fresh process-unique name and removes it after
-  // the run. Ignored for kInProcess.
+  // Rendezvous name for kShm: a shm_open name ("/name"). Empty (the
+  // default) generates a fresh process-unique name, unlinked after the
+  // run. Ignored for kInProcess.
   std::string comm_scratch;
 
   // Validates the D-Tucker surface plus the rank count against the shape.
@@ -114,7 +113,7 @@ Result<TuckerDecomposition> ShardedDTuckerFromApproximation(
     TuckerStats* stats = nullptr);
 
 // SPMD entry points: one call per rank, `comm` fixes the rank/group (e.g.
-// a FileCommunicator when ranks are separate processes — the no-MPI
+// a shm communicator when ranks are separate processes — the no-MPI
 // multi-process transport). Every rank must call with identical `options`
 // and tensor/path/approximation; each returns the full (identical)
 // decomposition. The caller owns the BLAS-pool split when ranks share one
@@ -132,15 +131,6 @@ Result<TuckerDecomposition> ShardedDTuckerRankFromFile(
 Result<TuckerDecomposition> ShardedDTuckerRankFromApproximation(
     const SliceApproximation& approx, const DTuckerOptions& options,
     Communicator* comm, TuckerStats* stats = nullptr);
-
-// Query phase on the shard this rank holds: `local` has only the owned
-// slices, with shape {I1, I2, NumLocalSlices} matching `plan`, and
-// `full_shape` is the global tensor shape — for a rank process that never
-// holds the rest of the approximation.
-Result<TuckerDecomposition> ShardedDTuckerFromLocalApproximation(
-    const SliceApproximation& local, const std::vector<Index>& full_shape,
-    const ShardPlan& plan, const DTuckerOptions& options, Communicator* comm,
-    TuckerStats* stats = nullptr);
 
 }  // namespace dtucker
 

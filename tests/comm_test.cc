@@ -1,7 +1,6 @@
 #include "comm/communicator.h"
 
 #include <gtest/gtest.h>
-#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -231,59 +230,19 @@ TEST(CommTest, RunContextCancelsBlockedCollective) {
   EXPECT_EQ(st.code(), StatusCode::kCancelled) << st.ToString();
 }
 
-TEST(CommTest, FileCommunicatorAcrossProcesses) {
-  // The no-MPI multi-process transport: fork real child processes that
-  // meet the parent in a shared directory.
-  char tmpl[] = "/tmp/dtucker_comm_test_XXXXXX";
-  ASSERT_NE(::mkdtemp(tmpl), nullptr);
-  const std::string dir = tmpl;
-  const int size = 3;
-
-  auto run_rank = [&](int rank) -> Status {
-    Result<std::unique_ptr<Communicator>> comm =
-        CreateFileCommunicator(dir, rank, size);
-    DT_RETURN_NOT_OK(comm.status());
-    comm.value()->set_timeout_seconds(30.0);
-    double v = 1.0 + rank;  // 1 + 2 + 3 = 6.
-    DT_RETURN_NOT_OK(comm.value()->AllReduceSum(&v, 1));
-    if (v != 6.0) return Status::InvalidArgument("bad reduce value");
-    double b = rank == 1 ? 42.0 : 0.0;
-    DT_RETURN_NOT_OK(comm.value()->Broadcast(&b, 1, 1));
-    if (b != 42.0) return Status::InvalidArgument("bad broadcast value");
-    return comm.value()->Barrier();
-  };
-
-  std::vector<pid_t> children;
-  for (int rank = 1; rank < size; ++rank) {
-    pid_t pid = ::fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-      // Child: exit code carries success/failure; _exit avoids running
-      // gtest teardown in the fork.
-      ::_exit(run_rank(rank).ok() ? 0 : 1);
-    }
-    children.push_back(pid);
-  }
-  Status st = run_rank(0);
-  EXPECT_TRUE(st.ok()) << st.ToString();
-  for (pid_t pid : children) {
-    int wstatus = 0;
-    ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
-    EXPECT_TRUE(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0);
-  }
-  std::string cleanup = "rm -rf '" + dir + "'";
-  ASSERT_EQ(std::system(cleanup.c_str()), 0);
-}
-
 TEST(CommTransportTest, NamesRoundTrip) {
-  for (CommTransport t : {CommTransport::kInProcess, CommTransport::kFile,
-                          CommTransport::kShm}) {
+  for (CommTransport t : {CommTransport::kInProcess, CommTransport::kShm}) {
     Result<CommTransport> parsed = ParseCommTransport(CommTransportName(t));
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(parsed.value(), t);
   }
   EXPECT_FALSE(ParseCommTransport("tcp").ok());
   EXPECT_FALSE(ParseCommTransport("").ok());
+  // The retired file transport is rejected with the accepted list.
+  Result<CommTransport> file = ParseCommTransport("file");
+  ASSERT_FALSE(file.ok());
+  EXPECT_NE(file.status().message().find("inproc or shm"), std::string::npos)
+      << file.status().ToString();
 }
 
 TEST(ShmCommTest, RejectsBadArguments) {
@@ -348,8 +307,9 @@ TEST(ShmCommTest, ChunkedPayloadLargerThanOneMailbox) {
 }
 
 TEST(ShmCommTest, BitwiseIdenticalToInProcessAndFileTransports) {
-  // The tri-transport contract: identical collective algorithms on every
-  // transport, so an awkward non-associative sum reduces to the same bits.
+  // The transport contract: identical collective algorithms on both
+  // transports, so an awkward non-associative sum reduces to the same bits.
+  // (The name predates the file transport's removal.)
   const int size = 4;
   auto body = [&](Communicator* comm, std::vector<double>* out) -> Status {
     std::vector<double> buf(257);
@@ -360,38 +320,13 @@ TEST(ShmCommTest, BitwiseIdenticalToInProcessAndFileTransports) {
     if (comm->rank() == 0) *out = buf;
     return Status::OK();
   };
-  std::vector<double> inproc, shm, file;
+  std::vector<double> inproc, shm;
   ExpectAllOk(RunRanks(
       size, [&](Communicator* c) { return body(c, &inproc); }));
   ExpectAllOk(RunShmRanks(size, [&](Communicator* c) { return body(c, &shm); }));
-  {
-    char tmpl[] = "/tmp/dtucker_comm_xport_XXXXXX";
-    ASSERT_NE(::mkdtemp(tmpl), nullptr);
-    const std::string dir = tmpl;
-    std::vector<std::unique_ptr<Communicator>> comms;
-    for (int r = 0; r < size; ++r) {
-      Result<std::unique_ptr<Communicator>> c =
-          CreateFileCommunicator(dir, r, size);
-      ASSERT_TRUE(c.ok()) << c.status().ToString();
-      comms.push_back(std::move(c).ValueOrDie());
-    }
-    std::vector<Status> statuses(size, Status::OK());
-    std::vector<std::thread> threads;
-    for (int r = 1; r < size; ++r) {
-      threads.emplace_back(
-          [&, r] { statuses[r] = body(comms[r].get(), &file); });
-    }
-    statuses[0] = body(comms[0].get(), &file);
-    for (auto& t : threads) t.join();
-    ExpectAllOk(statuses);
-    const std::string cleanup = "rm -rf '" + dir + "'";
-    ASSERT_EQ(std::system(cleanup.c_str()), 0);
-  }
   ASSERT_EQ(inproc.size(), shm.size());
-  ASSERT_EQ(inproc.size(), file.size());
   for (std::size_t i = 0; i < inproc.size(); ++i) {
-    EXPECT_EQ(inproc[i], shm[i]) << "i=" << i;     // Bitwise.
-    EXPECT_EQ(inproc[i], file[i]) << "i=" << i;
+    EXPECT_EQ(inproc[i], shm[i]) << "i=" << i;  // Bitwise.
   }
 }
 

@@ -4,6 +4,7 @@
 // with FLOP/call counters and per-sweep fit gauges; the dtucker_cli
 // subprocess must produce the same artifacts via --trace-out/--metrics-out.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -384,8 +385,17 @@ TEST(ObservabilityCliTest, FourRankShmForkedProcessesProduceMergedDocuments) {
   RunFourRankCliCase("procs", "shm", "--rank-procs");
 }
 
-TEST(ObservabilityCliTest, FourRankFileForkedProcessesProduceMergedDocuments) {
-  RunFourRankCliCase("file_procs", "file", "--rank-procs");
+TEST(ObservabilityCliTest, BadFlagValuesExitNonzero) {
+  // A malformed value and the retired file transport are both rejected
+  // with a nonzero exit, before any work starts.
+  for (const char* args :
+       {"--threads=abc", "--op=decompose --ranks=2 --transport=file"}) {
+    const std::string cmd = std::string(DTUCKER_CLI_PATH) + " " + args +
+                            " > /dev/null 2>&1";
+    const int rc = std::system(cmd.c_str());
+    ASSERT_NE(rc, -1) << cmd;
+    EXPECT_TRUE(WIFEXITED(rc) && WEXITSTATUS(rc) != 0) << cmd;
+  }
 }
 
 #endif  // DTUCKER_CLI_PATH

@@ -1,0 +1,296 @@
+// Performance floors held in tier-1 (`ctest -L bench`): the observability
+// overhead ceilings, the serving floor and the shard-split speedup.
+//
+// Every cost is CPU time — the calling thread's, or the process's for work
+// that runs on a server worker while this thread waits — so a busy host
+// stretches the wall clock without moving a verdict. Where a cost is
+// repeated, the figure taken is the stricter one for its check: the median
+// for a cost bounded from above, the minimum for the sweep a budget is a
+// share of; speedups take the median of their rounds.
+// tests/CMakeLists.txt registers this binary only in an unsanitized
+// Release build and runs its cases serially.
+#include <gtest/gtest.h>
+#include <time.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "comm/sharding.h"
+#include "common/metrics.h"
+#include "common/rng.h"
+#include "common/trace.h"
+#include "data/generators.h"
+#include "data/tensor_io.h"
+#include "dtucker/dtucker.h"
+#include "dtucker/out_of_core.h"
+#include "json_test_util.h"
+#include "linalg/blas.h"
+#include "serve/server.h"
+
+namespace dtucker {
+namespace {
+
+using json_test::JsonParser;
+using json_test::JsonValue;
+
+double CpuSeconds(clockid_t clock) {
+  timespec ts;
+  clock_gettime(clock, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+double ThreadCpuSeconds() { return CpuSeconds(CLOCK_THREAD_CPUTIME_ID); }
+double ProcessCpuSeconds() { return CpuSeconds(CLOCK_PROCESS_CPUTIME_ID); }
+
+// Nearest-rank percentile.
+double Percentile(std::vector<double> v, double p) {
+  std::sort(v.begin(), v.end());
+  const std::size_t i = static_cast<std::size_t>(
+      p * static_cast<double>(v.size() - 1) + 0.5);
+  return v[std::min(i, v.size() - 1)];
+}
+
+// Keeps the compiler from merging or hoisting loop iterations.
+inline void ClobberMemory() { asm volatile("" : : : "memory"); }
+
+// CPU nanoseconds of one disabled DT_TRACE_SPAN site: the price every
+// instrumented kernel pays in production (one relaxed load, two predicted
+// branches). Median of five passes.
+double DisabledSpanNs() {
+  SetTraceEnabled(false);
+  constexpr int kIters = 20'000'000;
+  std::vector<double> ns;
+  for (int rep = 0; rep < 5; ++rep) {
+    const double t0 = ThreadCpuSeconds();
+    for (int i = 0; i < kIters; ++i) {
+      DT_TRACE_SPAN("perf_floor.span");
+      ClobberMemory();
+    }
+    ns.push_back((ThreadCpuSeconds() - t0) * 1e9 / kIters);
+  }
+  return Percentile(ns, 0.5);
+}
+
+// CPU nanoseconds of one Histogram::Record (bucket index, two relaxed
+// adds and a CAS-max on the caller's shard), with samples spread across
+// buckets. Median of five passes.
+double HistogramRecordNs() {
+  Histogram& hist = MetricHistogram("perf_floor.histogram_ns");
+  constexpr int kIters = 2'000'000;
+  std::vector<double> ns;
+  std::uint64_t sample = 1;
+  for (int rep = 0; rep < 5; ++rep) {
+    const double t0 = ThreadCpuSeconds();
+    for (int i = 0; i < kIters; ++i) {
+      hist.Record(sample);
+      sample = sample * 2654435761u % 1000000007u;
+    }
+    ns.push_back((ThreadCpuSeconds() - t0) * 1e9 / kIters);
+  }
+  return Percentile(ns, 0.5);
+}
+
+TEST(PerfFloorTest, DisabledTraceSpanCostsAtMostFiveNs) {
+  const double ns = DisabledSpanNs();
+  std::printf("disabled span: %.2f ns/site (ceiling 5)\n", ns);
+  EXPECT_LE(ns, 5.0);
+}
+
+TEST(PerfFloorTest, HistogramRecordCostsAtMostFiftyNs) {
+  const double ns = HistogramRecordNs();
+  std::printf("Histogram::Record: %.2f ns (ceiling 50)\n", ns);
+  EXPECT_LE(ns, 50.0);
+}
+
+// Records of every registry histogram so far.
+double TotalHistogramCount() {
+  JsonValue doc;
+  EXPECT_TRUE(
+      JsonParser::Parse(MetricsRegistry::Global().SnapshotJson(), &doc));
+  double total = 0;
+  if (!doc.Has("histograms")) return total;
+  for (const auto& [name, h] : doc.at("histograms").object) {
+    total += h.at("count").number_value;
+  }
+  return total;
+}
+
+// The instrumentation a HOOI sweep carries must cost at most 3% of the
+// sweep. On each one-thread sweep shape of the iteration-phase benchmark
+// (side^2 x 32 Gaussian tensors, rank 10), the span sites and histogram
+// records of one sweep are counted, priced at the measured per-site
+// costs, and bounded by 3% of the sweep's CPU time.
+TEST(PerfFloorTest, SweepInstrumentationWithinThreePercent) {
+  const double span_ns = DisabledSpanNs();
+  const double record_ns = HistogramRecordNs();
+  SetBlasThreads(1);
+  constexpr int kSweeps = 4;  // Callbacks 1..4 bracket sweeps 2..4.
+  for (Index side : {64, 128, 256}) {
+    SCOPED_TRACE("side " + std::to_string(side));
+    Rng rng(1);
+    const Tensor x = Tensor::GaussianRandom({side, side, 32}, rng);
+    SliceApproximationOptions aopt;
+    aopt.slice_rank = 10;
+    Result<SliceApproximation> approx = ApproximateSlices(x, aopt);
+    ASSERT_TRUE(approx.ok()) << approx.status().ToString();
+    DTuckerOptions opt;
+    opt.tucker.ranks = {10, 10, 10};
+    opt.tucker.max_iterations = kSweeps;
+    opt.tucker.tolerance = 0.0;
+    opt.num_threads = 1;  // One rank, run on this thread.
+
+    // Per-sweep counts from one traced run: event and histogram-record
+    // deltas between the first and last sweep callbacks.
+    std::vector<double> events, records;
+    opt.sweep_callback = [&](const SweepTelemetry&) {
+      events.push_back(static_cast<double>(TraceEventCount()) +
+                       static_cast<double>(TraceDroppedEventCount()));
+      records.push_back(TotalHistogramCount());
+    };
+    ClearTrace();
+    SetTraceEnabled(true);
+    ASSERT_TRUE(DTuckerFromApproximation(approx.value(), opt).ok());
+    SetTraceEnabled(false);
+    ClearTrace();
+    ASSERT_EQ(events.size(), static_cast<std::size_t>(kSweeps));
+    const double spans_per_sweep = (events.back() - events.front()) /
+                                   (kSweeps - 1);
+    const double records_per_sweep = (records.back() - records.front()) /
+                                      (kSweeps - 1);
+
+    // Sweep CPU time, tracing off: the fastest of three runs.
+    double sweep_s = std::numeric_limits<double>::infinity();
+    for (int rep = 0; rep < 3; ++rep) {
+      std::vector<double> marks;
+      opt.sweep_callback = [&](const SweepTelemetry&) {
+        marks.push_back(ThreadCpuSeconds());
+      };
+      ASSERT_TRUE(DTuckerFromApproximation(approx.value(), opt).ok());
+      ASSERT_EQ(marks.size(), static_cast<std::size_t>(kSweeps));
+      sweep_s = std::min(sweep_s,
+                         (marks.back() - marks.front()) / (kSweeps - 1));
+    }
+
+    const double overhead_s =
+        1e-9 * (spans_per_sweep * span_ns + records_per_sweep * record_ns);
+    std::printf(
+        "sweep %td^2x32: %.3f ms cpu, %.0f spans x %.2f ns + %.0f records x "
+        "%.2f ns = %.4f%% (budget 3%%)\n",
+        side, sweep_s * 1e3, spans_per_sweep, span_ns, records_per_sweep,
+        record_ns, 100.0 * overhead_s / sweep_s);
+    EXPECT_GT(spans_per_sweep, 0.0);
+    EXPECT_GT(records_per_sweep, 0.0);
+    EXPECT_LE(overhead_s, 0.03 * sweep_s);
+  }
+}
+
+// Answering a query batch from a cached model must be at least 100x
+// cheaper than the cold solve that built it: a 256^3 rank-10 solve (2
+// sweeps) against the p50 of 200 batches of 64 random elements.
+TEST(PerfFloorTest, CacheHitQuerySpeedupAtLeast100x) {
+  const Index dim = 256;
+  const Index rank = 10;
+  auto tensor = std::make_shared<Tensor>(
+      MakeLowRankTensor({dim, dim, dim}, {rank, rank, rank}, 0.1, 7));
+  ServerOptions sopt;
+  sopt.num_workers = 2;
+  sopt.queue_capacity = 256;
+  sopt.engine.measure_error = false;
+  DecompositionServer server(sopt);
+  SolveRequest request;
+  request.model.dataset_id = "perf_floor";
+  request.model.ranks = {rank, rank, rank};
+  request.model.max_iterations = 2;
+  request.tensor = tensor;
+
+  // The solve runs on a worker while this thread blocks, so it is timed
+  // in process CPU time.
+  const double cpu0 = ProcessCpuSeconds();
+  Result<JobResult> cold = server.Solve(request);
+  const double cold_s = ProcessCpuSeconds() - cpu0;
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_TRUE(cold.value().status.ok()) << cold.value().status.ToString();
+
+  std::uint64_t lcg = 0x9e3779b97f4a7c15ull;
+  auto next_index = [&lcg](Index extent) {
+    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<Index>((lcg >> 33) % static_cast<std::uint64_t>(extent));
+  };
+  std::vector<double> batch_s;
+  for (int round = 0; round < 200; ++round) {
+    ElementQueryRequest q;
+    for (int b = 0; b < 64; ++b) {
+      q.indices.push_back({next_index(dim), next_index(dim), next_index(dim)});
+    }
+    const double t0 = ThreadCpuSeconds();
+    Result<ElementQueryResponse> resp = server.QueryElement(request.model, q);
+    batch_s.push_back(ThreadCpuSeconds() - t0);
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  }
+  const double speedup = cold_s / Percentile(batch_s, 0.5);
+  std::printf("cold solve %.3f s cpu, query p50 %.1f us cpu: %.0fx "
+              "(floor 100x)\n",
+              cold_s, Percentile(batch_s, 0.5) * 1e6, speedup);
+  EXPECT_GE(speedup, 100.0);
+}
+
+// Splitting the approximation phase over ranks must keep at least 85% of
+// the speedup recorded when the split was introduced (1.727x at 2 ranks,
+// 3.364x at 4). Each rank compresses its MakeShardPlan range of a
+// 384 x 256 x 96 file at rank 10 with one BLAS thread; the ranks run one
+// after another here, and the phase costs its busiest rank's CPU time.
+TEST(PerfFloorTest, ShardSplitApproximationSpeedup) {
+  constexpr Index kSlices = 96;
+  const std::string path = ::testing::TempDir() + "perf_floor_shard_" +
+                           std::to_string(::getpid()) + ".dtnsr";
+  ASSERT_TRUE(SaveTensor(MakeLowRankTensor({384, 256, kSlices}, {10, 10, 10},
+                                           0.05, 9),
+                         path)
+                  .ok());
+  SetBlasThreads(1);
+  SliceApproximationOptions aopt;
+  aopt.slice_rank = 10;
+
+  // One round times every range of every rank count back to back, and
+  // yields the two speedups from its own timings; the verdict takes the
+  // median round. Host speed on a shared machine drifts between rounds,
+  // not within one, so each ratio compares like with like.
+  auto busiest_rank_s = [&](int num_ranks) {
+    double busiest = 0;
+    for (int r = 0; r < num_ranks; ++r) {
+      Result<ShardPlan> plan = MakeShardPlan(kSlices, num_ranks, r);
+      EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+      if (!plan.ok()) return 0.0;
+      const double t0 = ThreadCpuSeconds();
+      Result<std::vector<SliceSvd>> slices = ApproximateSliceRangeFromFile(
+          path, plan.value().slice_begin, plan.value().NumLocalSlices(), aopt);
+      busiest = std::max(busiest, ThreadCpuSeconds() - t0);
+      EXPECT_TRUE(slices.ok()) << slices.status().ToString();
+    }
+    return busiest;
+  };
+  std::vector<double> ones, twos, fours;
+  for (int round = 0; round < 7; ++round) {
+    const double one = busiest_rank_s(1);
+    ones.push_back(one);
+    twos.push_back(one / busiest_rank_s(2));
+    fours.push_back(one / busiest_rank_s(4));
+  }
+  const double one = Percentile(ones, 0.5);
+  const double two = Percentile(twos, 0.5);
+  const double four = Percentile(fours, 0.5);
+  std::remove(path.c_str());
+  std::printf("approximation: 1 rank %.3f s, 2 ranks %.2fx, 4 ranks %.2fx\n",
+              one, two, four);
+  EXPECT_GE(two, 0.85 * 1.727);
+  EXPECT_GE(four, 0.85 * 3.364);
+}
+
+}  // namespace
+}  // namespace dtucker

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -356,13 +357,13 @@ TEST(ServerTest, IdenticalConcurrentSolvesRunOnce) {
   DecompositionServer server(opt);
   auto tensor = SmallTensor();
 
-  // Leader enters the worker and parks; four identical Submits attach as
-  // followers (no queue slots, no extra runs).
+  // Leader enters the worker and parks; seven identical Submits attach as
+  // followers (no queue slots, no extra runs): 8 submits, 1 Engine run.
   Result<JobId> leader = server.Submit(Req(tensor, "shared"));
   ASSERT_TRUE(leader.ok());
   WaitForCount(begun, 1);
   std::vector<JobId> followers;
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 0; i < 7; ++i) {
     Result<JobId> id = server.Submit(Req(tensor, "shared"));
     ASSERT_TRUE(id.ok());
     followers.push_back(id.value());
@@ -382,10 +383,10 @@ TEST(ServerTest, IdenticalConcurrentSolvesRunOnce) {
     EXPECT_EQ(r.value().model, lead_result.value().model);
   }
   const ServerStats stats = server.Stats();
-  EXPECT_EQ(stats.submitted, 5u);
+  EXPECT_EQ(stats.submitted, 8u);
   EXPECT_EQ(stats.executed, 1u);  // Single flight.
-  EXPECT_EQ(stats.dedup_followers, 4u);
-  EXPECT_EQ(stats.completed, 5u);
+  EXPECT_EQ(stats.dedup_followers, 7u);
+  EXPECT_EQ(stats.completed, 8u);
 }
 
 TEST(ServerTest, CacheEvictionKeepsHeldModelsValid) {
@@ -420,66 +421,86 @@ TEST(ServerTest, QueriesRequireResidentModel) {
 }
 
 TEST(ServerTest, QueriesMatchFullReconstructionBitwise) {
-  ServerOptions opt;
-  opt.num_workers = 1;
-  DecompositionServer server(opt);
-  auto tensor = SmallTensor();
-  const ModelSpec spec = Spec("query");
-  ASSERT_TRUE(server.Solve(Req(tensor, "query")).ok());
+  // The small shape plus the 48^3 and 128^3 rank-10 models the serve-mixed
+  // benchmark queries, where the answers were once suspected to drift
+  // from the dense reconstruction by an ulp.
+  struct Case {
+    std::vector<Index> shape;
+    Index rank;
+  };
+  const Case cases[] = {{{12, 10, 8}, 3}, {{48, 48, 48}, 10},
+                        {{128, 128, 128}, 10}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::to_string(c.shape[0]) + "x" +
+                 std::to_string(c.shape[1]) + "x" + std::to_string(c.shape[2]));
+    const Index d0 = c.shape[0], d1 = c.shape[1], d2 = c.shape[2];
+    ServerOptions opt;
+    opt.num_workers = 1;
+    DecompositionServer server(opt);
+    SolveRequest req;
+    req.model = Spec("query");
+    req.model.ranks = {c.rank, c.rank, c.rank};
+    req.tensor = std::make_shared<Tensor>(
+        MakeLowRankTensor(c.shape, req.model.ranks, 0.1, 1));
+    const ModelSpec spec = req.model;
+    ASSERT_TRUE(server.Solve(req).ok());
 
-  Result<std::shared_ptr<const CachedModel>> model = server.GetModel(spec);
-  ASSERT_TRUE(model.ok());
-  const Tensor full = model.value()->decomposition.Reconstruct();
+    Result<std::shared_ptr<const CachedModel>> model = server.GetModel(spec);
+    ASSERT_TRUE(model.ok());
+    const Tensor full = model.value()->decomposition.Reconstruct();
 
-  // Elements.
-  ElementQueryRequest ereq;
-  for (Index i = 0; i < 12; i += 5) {
-    for (Index j = 0; j < 10; j += 4) {
-      for (Index k = 0; k < 8; k += 3) {
-        ereq.indices.push_back({i, j, k});
+    // Elements on a grid of about 3 x 3 x 3 points, corners included.
+    ElementQueryRequest ereq;
+    for (Index i = 0; i < d0; i += (d0 + 2) / 3) {
+      for (Index j = 0; j < d1; j += (d1 + 2) / 3) {
+        for (Index k = 0; k < d2; k += (d2 + 2) / 3) {
+          ereq.indices.push_back({i, j, k});
+        }
       }
     }
-  }
-  Result<ElementQueryResponse> eresp = server.QueryElement(spec, ereq);
-  ASSERT_TRUE(eresp.ok());
-  ASSERT_EQ(eresp.value().values.size(), ereq.indices.size());
-  for (std::size_t q = 0; q < ereq.indices.size(); ++q) {
-    const auto& idx = ereq.indices[q];
-    EXPECT_TRUE(BitEq(eresp.value().values[q], full(idx[0], idx[1], idx[2])))
-        << "element " << q;
-  }
-
-  // Mode-1 fibers.
-  FiberQueryRequest freq;
-  freq.mode = 1;
-  freq.anchors = {{0, 0, 0}, {11, 0, 7}, {5, 0, 2}};
-  Result<FiberQueryResponse> fresp = server.QueryFiber(spec, freq);
-  ASSERT_TRUE(fresp.ok());
-  ASSERT_EQ(fresp.value().fibers.size(), freq.anchors.size());
-  for (std::size_t a = 0; a < freq.anchors.size(); ++a) {
-    ASSERT_EQ(fresp.value().fibers[a].size(), 10u);
-    for (Index j = 0; j < 10; ++j) {
-      EXPECT_TRUE(BitEq(fresp.value().fibers[a][j],
-                        full(freq.anchors[a][0], j, freq.anchors[a][2])))
-          << "fiber " << a << " at " << j;
+    ereq.indices.push_back({d0 - 1, d1 - 1, d2 - 1});
+    Result<ElementQueryResponse> eresp = server.QueryElement(spec, ereq);
+    ASSERT_TRUE(eresp.ok());
+    ASSERT_EQ(eresp.value().values.size(), ereq.indices.size());
+    for (std::size_t q = 0; q < ereq.indices.size(); ++q) {
+      const auto& idx = ereq.indices[q];
+      EXPECT_TRUE(
+          BitEq(eresp.value().values[q], full(idx[0], idx[1], idx[2])))
+          << "element " << q;
     }
-  }
 
-  // Frontal slices.
-  SliceQueryRequest sreq;
-  sreq.slices = {0, 3, 7};
-  Result<SliceQueryResponse> sresp = server.QuerySlice(spec, sreq);
-  ASSERT_TRUE(sresp.ok());
-  ASSERT_EQ(sresp.value().slices.size(), sreq.slices.size());
-  for (std::size_t s = 0; s < sreq.slices.size(); ++s) {
-    const Matrix& got = sresp.value().slices[s];
-    const Matrix want = full.FrontalSlice(sreq.slices[s]);
-    ASSERT_EQ(got.rows(), want.rows());
-    ASSERT_EQ(got.cols(), want.cols());
-    for (Index i = 0; i < got.rows(); ++i) {
-      for (Index j = 0; j < got.cols(); ++j) {
-        EXPECT_TRUE(BitEq(got(i, j), want(i, j)))
-            << "slice " << s << " at (" << i << "," << j << ")";
+    // Mode-1 fibers.
+    FiberQueryRequest freq;
+    freq.mode = 1;
+    freq.anchors = {{0, 0, 0}, {d0 - 1, 0, d2 - 1}, {d0 / 2, 0, d2 / 4}};
+    Result<FiberQueryResponse> fresp = server.QueryFiber(spec, freq);
+    ASSERT_TRUE(fresp.ok());
+    ASSERT_EQ(fresp.value().fibers.size(), freq.anchors.size());
+    for (std::size_t a = 0; a < freq.anchors.size(); ++a) {
+      ASSERT_EQ(fresp.value().fibers[a].size(), static_cast<std::size_t>(d1));
+      for (Index j = 0; j < d1; ++j) {
+        EXPECT_TRUE(BitEq(fresp.value().fibers[a][j],
+                          full(freq.anchors[a][0], j, freq.anchors[a][2])))
+            << "fiber " << a << " at " << j;
+      }
+    }
+
+    // Frontal slices.
+    SliceQueryRequest sreq;
+    sreq.slices = {0, d2 / 2, d2 - 1};
+    Result<SliceQueryResponse> sresp = server.QuerySlice(spec, sreq);
+    ASSERT_TRUE(sresp.ok());
+    ASSERT_EQ(sresp.value().slices.size(), sreq.slices.size());
+    for (std::size_t s = 0; s < sreq.slices.size(); ++s) {
+      const Matrix& got = sresp.value().slices[s];
+      const Matrix want = full.FrontalSlice(sreq.slices[s]);
+      ASSERT_EQ(got.rows(), want.rows());
+      ASSERT_EQ(got.cols(), want.cols());
+      for (Index i = 0; i < got.rows(); ++i) {
+        for (Index j = 0; j < got.cols(); ++j) {
+          EXPECT_TRUE(BitEq(got(i, j), want(i, j)))
+              << "slice " << s << " at (" << i << "," << j << ")";
+        }
       }
     }
   }

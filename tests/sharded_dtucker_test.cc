@@ -351,16 +351,16 @@ TEST(ShardedDTuckerTest, AutoReorderAtFourThreadsMatchesOneThread) {
 }
 
 TEST(ShardedDTuckerTest, BitwiseIdenticalAcrossAllThreeTransports) {
-  // The tri-transport contract end-to-end: a full sharded solve produces
-  // the same bits whether the ranks exchange buffers through in-process
-  // mailboxes, a shared directory, or a shm segment — and each transport
-  // also reproduces the 1-rank run.
+  // The transport contract end-to-end: a full sharded solve produces the
+  // same bits whether the ranks exchange buffers through in-process
+  // mailboxes or a shm segment — and each transport also reproduces the
+  // 1-rank run. (The name predates the file transport's removal.)
   Tensor x = MakeLowRankTensor({15, 13, 9}, {4, 4, 4}, 0.2, 3);
   Result<TuckerDecomposition> one =
       ShardedDTucker(x, MakeOptions({4, 3, 3}, 1));
   ASSERT_TRUE(one.ok()) << one.status().ToString();
-  for (CommTransport transport : {CommTransport::kInProcess,
-                                  CommTransport::kFile, CommTransport::kShm}) {
+  for (CommTransport transport :
+       {CommTransport::kInProcess, CommTransport::kShm}) {
     for (int num_ranks : {2, 4}) {
       ShardedDTuckerOptions opt = MakeOptions({4, 3, 3}, num_ranks);
       opt.transport = transport;
