@@ -123,12 +123,6 @@ int RunOp(const FlagParser& flags, int spmd_rank = -1,
     eopt.method_options.num_threads = num_threads;
     eopt.blas_threads = num_threads;
     eopt.num_ranks = static_cast<int>(flags.GetInt("ranks"));
-    {
-      Result<CommTransport> transport =
-          ParseCommTransport(flags.GetString("transport"));
-      if (!transport.ok()) return Fail(transport.status());
-      eopt.comm_transport = transport.value();
-    }
     const bool quiet = spmd_rank > 0;
     if (spmd_rank >= 0) {
       eopt.spmd_rank = spmd_rank;
@@ -269,13 +263,6 @@ int RunOp(const FlagParser& flags, int spmd_rank = -1,
 // quietly, flush their own telemetry (nothing when the gather handed the
 // merged documents to rank 0), and _exit.
 int RunDecomposeRankProcs(const FlagParser& flags, int ranks) {
-  Result<CommTransport> transport =
-      ParseCommTransport(flags.GetString("transport"));
-  if (!transport.ok()) return Fail(transport.status());
-  if (transport.value() != CommTransport::kShm) {
-    return Fail(Status::InvalidArgument(
-        "--rank-procs needs the cross-process transport (--transport=shm)"));
-  }
   if (flags.GetString("approx").empty() == false) {
     return Fail(Status::InvalidArgument(
         "--rank-procs decomposes a --tensor (the query phase is not "
@@ -337,15 +324,11 @@ int Run(int argc, char** argv) {
   flags.AddDouble("energy", 0.9, "energy threshold for --op=ranks");
   flags.AddInt("iters", 20, "max ALS sweeps");
   flags.AddInt("ranks", 0,
-               "explicit rank count for --method=D-Tucker, on --transport "
-               "(0 = --threads in-process ranks; the result is the same "
-               "either way)");
-  flags.AddString("transport", "inproc",
-                  "rank transport for --ranks >= 1: inproc | shm "
-                  "(results are bitwise-identical across the two)");
+               "explicit rank count for --method=D-Tucker (0 = --threads "
+               "in-process ranks; the result is the same either way)");
   flags.AddBool("rank-procs", false,
-                "run each rank of --ranks as a fork()ed process instead of "
-                "a thread (decompose only; needs --transport=shm); "
+                "run each rank of --ranks as a fork()ed process meeting in "
+                "shared memory instead of a thread (decompose only); "
                 "--trace-out/--metrics-out still produce single merged "
                 "files via the end-of-run gather");
   flags.AddInt("threads", 1,

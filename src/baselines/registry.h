@@ -55,9 +55,6 @@ struct MethodOptions {
   Status Validate(const std::vector<Index>& shape) const;
 };
 
-// Deprecated spelling kept for one release while callers migrate.
-using LegacyMethodOptions [[deprecated("use MethodOptions")]] = MethodOptions;
-
 struct MethodRun {
   TuckerDecomposition decomposition;
   TuckerStats stats;

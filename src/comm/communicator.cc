@@ -19,23 +19,6 @@
 
 namespace dtucker {
 
-const char* CommTransportName(CommTransport transport) {
-  switch (transport) {
-    case CommTransport::kInProcess:
-      return "inproc";
-    case CommTransport::kShm:
-      return "shm";
-  }
-  return "unknown";
-}
-
-Result<CommTransport> ParseCommTransport(const std::string& name) {
-  if (name == "inproc") return CommTransport::kInProcess;
-  if (name == "shm") return CommTransport::kShm;
-  return Status::InvalidArgument("unknown transport '" + name +
-                                 "' (expected inproc or shm)");
-}
-
 // Elementwise combine of a received buffer into the local accumulator.
 // Takes the Combine enum as int because the enum is protected in
 // Communicator; the transports cast from within member scope.

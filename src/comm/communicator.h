@@ -26,16 +26,18 @@
 //
 // Two transports share the collective algorithms above (so results are
 // bitwise identical across transports) and differ only in how one rank's
-// buffer reaches another:
+// buffer reaches another. Neither is chosen by a caller: the layer that
+// launches the ranks implies it.
 //   - InProcessGroup: ranks are threads of one process sharing an address
-//     space; rendezvous is a lock-free seqlock-style mailbox exchange,
-//     suitable for tests and single-node multi-rank runs.
+//     space; rendezvous is a lock-free seqlock-style mailbox exchange.
+//     The in-process D-Tucker entry points (DTucker*) always run on it.
 //   - ShmCommunicator: ranks are separate processes (or threads) meeting
 //     in one POSIX shared-memory segment (shm_open + mmap). Every ordered
 //     (sender, receiver) pair owns a fixed mailbox with atomic generation
 //     counters; payloads are copied through the mailbox in bounded chunks,
 //     so a collective makes *zero* filesystem syscalls and rendezvous
-//     latency is the adaptive wait below.
+//     latency is the adaptive wait below. SPMD rank processes (Engine's
+//     spmd_rank, the CLI's --rank-procs) always meet on it.
 //
 // Waiting: every transport blocks through one shared adaptive strategy —
 // spin (cpu-relax), then yield, then exponentially growing short sleeps —
@@ -81,20 +83,6 @@
 #include "linalg/matrix.h"
 
 namespace dtucker {
-
-// Which transport a multi-rank driver builds its communicators on. The
-// collective algorithms (and therefore the numerical results) are
-// identical on both; the choice is whether ranks may be separate processes
-// (see the file comment and DESIGN.md §11).
-enum class CommTransport {
-  kInProcess,  // Threads of one process (InProcessGroup).
-  kShm,        // Processes meeting in a POSIX shared-memory segment.
-};
-
-// "inproc" / "shm" <-> CommTransport. Parse rejects anything
-// else with the accepted list in the message.
-const char* CommTransportName(CommTransport transport);
-Result<CommTransport> ParseCommTransport(const std::string& name);
 
 class Communicator {
  public:

@@ -8,11 +8,12 @@
 //   - dtucker/engine.h           Engine facade (solver selection, run
 //                                control, telemetry) — the recommended
 //                                entry point.
-//   - dtucker/dtucker.h          Direct D-Tucker entry points + options.
+//   - dtucker/dtucker.h          Direct D-Tucker entry points + options
+//                                (in-process ranks, one per thread).
 //   - dtucker/online_dtucker.h   D-TuckerO streaming updates.
-//   - dtucker/out_of_core.h      File-streaming approximation.
-//   - dtucker/sharded_dtucker.h  The rank-parallel core's explicit-rank
-//                                and SPMD entry points (and, via it,
+//   - dtucker/out_of_core.h      File-streaming approximation and solve.
+//   - dtucker/sharded_dtucker.h  The rank-parallel core's SPMD entry
+//                                points, one call per rank (and, via it,
 //                                comm/communicator.h + comm/sharding.h —
 //                                the rank collectives and shard plans).
 //   - dtucker/slice_approximation.h  The compressed slice form.

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
-#include "comm/sharding.h"
 #include "common/trace.h"
-#include "dtucker/sharded_dtucker.h"
 #include "linalg/blas.h"
 #include "tensor/tensor_ops.h"
 #include "tucker/tucker_als.h"
@@ -224,30 +222,6 @@ Status DTuckerOptions::Validate(const std::vector<Index>& shape) const {
     return Status::InvalidArgument("num_threads must be non-negative");
   }
   return Status::OK();
-}
-
-Result<TuckerDecomposition> DTucker(const Tensor& x,
-                                    const DTuckerOptions& options,
-                                    TuckerStats* stats) {
-  DT_RETURN_NOT_OK(options.Validate(x.shape()));
-  // Reordered here, so the rank count follows the permuted slice count.
-  return internal_dtucker::SolveReordered(
-      x, options, [stats](const Tensor& xs, const DTuckerOptions& inner) {
-        ShardedDTuckerOptions sharded;
-        sharded.dtucker = inner;
-        sharded.num_ranks =
-            RanksForThreads(inner.num_threads, xs.NumFrontalSlices());
-        return ShardedDTucker(xs, sharded, stats);
-      });
-}
-
-Result<TuckerDecomposition> DTuckerFromApproximation(
-    const SliceApproximation& approx, const DTuckerOptions& options,
-    TuckerStats* stats) {
-  ShardedDTuckerOptions sharded;
-  sharded.dtucker = options;
-  sharded.num_ranks = RanksForThreads(options.num_threads, approx.NumSlices());
-  return ShardedDTuckerFromApproximation(approx, sharded, stats);
 }
 
 Result<TuckerDecomposition> DTuckerInitializeOnly(

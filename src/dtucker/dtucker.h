@@ -43,11 +43,10 @@ struct DTuckerOptions {
   Index slice_rank = 0;
   Index oversampling = 5;    // rSVD oversampling in the approximation phase.
   int power_iterations = 1;  // rSVD power iterations.
-  // If true, the tensor entry points (DTucker, ShardedDTucker and
-  // ShardedDTuckerRank) permute the modes so the two largest lead (the
-  // layout the slice compression wants) before the ranks start, and
-  // permute the result back. Compressed and file inputs keep their stored
-  // mode order.
+  // If true, the tensor entry points (DTucker and ShardedDTuckerRank)
+  // permute the modes so the two largest lead (the layout the slice
+  // compression wants) before the ranks start, and permute the result
+  // back. Compressed and file inputs keep their stored mode order.
   bool auto_reorder = false;
   // Threads for every phase: the solve runs as min(num_threads, C)
   // in-process ranks (C = min(8, L) fixed slice chunks), each owning one
@@ -72,11 +71,6 @@ struct DTuckerOptions {
     return std::max(tucker.ranks[0], tucker.ranks[1]);
   }
 };
-
-// Deprecated spelling kept for one release while callers migrate to the
-// composed DTuckerOptions (options.tucker.* for the shared knobs).
-using LegacyDTuckerOptions [[deprecated("use DTuckerOptions")]] =
-    DTuckerOptions;
 
 // End-to-end D-Tucker: approximation + initialization + iteration.
 Result<TuckerDecomposition> DTucker(const Tensor& x,

@@ -23,6 +23,16 @@ Status EngineOptions::Validate(const std::vector<Index>& shape) const {
     return Status::InvalidArgument(
         "num_ranks (sharded execution) requires method == dtucker");
   }
+  if (num_ranks > 0) {
+    Index l = 1;
+    for (std::size_t n = 2; n < shape.size(); ++n) l *= shape[n];
+    if (static_cast<Index>(num_ranks) > l) {
+      return Status::InvalidArgument(
+          "num_ranks (" + std::to_string(num_ranks) +
+          ") exceeds the slice count L=" + std::to_string(l) +
+          "; reduce --ranks to at most the trailing-mode volume");
+    }
+  }
   if (spmd_rank >= 0) {
     if (num_ranks < 1) {
       return Status::InvalidArgument(
@@ -30,11 +40,6 @@ Status EngineOptions::Validate(const std::vector<Index>& shape) const {
     }
     if (spmd_rank >= num_ranks) {
       return Status::InvalidArgument("spmd_rank must be < num_ranks");
-    }
-    if (comm_transport == CommTransport::kInProcess) {
-      return Status::InvalidArgument(
-          "spmd_rank mode needs the shm transport; inproc cannot reach "
-          "the other rank processes");
     }
     if (comm_scratch.empty()) {
       return Status::InvalidArgument(
@@ -59,14 +64,21 @@ Status Engine::RequireDTucker(const char* entry) const {
   return Status::OK();
 }
 
-DTuckerOptions Engine::DTuckerOptionsFromMethod(const RunContext* ctx) {
+MethodOptions Engine::RunMethodOptions(const RunContext* ctx) const {
+  MethodOptions opts = options_.method_options;
+  opts.tucker.run_context = ctx;
+  if (options_.num_ranks > 0) opts.num_threads = options_.num_ranks;
+  return opts;
+}
+
+DTuckerOptions Engine::DTuckerOptionsFromMethod(const RunContext* ctx) const {
+  const MethodOptions opts = RunMethodOptions(ctx);
   DTuckerOptions opt;
-  opt.tucker = options_.method_options.tucker;
-  opt.tucker.run_context = ctx;
-  opt.oversampling = options_.method_options.oversampling;
-  opt.power_iterations = options_.method_options.power_iterations;
-  opt.num_threads = options_.method_options.num_threads;
-  opt.sweep_callback = options_.method_options.sweep_callback;
+  opt.tucker = opts.tucker;
+  opt.oversampling = opts.oversampling;
+  opt.power_iterations = opts.power_iterations;
+  opt.num_threads = opts.num_threads;
+  opt.sweep_callback = opts.sweep_callback;
   return opt;
 }
 
@@ -78,15 +90,6 @@ void Engine::FinishRun(EngineRun* run) const {
                              : run->stats.completion_detail);
   }
   RecordSweepMetrics(run->stats);
-}
-
-ShardedDTuckerOptions Engine::ShardedOptionsFromMethod(const RunContext* ctx) {
-  ShardedDTuckerOptions opt;
-  opt.dtucker = DTuckerOptionsFromMethod(ctx);
-  opt.num_ranks = options_.num_ranks;
-  opt.transport = options_.comm_transport;
-  opt.comm_scratch = options_.comm_scratch;
-  return opt;
 }
 
 namespace {
@@ -112,7 +115,6 @@ Result<std::unique_ptr<Communicator>> Engine::MakeSpmdCommunicator(
                                             options_.spmd_rank,
                                             options_.num_ranks));
   comm->set_run_context(ctx);
-  comm->set_timeout_seconds(ShardedDTuckerOptions().comm_timeout_seconds);
   // Flow group from the shared rendezvous name: identical on every rank,
   // distinct across runs (scratch names embed pid + run counters).
   comm->set_trace_flow_group(Fnv1aHash(options_.comm_scratch) & 0xFFFFFFFFull);
@@ -125,44 +127,35 @@ Result<EngineRun> Engine::Solve(const Tensor& x, const RunContext* ctx) {
   const RunContext* effective = EffectiveContext(ctx);
   DT_RETURN_NOT_OK(options_.Validate(x.shape()));
   ApplyBlasThreads();
-  if (options_.num_ranks > 0) {
-    // An explicit rank count (and transport) instead of num_threads.
-    EngineRun run;
-    ShardedDTuckerOptions sharded = ShardedOptionsFromMethod(effective);
-    if (options_.spmd_rank >= 0) {
-      // SPMD mode: this process is one rank of an externally launched
-      // group; run the rank entry point on its own communicator instead of
-      // spawning rank threads.
-      DT_ASSIGN_OR_RETURN(std::unique_ptr<Communicator> comm,
-                          MakeSpmdCommunicator(effective));
-      DT_ASSIGN_OR_RETURN(
-          run.decomposition,
-          ShardedDTuckerRank(x, sharded.dtucker, comm.get(), &run.stats));
-    } else {
-      DT_ASSIGN_OR_RETURN(run.decomposition,
-                          ShardedDTucker(x, sharded, &run.stats));
-    }
+  EngineRun run;
+  if (options_.spmd_rank >= 0) {
+    // SPMD mode: this process is one rank of an externally launched
+    // group; run the rank entry point on its own communicator instead of
+    // spawning rank threads.
+    DT_ASSIGN_OR_RETURN(std::unique_ptr<Communicator> comm,
+                        MakeSpmdCommunicator(effective));
+    DT_ASSIGN_OR_RETURN(
+        run.decomposition,
+        ShardedDTuckerRank(x, DTuckerOptionsFromMethod(effective), comm.get(),
+                           &run.stats));
     run.stored_bytes = run.decomposition.ByteSize();
     if (options_.measure_error) {
       run.relative_error = run.decomposition.RelativeErrorAgainst(x);
     } else if (!run.stats.error_history.empty()) {
       run.relative_error = run.stats.error_history.back();
     }
-    FinishRun(&run);
-    return run;
+  } else {
+    DT_ASSIGN_OR_RETURN(MethodRun method_run,
+                        RunTuckerMethod(options_.method, x,
+                                        RunMethodOptions(effective),
+                                        options_.measure_error));
+    run.decomposition = std::move(method_run.decomposition);
+    run.stats = std::move(method_run.stats);
+    run.relative_error = method_run.relative_error;
+    run.stored_bytes = method_run.stored_bytes;
   }
-  MethodOptions opts = options_.method_options;
-  opts.tucker.run_context = effective;
-  DT_ASSIGN_OR_RETURN(
-      MethodRun method_run,
-      RunTuckerMethod(options_.method, x, opts, options_.measure_error));
-  EngineRun run;
-  run.decomposition = std::move(method_run.decomposition);
-  run.stats = std::move(method_run.stats);
-  run.relative_error = method_run.relative_error;
-  run.stored_bytes = method_run.stored_bytes;
-  // RunTuckerMethod already published the sweep metrics; FinishRun only
-  // needs to fold the completion code (re-publishing gauges is idempotent).
+  // RunTuckerMethod already published the sweep metrics; FinishRun folds
+  // the completion code (re-publishing gauges is idempotent).
   FinishRun(&run);
   return run;
 }
@@ -179,30 +172,18 @@ Result<EngineRun> Engine::SolveFile(const std::string& path,
     shape = reader.shape();
   }
   DT_RETURN_NOT_OK(options_.Validate(shape));
-  if (options_.num_ranks > 0) {
-    EngineRun run;
-    ShardedDTuckerOptions sharded = ShardedOptionsFromMethod(effective);
-    if (options_.spmd_rank >= 0) {
-      DT_ASSIGN_OR_RETURN(std::unique_ptr<Communicator> comm,
-                          MakeSpmdCommunicator(effective));
-      DT_ASSIGN_OR_RETURN(run.decomposition,
-                          ShardedDTuckerRankFromFile(path, sharded.dtucker,
-                                                     comm.get(), &run.stats));
-    } else {
-      DT_ASSIGN_OR_RETURN(run.decomposition,
-                          ShardedDTuckerFromFile(path, sharded, &run.stats));
-    }
-    run.stored_bytes = run.stats.working_bytes;
-    if (!run.stats.error_history.empty()) {
-      run.relative_error = run.stats.error_history.back();
-    }
-    FinishRun(&run);
-    return run;
-  }
-  DTuckerOptions opt = DTuckerOptionsFromMethod(effective);
+  const DTuckerOptions opt = DTuckerOptionsFromMethod(effective);
   EngineRun run;
-  DT_ASSIGN_OR_RETURN(run.decomposition,
-                      DTuckerFromFile(path, opt, &run.stats));
+  if (options_.spmd_rank >= 0) {
+    DT_ASSIGN_OR_RETURN(std::unique_ptr<Communicator> comm,
+                        MakeSpmdCommunicator(effective));
+    DT_ASSIGN_OR_RETURN(
+        run.decomposition,
+        ShardedDTuckerRankFromFile(path, opt, comm.get(), &run.stats));
+  } else {
+    DT_ASSIGN_OR_RETURN(run.decomposition,
+                        DTuckerFromFile(path, opt, &run.stats));
+  }
   run.stored_bytes = run.stats.working_bytes;
   if (!run.stats.error_history.empty()) {
     run.relative_error = run.stats.error_history.back();
@@ -216,27 +197,18 @@ Result<EngineRun> Engine::SolveApproximation(const SliceApproximation& approx,
   const RunContext* effective = EffectiveContext(ctx);
   DT_RETURN_NOT_OK(RequireDTucker("SolveApproximation"));
   ApplyBlasThreads();
+  DT_RETURN_NOT_OK(options_.Validate(approx.shape));
+  const DTuckerOptions opt = DTuckerOptionsFromMethod(effective);
   EngineRun run;
-  if (options_.num_ranks > 0) {
-    DT_RETURN_NOT_OK(options_.Validate(approx.shape));
-    ShardedDTuckerOptions sharded = ShardedOptionsFromMethod(effective);
-    if (options_.spmd_rank >= 0) {
-      DT_ASSIGN_OR_RETURN(std::unique_ptr<Communicator> comm,
-                          MakeSpmdCommunicator(effective));
-      DT_ASSIGN_OR_RETURN(
-          run.decomposition,
-          ShardedDTuckerRankFromApproximation(approx, sharded.dtucker,
-                                              comm.get(), &run.stats));
-    } else {
-      DT_ASSIGN_OR_RETURN(
-          run.decomposition,
-          ShardedDTuckerFromApproximation(approx, sharded, &run.stats));
-    }
+  if (options_.spmd_rank >= 0) {
+    DT_ASSIGN_OR_RETURN(std::unique_ptr<Communicator> comm,
+                        MakeSpmdCommunicator(effective));
+    DT_ASSIGN_OR_RETURN(run.decomposition,
+                        ShardedDTuckerRankFromApproximation(
+                            approx, opt, comm.get(), &run.stats));
   } else {
-    DT_ASSIGN_OR_RETURN(
-        run.decomposition,
-        DTuckerFromApproximation(approx, DTuckerOptionsFromMethod(effective),
-                                 &run.stats));
+    DT_ASSIGN_OR_RETURN(run.decomposition,
+                        DTuckerFromApproximation(approx, opt, &run.stats));
   }
   run.stored_bytes = approx.ByteSize();
   if (!run.stats.error_history.empty()) {

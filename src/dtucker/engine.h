@@ -46,28 +46,19 @@ struct EngineOptions {
   int blas_threads = 0;
   // Explicit rank count for D-Tucker (dtucker/sharded_dtucker.h). 0
   // (default) runs method_options.num_threads in-process ranks; a value
-  // >= 1 runs Solve/SolveFile/SolveApproximation on exactly that many
-  // ranks, over comm_transport. Either way the result bits are the same;
-  // requires method == kDTucker. The shared BLAS pool is partitioned
-  // across the ranks for the run's duration.
+  // >= 1 runs the same in-process path with num_threads = num_ranks (so at
+  // most C = min(8, L) ranks start). Either way the result bits are the
+  // same; requires method == kDTucker and num_ranks <= L.
   int num_ranks = 0;
-  // Transport the rank communicators use when num_ranks > 0: in-process
-  // mailboxes or a POSIX shared-memory segment. Results are
-  // bitwise-identical across the two (comm/communicator.h); the CLI spells
-  // this --transport={inproc,shm}.
-  CommTransport comm_transport = CommTransport::kInProcess;
   // SPMD rank mode: when >= 0, this process *is* rank `spmd_rank` of an
   // externally launched group of num_ranks processes (the CLI's
-  // --rank-procs fork mode). Solve/SolveFile then build one communicator
-  // on comm_transport (shm — inproc cannot cross processes)
-  // rendezvousing at comm_scratch and run the rank entry point directly
-  // instead of spawning rank threads. -1 (default): the engine drives all
-  // ranks itself.
+  // --rank-procs fork mode). Solve/SolveFile/SolveApproximation then build
+  // one shm communicator rendezvousing at comm_scratch and run the rank
+  // entry point directly instead of spawning rank threads. -1 (default):
+  // the engine drives all ranks itself.
   int spmd_rank = -1;
-  // Rendezvous point shared by the rank group: the shm segment name.
-  // Required in spmd_rank mode; in the self-driving mode it optionally
-  // pins the auto-generated rendezvous name (the caller then owns
-  // cleanup).
+  // The shm segment name the SPMD rank group meets at (a shm_open name,
+  // "/name"). Required in spmd_rank mode; unused otherwise.
   std::string comm_scratch;
   // Measure the true reconstruction error after Solve() (O(volume); turn
   // off for pure-timing runs). File/approximation paths always report the
@@ -147,11 +138,14 @@ class Engine {
   const RunContext* EffectiveContext(const RunContext* override_ctx) const {
     return override_ctx != nullptr ? override_ctx : &ctx_;
   }
-  DTuckerOptions DTuckerOptionsFromMethod(const RunContext* ctx);
-  ShardedDTuckerOptions ShardedOptionsFromMethod(const RunContext* ctx);
-  // Builds this process's communicator for spmd_rank mode (file/shm at
-  // comm_scratch), wires the run context/timeout, and tags the calling
-  // thread + communicator for cross-rank tracing.
+  // The method options a solve runs with: the effective context, and
+  // num_threads = num_ranks when that is set (the SPMD entry points ignore
+  // num_threads).
+  MethodOptions RunMethodOptions(const RunContext* ctx) const;
+  DTuckerOptions DTuckerOptionsFromMethod(const RunContext* ctx) const;
+  // Builds this process's shm communicator for spmd_rank mode at
+  // comm_scratch, wires the run context, and tags the calling thread +
+  // communicator for cross-rank tracing.
   Result<std::unique_ptr<Communicator>> MakeSpmdCommunicator(
       const RunContext* ctx);
   Status RequireDTucker(const char* entry) const;

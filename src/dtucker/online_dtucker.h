@@ -28,10 +28,6 @@ struct OnlineDTuckerOptions {
   Status Validate(const std::vector<Index>& shape) const;
 };
 
-// Deprecated spelling kept for one release while callers migrate.
-using LegacyOnlineDTuckerOptions [[deprecated("use OnlineDTuckerOptions")]] =
-    OnlineDTuckerOptions;
-
 class OnlineDTucker {
  public:
   explicit OnlineDTucker(OnlineDTuckerOptions options);

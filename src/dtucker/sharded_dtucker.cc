@@ -1,7 +1,5 @@
 #include "dtucker/sharded_dtucker.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -597,28 +595,6 @@ Status ShardedSweep(const ShardContext& sc, const std::vector<Index>& ranks,
   return Status::OK();
 }
 
-}  // namespace
-
-Status ShardedDTuckerOptions::Validate(const std::vector<Index>& shape) const {
-  DT_RETURN_NOT_OK(dtucker.Validate(shape));
-  if (num_ranks < 1) {
-    return Status::InvalidArgument("num_ranks must be >= 1");
-  }
-  const Index l = TrailingVolume(shape);
-  if (static_cast<Index>(num_ranks) > l) {
-    return Status::InvalidArgument(
-        "num_ranks (" + std::to_string(num_ranks) +
-        ") exceeds the slice count L=" + std::to_string(l) +
-        "; reduce --ranks to at most the trailing-mode volume");
-  }
-  if (comm_timeout_seconds <= 0.0) {
-    return Status::InvalidArgument("comm_timeout_seconds must be positive");
-  }
-  return Status::OK();
-}
-
-namespace {
-
 // Initialization + iteration on this rank's slices `owned` (the global
 // range of `plan`), read in place. Every rank of the group calls this with
 // identical options and returns the identical decomposition; phase times
@@ -843,59 +819,29 @@ Result<TuckerDecomposition> SolveRankFromTensor(const Tensor& x,
       });
 }
 
-// Spawns one thread per rank, runs `rank_fn` on each, and returns rank 0's
-// result (all ranks finish identically). Communicators are built on the
-// requested transport *serially in the driver thread* before any rank
-// thread starts — rank 0 first, because the shm segment must exist before
-// a peer maps it (the peers' bounded setup poll would also work, but
-// serial creation makes setup failures synchronous errors here).
+// The one rank launcher of the in-process entry points: runs
+// R = RanksForThreads(options.num_threads, num_slices) ranks over an
+// InProcessGroup, one thread each, and returns rank 0's result (all ranks
+// finish identically). stats->working_bytes sums every rank's share.
 Result<TuckerDecomposition> RunInProcessRanks(
-    const ShardedDTuckerOptions& options,
+    const DTuckerOptions& options, Index num_slices,
     const std::function<Result<TuckerDecomposition>(
         const DTuckerOptions&, Communicator*, TuckerStats*)>& rank_fn,
     TuckerStats* stats) {
   // Nothing has been computed yet, so an interruption observed here is a
   // plain error rather than a degraded result.
-  const RunContext* ctx = options.dtucker.tucker.run_context;
+  const RunContext* ctx = options.tucker.run_context;
   if (ctx != nullptr) DT_RETURN_NOT_OK(ctx->CheckStatus("d-tucker solve"));
-  const int num_ranks = options.num_ranks;
-  // Distinguishes concurrent/successive runs sharing one process when the
-  // caller did not pin a rendezvous name.
-  static std::atomic<int> run_counter{0};
-  std::shared_ptr<InProcessGroup> group;
-  std::vector<std::unique_ptr<Communicator>> owned;
-  std::vector<Communicator*> comms(static_cast<std::size_t>(num_ranks),
-                                   nullptr);
-  std::string scratch = options.comm_scratch;
-  switch (options.transport) {
-    case CommTransport::kInProcess:
-      group = InProcessGroup::Create(num_ranks);
-      for (int r = 0; r < num_ranks; ++r) {
-        comms[static_cast<std::size_t>(r)] = group->comm(r);
-      }
-      break;
-    case CommTransport::kShm: {
-      if (scratch.empty()) {
-        scratch = "/dtucker-" + std::to_string(getpid()) + "-" +
-                  std::to_string(run_counter.fetch_add(1));
-      }
-      for (int r = 0; r < num_ranks; ++r) {
-        DT_ASSIGN_OR_RETURN(std::unique_ptr<Communicator> c,
-                            CreateShmCommunicator(scratch, r, num_ranks));
-        comms[static_cast<std::size_t>(r)] = c.get();
-        owned.push_back(std::move(c));
-      }
-      break;
-    }
-  }
+  const int num_ranks = RanksForThreads(options.num_threads, num_slices);
+  std::shared_ptr<InProcessGroup> group = InProcessGroup::Create(num_ranks);
 
   // All rank threads of one run share a flow-id namespace: collective
   // call k on every rank carries the same flow id, which is what binds
   // the rank-local spans into one cross-rank flow arrow in the merged
   // trace. The counter keeps concurrent/successive runs in one process
   // from colliding.
-  const std::uint64_t flow_group =
-      static_cast<std::uint64_t>(run_counter.fetch_add(1)) + 1;
+  static std::atomic<std::uint64_t> run_counter{0};
+  const std::uint64_t flow_group = run_counter.fetch_add(1) + 1;
 
   std::vector<std::unique_ptr<Result<TuckerDecomposition>>> results(
       static_cast<std::size_t>(num_ranks));
@@ -904,21 +850,17 @@ Result<TuckerDecomposition> RunInProcessRanks(
     // Each rank thread's spans export under pid == r (its own Perfetto
     // lane). Shared pool workers stay on the default (rank 0) lane.
     SetTraceRankForCurrentThread(r);
-    DTuckerOptions rank_options = options.dtucker;
+    DTuckerOptions rank_options = options;
     if (r != 0) rank_options.sweep_callback = nullptr;
-    Communicator* comm = comms[static_cast<std::size_t>(r)];
-    comm->set_timeout_seconds(options.comm_timeout_seconds);
+    Communicator* comm = group->comm(r);
     comm->set_trace_flow_group(flow_group);
     results[static_cast<std::size_t>(r)] =
         std::make_unique<Result<TuckerDecomposition>>(rank_fn(
             rank_options, comm, &rank_stats[static_cast<std::size_t>(r)]));
   });
 
-  // Rank 0's shm destructor unlinks the segment.
-  owned.clear();
-
-  // Rank 0 speaks for the group; a peer-only failure (possible only on an
-  // asymmetric transport fault) still surfaces as an error.
+  // Rank 0 speaks for the group; a peer-only failure still surfaces as an
+  // error.
   for (int r = 1; r < num_ranks; ++r) {
     const Result<TuckerDecomposition>& peer =
         *results[static_cast<std::size_t>(r)];
@@ -980,23 +922,17 @@ Result<TuckerDecomposition> ShardedDTuckerRankFromApproximation(
                    approx.shape, plan, options, comm, stats);
 }
 
-Result<TuckerDecomposition> ShardedDTucker(const Tensor& x,
-                                           const ShardedDTuckerOptions& options,
-                                           TuckerStats* stats) {
-  DT_RETURN_NOT_OK(options.dtucker.Validate(x.shape()));
-  if (options.dtucker.tucker.validate_input) {
-    DT_RETURN_NOT_OK(ValidateFinite(x));
-  }
-  // Permuted before the ranks start, so every rank reads the same tensor.
+Result<TuckerDecomposition> DTucker(const Tensor& x,
+                                    const DTuckerOptions& options,
+                                    TuckerStats* stats) {
+  DT_RETURN_NOT_OK(options.Validate(x.shape()));
+  if (options.tucker.validate_input) DT_RETURN_NOT_OK(ValidateFinite(x));
+  // Permuted before the ranks start, so every rank reads the same tensor
+  // and the rank count follows the permuted slice count.
   return internal_dtucker::SolveReordered(
-      x, options.dtucker,
-      [&](const Tensor& xs,
-          const DTuckerOptions& inner) -> Result<TuckerDecomposition> {
-        ShardedDTuckerOptions run = options;
-        run.dtucker = inner;
-        DT_RETURN_NOT_OK(run.Validate(xs.shape()));
+      x, options, [stats](const Tensor& xs, const DTuckerOptions& inner) {
         return RunInProcessRanks(
-            run,
+            inner, xs.NumFrontalSlices(),
             [&xs](const DTuckerOptions& opt, Communicator* comm,
                   TuckerStats* st) {
               return SolveRankFromTensor(xs, opt, comm, st);
@@ -1005,9 +941,9 @@ Result<TuckerDecomposition> ShardedDTucker(const Tensor& x,
       });
 }
 
-Result<TuckerDecomposition> ShardedDTuckerFromFile(
-    const std::string& path, const ShardedDTuckerOptions& options,
-    TuckerStats* stats) {
+Result<TuckerDecomposition> DTuckerFromFile(const std::string& path,
+                                            const DTuckerOptions& options,
+                                            TuckerStats* stats) {
   std::vector<Index> shape;
   {
     DT_ASSIGN_OR_RETURN(TensorFileReader reader, TensorFileReader::Open(path));
@@ -1015,20 +951,20 @@ Result<TuckerDecomposition> ShardedDTuckerFromFile(
   }
   DT_RETURN_NOT_OK(options.Validate(shape));
   return RunInProcessRanks(
-      options,
+      options, TrailingVolume(shape),
       [&path](const DTuckerOptions& opt, Communicator* comm, TuckerStats* st) {
         return ShardedDTuckerRankFromFile(path, opt, comm, st);
       },
       stats);
 }
 
-Result<TuckerDecomposition> ShardedDTuckerFromApproximation(
-    const SliceApproximation& approx, const ShardedDTuckerOptions& options,
+Result<TuckerDecomposition> DTuckerFromApproximation(
+    const SliceApproximation& approx, const DTuckerOptions& options,
     TuckerStats* stats) {
   DT_RETURN_NOT_OK(approx.Validate());
   DT_RETURN_NOT_OK(options.Validate(approx.shape));
   return RunInProcessRanks(
-      options,
+      options, approx.NumSlices(),
       [&approx](const DTuckerOptions& opt, Communicator* comm,
                 TuckerStats* st) {
         return ShardedDTuckerRankFromApproximation(approx, opt, comm, st);

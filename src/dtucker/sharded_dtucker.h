@@ -1,9 +1,16 @@
 // The D-Tucker core: the slice dimension split across ranks.
 //
-// Every D-Tucker entry point runs here — DTucker, DTuckerFromApproximation
-// and DTuckerFromFile as min(num_threads, C) in-process ranks, --ranks as
-// an explicit rank count on a chosen transport. D-Tucker's three phases
-// decompose naturally over the L frontal slices:
+// Every D-Tucker entry point runs here, on one of two layers:
+//
+//   DTucker, DTuckerFromFile, DTuckerFromApproximation (dtucker.h,
+//     out_of_core.h) — in-process: one launcher runs
+//     R = RanksForThreads(num_threads, L) rank threads over an
+//     InProcessGroup.
+//   ShardedDTuckerRank* (below) — SPMD: one call per rank on a
+//     communicator the caller built (shm when the ranks are separate
+//     processes, as in the CLI's --rank-procs).
+//
+// D-Tucker's three phases decompose naturally over the L frontal slices:
 //
 //   Approximation   — embarrassingly parallel; rank r compresses only its
 //                     owned slice range (streaming just that shard when the
@@ -55,62 +62,6 @@
 #include "dtucker/dtucker.h"
 
 namespace dtucker {
-
-struct ShardedDTuckerOptions {
-  // num_threads is not used here: the in-process drivers run `num_ranks`
-  // ranks of one BLAS-pool share each.
-  DTuckerOptions dtucker;
-  // Rank count for the in-process drivers (ShardedDTucker,
-  // ShardedDTuckerFromFile, ShardedDTuckerFromApproximation), which spawn
-  // one thread per rank. Must be in [1, L] for a tensor with L frontal
-  // slices; ranks beyond the chunk grid (kShardChunkCount) own zero slices
-  // but stay in lockstep. The SPMD entry points ignore this field (the
-  // communicator fixes the group).
-  int num_ranks = 1;
-  // Upper bound on any single blocking communicator wait; a crashed peer
-  // surfaces as kUnavailable after this long instead of a deadlock.
-  double comm_timeout_seconds = 120.0;
-
-  // Transport the in-process drivers build their rank communicators on.
-  // Both produce bitwise-identical results (the collective algorithms are
-  // shared — see comm/communicator.h); kShm exists here mainly so tests
-  // can exercise the multi-process rendezvous path from one process. The
-  // SPMD entry points ignore this field (the caller already built the
-  // communicator).
-  CommTransport transport = CommTransport::kInProcess;
-  // Rendezvous name for kShm: a shm_open name ("/name"). Empty (the
-  // default) generates a fresh process-unique name, unlinked after the
-  // run. Ignored for kInProcess.
-  std::string comm_scratch;
-
-  // Validates the D-Tucker surface plus the rank count against the shape.
-  // num_ranks > L is an InvalidArgument (every rank must be addressable on
-  // the slice grid), never a crash.
-  Status Validate(const std::vector<Index>& shape) const;
-};
-
-// In-process driver: runs `options.num_ranks` rank threads over an
-// InProcessGroup and returns rank 0's decomposition (all ranks finish with
-// bitwise-identical results). `stats`, `sweep_callback` and the error
-// history are reported from rank 0's perspective; stats->working_bytes is
-// the compressed form of every rank together. With auto_reorder the tensor
-// is permuted once, before the ranks start.
-Result<TuckerDecomposition> ShardedDTucker(const Tensor& x,
-                                           const ShardedDTuckerOptions& options,
-                                           TuckerStats* stats = nullptr);
-
-// Out-of-core in-process driver: each rank streams and compresses only its
-// own shard of the DTNSR001 file, so peak resident tensor data per rank is
-// one slice. The raw tensor is never materialized.
-Result<TuckerDecomposition> ShardedDTuckerFromFile(
-    const std::string& path, const ShardedDTuckerOptions& options,
-    TuckerStats* stats = nullptr);
-
-// Query-phase in-process driver: each rank reads its slice range of
-// `approx` in place (no per-rank copy).
-Result<TuckerDecomposition> ShardedDTuckerFromApproximation(
-    const SliceApproximation& approx, const ShardedDTuckerOptions& options,
-    TuckerStats* stats = nullptr);
 
 // SPMD entry points: one call per rank, `comm` fixes the rank/group (e.g.
 // a shm communicator when ranks are separate processes — the no-MPI

@@ -1,6 +1,7 @@
 #include "dtucker/slice_approximation.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "comm/sharding.h"
 #include "common/trace.h"
@@ -88,29 +89,10 @@ Status SliceApproximation::Validate() const {
   return Status::OK();
 }
 
-namespace {
+namespace internal_dtucker {
 
-Status CheckSliceRange(const Tensor& x, Index first, Index count,
-                       const SliceApproximationOptions& options) {
-  if (x.order() < 3) {
-    return Status::InvalidArgument(
-        "slice approximation requires an order >= 3 tensor");
-  }
-  const Index min_dim = std::min(x.dim(0), x.dim(1));
-  if (options.slice_rank <= 0 || options.slice_rank > min_dim) {
-    return Status::InvalidArgument(
-        "slice_rank must be in [1, min(I1, I2)]");
-  }
-  if (first < 0 || count < 0 || first + count > x.NumFrontalSlices()) {
-    return Status::OutOfRange("slice range outside the tensor");
-  }
-  return Status::OK();
-}
-
-// Compresses slices [first, first + count) of `x` serially into out[0,
-// count), polling the run context once per slice. The approximation phase
-// has no usable partial state, so an interruption is a hard stop.
-Status CompressSliceRange(const Tensor& x, Index first, Index count,
+Status CompressSliceRange(const SliceSource& read, Index rows, Index cols,
+                          Index first, Index count,
                           const SliceApproximationOptions& options,
                           SliceSvd* out) {
   DT_TRACE_SPAN("dtucker.slice_range");
@@ -118,6 +100,7 @@ Status CompressSliceRange(const Tensor& x, Index first, Index count,
   base.rank = options.slice_rank;
   base.oversampling = options.oversampling;
   base.power_iterations = options.power_iterations;
+  Matrix slice = Matrix::Uninitialized(rows, cols);  // Reused buffer.
   for (Index i = 0; i < count; ++i) {
     const StatusCode check = RunContext::CheckOrOk(options.run_context);
     if (check != StatusCode::kOk) {
@@ -125,7 +108,7 @@ Status CompressSliceRange(const Tensor& x, Index first, Index count,
     }
     DT_TRACE_SPAN("dtucker.slice_svd");
     const Index l = first + i;
-    Matrix slice = x.FrontalSlice(l);
+    DT_RETURN_NOT_OK(read(l, &slice));
     // Extreme magnitudes denormalize the squared quantities inside the SVD
     // (Gram entries, Jacobi dots); normalize the slice and fold the scale
     // back into the singular values. Only applied outside a wide safe
@@ -169,6 +152,43 @@ Status CompressSliceRange(const Tensor& x, Index first, Index count,
   return Status::OK();
 }
 
+}  // namespace internal_dtucker
+
+namespace {
+
+Status CheckSliceRange(const Tensor& x, Index first, Index count,
+                       const SliceApproximationOptions& options) {
+  if (x.order() < 3) {
+    return Status::InvalidArgument(
+        "slice approximation requires an order >= 3 tensor");
+  }
+  const Index min_dim = std::min(x.dim(0), x.dim(1));
+  if (options.slice_rank <= 0 || options.slice_rank > min_dim) {
+    return Status::InvalidArgument(
+        "slice_rank must be in [1, min(I1, I2)]");
+  }
+  if (first < 0 || count < 0 || first + count > x.NumFrontalSlices()) {
+    return Status::OutOfRange("slice range outside the tensor");
+  }
+  return Status::OK();
+}
+
+// CompressSliceRange over the frontal slices of `x`, each copied into the
+// compressor's reused buffer.
+Status CompressTensorSlices(const Tensor& x, Index first, Index count,
+                            const SliceApproximationOptions& options,
+                            SliceSvd* out) {
+  const std::size_t slice_size = static_cast<std::size_t>(x.dim(0) * x.dim(1));
+  return internal_dtucker::CompressSliceRange(
+      [&x, slice_size](Index l, Matrix* slice) {
+        std::memcpy(slice->data(),
+                    x.data() + static_cast<std::size_t>(l) * slice_size,
+                    slice_size * sizeof(double));
+        return Status::OK();
+      },
+      x.dim(0), x.dim(1), first, count, options, out);
+}
+
 }  // namespace
 
 Result<std::vector<SliceSvd>> ApproximateSliceRange(
@@ -176,7 +196,7 @@ Result<std::vector<SliceSvd>> ApproximateSliceRange(
     const SliceApproximationOptions& options) {
   DT_RETURN_NOT_OK(CheckSliceRange(x, first, count, options));
   std::vector<SliceSvd> out(static_cast<std::size_t>(count));
-  DT_RETURN_NOT_OK(CompressSliceRange(x, first, count, options, out.data()));
+  DT_RETURN_NOT_OK(CompressTensorSlices(x, first, count, options, out.data()));
   return out;
 }
 
@@ -196,7 +216,7 @@ Result<SliceApproximation> ApproximateSlices(
   RunRankThreads(num_ranks, [&](int r) {
     const ShardPlan plan =
         MakeShardPlan(num_slices, num_ranks, r).ValueOrDie();
-    status[static_cast<std::size_t>(r)] = CompressSliceRange(
+    status[static_cast<std::size_t>(r)] = CompressTensorSlices(
         x, plan.slice_begin, plan.NumLocalSlices(), options,
         approx.slices.data() + plan.slice_begin);
   });

@@ -9,6 +9,7 @@
 #ifndef DTUCKER_DTUCKER_SLICE_APPROXIMATION_H_
 #define DTUCKER_DTUCKER_SLICE_APPROXIMATION_H_
 
+#include <functional>
 #include <vector>
 
 #include "common/run_context.h"
@@ -103,6 +104,26 @@ Result<SliceApproximation> ApproximateSlices(
 Result<std::vector<SliceSvd>> ApproximateSliceRange(
     const Tensor& x, Index first, Index count,
     const SliceApproximationOptions& options);
+
+namespace internal_dtucker {
+
+// Reads frontal slice l into `slice`, an I1 x I2 buffer reused across the
+// slices of one range.
+using SliceSource = std::function<Status(Index l, Matrix* slice)>;
+
+// The approximation phase's one per-slice compressor, shared by the
+// in-memory (ApproximateSliceRange) and file (ApproximateSliceRangeFromFile)
+// paths: compresses slices [first, first + count) of an I1 = rows by
+// I2 = cols slice grid, read through `read`, serially into out[0, count).
+// Polls the run context once per slice; the approximation phase has no
+// usable partial state, so an interruption is a hard stop. Arguments are
+// the caller's to validate.
+Status CompressSliceRange(const SliceSource& read, Index rows, Index cols,
+                          Index first, Index count,
+                          const SliceApproximationOptions& options,
+                          SliceSvd* out);
+
+}  // namespace internal_dtucker
 
 }  // namespace dtucker
 

@@ -230,21 +230,6 @@ TEST(CommTest, RunContextCancelsBlockedCollective) {
   EXPECT_EQ(st.code(), StatusCode::kCancelled) << st.ToString();
 }
 
-TEST(CommTransportTest, NamesRoundTrip) {
-  for (CommTransport t : {CommTransport::kInProcess, CommTransport::kShm}) {
-    Result<CommTransport> parsed = ParseCommTransport(CommTransportName(t));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(parsed.value(), t);
-  }
-  EXPECT_FALSE(ParseCommTransport("tcp").ok());
-  EXPECT_FALSE(ParseCommTransport("").ok());
-  // The retired file transport is rejected with the accepted list.
-  Result<CommTransport> file = ParseCommTransport("file");
-  ASSERT_FALSE(file.ok());
-  EXPECT_NE(file.status().message().find("inproc or shm"), std::string::npos)
-      << file.status().ToString();
-}
-
 TEST(ShmCommTest, RejectsBadArguments) {
   EXPECT_FALSE(CreateShmCommunicator("no-leading-slash", 0, 2).ok());
   EXPECT_FALSE(CreateShmCommunicator("/a/b", 0, 2).ok());

@@ -23,7 +23,6 @@
 #include "data/generators.h"
 #include "data/tensor_io.h"
 #include "dtucker/dtucker.h"
-#include "dtucker/sharded_dtucker.h"
 #include "json_test_util.h"
 
 namespace dtucker {
@@ -240,12 +239,12 @@ TEST(ObservabilityGatherTest, InProcessFourRankRunDepositsMergedTelemetry) {
   SetTraceEnabled(true);
 
   Tensor x = MakeLowRankTensor({14, 12, 12}, {3, 3, 3}, 0.1, 7);
-  ShardedDTuckerOptions opt;
-  opt.dtucker.tucker.ranks = {3, 3, 3};
-  opt.dtucker.tucker.max_iterations = 3;
-  opt.dtucker.tucker.tolerance = 0.0;
-  opt.num_ranks = 4;
-  Result<TuckerDecomposition> dec = ShardedDTucker(x, opt);
+  DTuckerOptions opt;
+  opt.tucker.ranks = {3, 3, 3};
+  opt.tucker.max_iterations = 3;
+  opt.tucker.tolerance = 0.0;
+  opt.num_threads = 4;
+  Result<TuckerDecomposition> dec = DTucker(x, opt);
 
   SetTraceEnabled(false);
   SetTelemetryGatherEnabled(false);
@@ -333,10 +332,10 @@ bool FileExists(const std::string& path) {
   return in.good();
 }
 
-// Runs the CLI over 4 ranks on the given transport (threads or fork()ed
-// processes) and schema-checks the single merged trace + metrics documents
-// rank 0 writes.
-void RunFourRankCliCase(const std::string& tag, const std::string& transport,
+// Runs the CLI over 4 ranks (in-process threads, or fork()ed processes
+// meeting in shm with --rank-procs) and schema-checks the single merged
+// trace + metrics documents rank 0 writes.
+void RunFourRankCliCase(const std::string& tag,
                         const std::string& extra_args) {
   const std::string dir = ::testing::TempDir();
   const std::string tensor_path = dir + "obs_cli4_" + tag + ".dtnsr";
@@ -349,8 +348,8 @@ void RunFourRankCliCase(const std::string& tag, const std::string& transport,
   const std::string cmd = std::string(DTUCKER_CLI_PATH) +
                           " --op=decompose --tensor=" + tensor_path +
                           " --method=D-Tucker --rank=3 --iters=3" +
-                          " --ranks=4 --transport=" + transport + " " +
-                          extra_args + " --trace-out=" + trace_path +
+                          " --ranks=4 " + extra_args +
+                          " --trace-out=" + trace_path +
                           " --metrics-out=" + metrics_path + " > /dev/null";
   const int rc = std::system(cmd.c_str());
   ASSERT_EQ(rc, 0) << "command failed: " << cmd;
@@ -378,16 +377,16 @@ void RunFourRankCliCase(const std::string& tag, const std::string& transport,
 }
 
 TEST(ObservabilityCliTest, FourRankShmThreadsProduceMergedDocuments) {
-  RunFourRankCliCase("threads", "shm", "");
+  RunFourRankCliCase("threads", "");
 }
 
 TEST(ObservabilityCliTest, FourRankShmForkedProcessesProduceMergedDocuments) {
-  RunFourRankCliCase("procs", "shm", "--rank-procs");
+  RunFourRankCliCase("procs", "--rank-procs");
 }
 
 TEST(ObservabilityCliTest, BadFlagValuesExitNonzero) {
-  // A malformed value and the retired file transport are both rejected
-  // with a nonzero exit, before any work starts.
+  // A malformed value and the retired --transport flag (now unknown) are
+  // both rejected with a nonzero exit, before any work starts.
   for (const char* args :
        {"--threads=abc", "--op=decompose --ranks=2 --transport=file"}) {
     const std::string cmd = std::string(DTUCKER_CLI_PATH) + " " + args +

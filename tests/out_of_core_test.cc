@@ -67,20 +67,33 @@ TEST_F(OutOfCoreTest, ReadBoundsChecked) {
   EXPECT_FALSE(reader.value().ReadFrontalSlice(12).ok());
 }
 
+// The fixture tensor at magnitudes inside the slice compressor's rescale
+// band (1) and far outside it (1e-150, 1e150), where the rescale changes
+// the bits.
+constexpr double kScales[] = {1.0, 1e-150, 1e150};
+
 TEST_F(OutOfCoreTest, StreamedApproximationBitIdenticalToInMemory) {
   SliceApproximationOptions opt;
   opt.slice_rank = 3;
-  Result<SliceApproximation> in_mem = ApproximateSlices(x_, opt);
-  Result<SliceApproximation> streamed = ApproximateSlicesFromFile(path_, opt);
-  ASSERT_TRUE(in_mem.ok() && streamed.ok())
-      << streamed.status().ToString();
-  ASSERT_EQ(in_mem.value().NumSlices(), streamed.value().NumSlices());
-  for (Index l = 0; l < in_mem.value().NumSlices(); ++l) {
-    const auto& a = in_mem.value().slices[static_cast<std::size_t>(l)];
-    const auto& b = streamed.value().slices[static_cast<std::size_t>(l)];
-    EXPECT_TRUE(AlmostEqual(a.u, b.u, 0.0)) << "slice " << l;
-    EXPECT_TRUE(AlmostEqual(a.v, b.v, 0.0)) << "slice " << l;
-    EXPECT_EQ(a.s, b.s) << "slice " << l;
+  for (double scale : kScales) {
+    Tensor x = x_;
+    x *= scale;
+    const std::string path = TempPath("ooc_scaled.dtnsr");
+    ASSERT_TRUE(SaveTensor(x, path).ok());
+    Result<SliceApproximation> in_mem = ApproximateSlices(x, opt);
+    Result<std::vector<SliceSvd>> streamed = ApproximateSliceRangeFromFile(
+        path, 0, x.NumFrontalSlices(), opt);
+    std::remove(path.c_str());
+    ASSERT_TRUE(in_mem.ok()) << in_mem.status().ToString();
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    ASSERT_EQ(in_mem.value().slices.size(), streamed.value().size());
+    for (std::size_t l = 0; l < streamed.value().size(); ++l) {
+      const SliceSvd& a = in_mem.value().slices[l];
+      const SliceSvd& b = streamed.value()[l];
+      EXPECT_TRUE(AlmostEqual(a.u, b.u, 0.0)) << scale << " slice " << l;
+      EXPECT_TRUE(AlmostEqual(a.v, b.v, 0.0)) << scale << " slice " << l;
+      EXPECT_EQ(a.s, b.s) << scale << " slice " << l;
+    }
   }
 }
 
@@ -88,15 +101,29 @@ TEST_F(OutOfCoreTest, EndToEndDecompositionMatchesInMemory) {
   DTuckerOptions opt;
   opt.tucker.ranks = {3, 3, 2, 2};
   opt.tucker.max_iterations = 8;
-  TuckerStats file_stats;
-  Result<TuckerDecomposition> from_file =
-      DTuckerFromFile(path_, opt, &file_stats);
-  Result<TuckerDecomposition> from_mem = DTucker(x_, opt);
-  ASSERT_TRUE(from_file.ok()) << from_file.status().ToString();
-  ASSERT_TRUE(from_mem.ok());
-  EXPECT_TRUE(AlmostEqual(from_file.value().core, from_mem.value().core, 0.0));
-  EXPECT_GT(file_stats.preprocess_seconds, 0.0);
-  EXPECT_LT(from_file.value().RelativeErrorAgainst(x_), 0.05);
+  for (double scale : kScales) {
+    Tensor x = x_;
+    x *= scale;
+    const std::string path = TempPath("ooc_scaled.dtnsr");
+    ASSERT_TRUE(SaveTensor(x, path).ok());
+    TuckerStats file_stats;
+    Result<TuckerDecomposition> from_file =
+        DTuckerFromFile(path, opt, &file_stats);
+    std::remove(path.c_str());
+    Result<TuckerDecomposition> from_mem = DTucker(x, opt);
+    ASSERT_TRUE(from_file.ok()) << from_file.status().ToString();
+    ASSERT_TRUE(from_mem.ok()) << from_mem.status().ToString();
+    const TuckerDecomposition& f = from_file.value();
+    const TuckerDecomposition& m = from_mem.value();
+    EXPECT_TRUE(AlmostEqual(f.core, m.core, 0.0)) << scale;
+    ASSERT_EQ(f.factors.size(), m.factors.size());
+    for (std::size_t n = 0; n < f.factors.size(); ++n) {
+      EXPECT_TRUE(AlmostEqual(f.factors[n], m.factors[n], 0.0))
+          << scale << " factor " << n;
+    }
+    EXPECT_GT(file_stats.preprocess_seconds, 0.0);
+    EXPECT_LT(f.RelativeErrorAgainst(x), 0.05) << scale;
+  }
 }
 
 TEST(TensorFileWriterTest, StreamedWriteReadRoundTrip) {
@@ -144,7 +171,8 @@ TEST(TensorFileWriterTest, Validates) {
 TEST(OutOfCoreErrorsTest, MissingAndCorruptFiles) {
   SliceApproximationOptions opt;
   opt.slice_rank = 2;
-  EXPECT_FALSE(ApproximateSlicesFromFile("/no/such.dtnsr", opt).ok());
+  EXPECT_FALSE(
+      ApproximateSliceRangeFromFile("/no/such.dtnsr", 0, 1, opt).ok());
 
   // A matrix (order 2) file: reader opens it, but out-of-core D-Tucker
   // requires order >= 3.
@@ -152,7 +180,7 @@ TEST(OutOfCoreErrorsTest, MissingAndCorruptFiles) {
   Rng rng(2);
   Tensor m = Tensor::GaussianRandom({6, 6}, rng);
   ASSERT_TRUE(SaveTensor(m, path).ok());
-  EXPECT_FALSE(ApproximateSlicesFromFile(path, opt).ok());
+  EXPECT_FALSE(ApproximateSliceRangeFromFile(path, 0, 0, opt).ok());
   std::remove(path.c_str());
 
   // Truncated payload is rejected at Open.

@@ -1,9 +1,12 @@
 #include "dtucker/sharded_dtucker.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
+#include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,13 +23,48 @@
 namespace dtucker {
 namespace {
 
-ShardedDTuckerOptions MakeOptions(std::vector<Index> ranks, int num_ranks,
-                                  int iters = 8) {
-  ShardedDTuckerOptions opt;
-  opt.dtucker.tucker.ranks = std::move(ranks);
-  opt.dtucker.tucker.max_iterations = iters;
-  opt.num_ranks = num_ranks;
+// In-process options: DTucker runs `num_threads` ranks (at most 8).
+DTuckerOptions MakeOptions(std::vector<Index> ranks, int num_threads,
+                           int iters = 8) {
+  DTuckerOptions opt;
+  opt.tucker.ranks = std::move(ranks);
+  opt.tucker.max_iterations = iters;
+  opt.num_threads = num_threads;
   return opt;
+}
+
+// Drives the SPMD entry points the way a multi-process launcher would:
+// rank_fn(comms[r]) for every rank, each on its own test thread (rank 0 on
+// the calling one). Returns the per-rank results.
+std::vector<Result<TuckerDecomposition>> RunSpmdRanks(
+    const std::vector<Communicator*>& comms,
+    const std::function<Result<TuckerDecomposition>(Communicator*)>&
+        rank_fn) {
+  std::vector<Result<TuckerDecomposition>> results;
+  for (std::size_t r = 0; r < comms.size(); ++r) {
+    results.emplace_back(Status::InvalidArgument("unset"));
+  }
+  std::vector<std::thread> threads;
+  for (std::size_t r = 1; r < comms.size(); ++r) {
+    threads.emplace_back([&, r] { results[r] = rank_fn(comms[r]); });
+  }
+  results[0] = rank_fn(comms[0]);
+  for (std::thread& t : threads) t.join();
+  return results;
+}
+
+// RunSpmdRanks on a fresh `size`-rank InProcessGroup whose waits time out
+// after 10 s, so a lockstep bug fails instead of hanging.
+std::vector<Result<TuckerDecomposition>> RunInProcessSpmdRanks(
+    int size, const std::function<Result<TuckerDecomposition>(Communicator*)>&
+                  rank_fn) {
+  auto group = InProcessGroup::Create(size);
+  std::vector<Communicator*> comms;
+  for (int r = 0; r < size; ++r) {
+    comms.push_back(group->comm(r));
+    comms.back()->set_timeout_seconds(10);
+  }
+  return RunSpmdRanks(comms, rank_fn);
 }
 
 void ExpectBitwiseEqual(const TuckerDecomposition& a,
@@ -47,11 +85,22 @@ void ExpectBitwiseEqual(const TuckerDecomposition& a,
   }
 }
 
+// Every rank's result is OK and bitwise equal to `ref`.
+void ExpectRanksMatch(const std::vector<Result<TuckerDecomposition>>& results,
+                      const TuckerDecomposition& ref, const std::string& what) {
+  for (std::size_t r = 0; r < results.size(); ++r) {
+    const std::string rank = what + " rank " + std::to_string(r);
+    ASSERT_TRUE(results[r].ok())
+        << rank << ": " << results[r].status().ToString();
+    ExpectBitwiseEqual(results[r].value(), ref, rank.c_str());
+  }
+}
+
 TEST(ShardedDTuckerTest, ExactRecoveryOfLowRankTensor) {
   // L = 12 frontal slices >= kShardChunkCount: every chunk is nonempty.
   Tensor x = MakeLowRankTensor({16, 14, 12}, {3, 3, 3}, 0.0, 2);
   Result<TuckerDecomposition> dec =
-      ShardedDTucker(x, MakeOptions({3, 3, 3}, 2));
+      DTucker(x, MakeOptions({3, 3, 3}, 2));
   ASSERT_TRUE(dec.ok()) << dec.status().ToString();
   EXPECT_LT(dec.value().RelativeErrorAgainst(x), 1e-12);
 }
@@ -59,12 +108,12 @@ TEST(ShardedDTuckerTest, ExactRecoveryOfLowRankTensor) {
 TEST(ShardedDTuckerTest, BitwiseIdenticalAcrossPowerOfTwoRankCounts) {
   Tensor x = MakeLowRankTensor({15, 13, 9}, {4, 4, 4}, 0.2, 3);
   Result<TuckerDecomposition> one =
-      ShardedDTucker(x, MakeOptions({4, 3, 3}, 1));
+      DTucker(x, MakeOptions({4, 3, 3}, 1));
   ASSERT_TRUE(one.ok()) << one.status().ToString();
   for (int num_ranks : {2, 4, 8}) {
     TuckerStats stats;
     Result<TuckerDecomposition> many =
-        ShardedDTucker(x, MakeOptions({4, 3, 3}, num_ranks), &stats);
+        DTucker(x, MakeOptions({4, 3, 3}, num_ranks), &stats);
     ASSERT_TRUE(many.ok()) << many.status().ToString();
     ExpectBitwiseEqual(many.value(), one.value(),
                        ("ranks=" + std::to_string(num_ranks)).c_str());
@@ -76,10 +125,10 @@ TEST(ShardedDTuckerTest, FourOrderTensorBitwiseAcrossRankCounts) {
   // Order 4: the slice dimension is the trailing-mode volume 3 * 4 = 12.
   Tensor x = MakeLowRankTensor({10, 9, 3, 4}, {2, 2, 2, 2}, 0.1, 4);
   Result<TuckerDecomposition> one =
-      ShardedDTucker(x, MakeOptions({3, 3, 2, 2}, 1));
+      DTucker(x, MakeOptions({3, 3, 2, 2}, 1));
   ASSERT_TRUE(one.ok()) << one.status().ToString();
   Result<TuckerDecomposition> four =
-      ShardedDTucker(x, MakeOptions({3, 3, 2, 2}, 4));
+      DTucker(x, MakeOptions({3, 3, 2, 2}, 4));
   ASSERT_TRUE(four.ok()) << four.status().ToString();
   ExpectBitwiseEqual(four.value(), one.value(), "order-4 ranks=4");
   EXPECT_LT(four.value().RelativeErrorAgainst(x), 0.2);
@@ -135,21 +184,25 @@ TEST(ShardedDTuckerTest, EveryWayOfRunningIsBitwiseIdentical) {
     eopt.blas_threads = threads;
     engine_runs(eopt, what + " Engine");
   }
+  SetBlasThreads(1);
   for (int num_ranks : {1, 2, 4, 8}) {
     const std::string what = "ranks=" + std::to_string(num_ranks);
-    ShardedDTuckerOptions sopt;
-    sopt.dtucker = opt;
-    sopt.num_ranks = num_ranks;
-    expect_ref(ShardedDTucker(x, sopt), what + " ShardedDTucker");
-    expect_ref(ShardedDTuckerFromApproximation(approx.value(), sopt),
-               what + " ShardedDTuckerFromApproximation");
-    expect_ref(ShardedDTuckerFromFile(path, sopt),
-               what + " ShardedDTuckerFromFile");
+    for (int entry = 0; entry < 3; ++entry) {
+      ExpectRanksMatch(
+          RunInProcessSpmdRanks(
+              num_ranks,
+              [&](Communicator* c) {
+                return entry == 0   ? ShardedDTuckerRank(x, opt, c)
+                       : entry == 1 ? ShardedDTuckerRankFromFile(path, opt, c)
+                                    : ShardedDTuckerRankFromApproximation(
+                                          approx.value(), opt, c);
+              }),
+          ref.value(), what + " SPMD entry " + std::to_string(entry));
+    }
     EngineOptions eopt;
     eopt.num_ranks = num_ranks;
     engine_runs(eopt, what + " Engine");
   }
-  SetBlasThreads(1);
   std::remove(path.c_str());
 }
 
@@ -224,41 +277,58 @@ TEST(ShardedDTuckerTest, PhaseTimesAddUpToWallTimeAtFourThreads) {
 TEST(ShardedDTuckerTest, DegenerateShardsStayInLockstep) {
   // 9 ranks over 9 slices with an 8-chunk grid: at least one rank owns
   // zero slices and must still complete every collective.
+  // In-process solves never start such ranks (RanksForThreads caps them
+  // at the chunk count), so the SPMD entry is driven directly.
   Tensor x = MakeLowRankTensor({12, 11, 9}, {3, 3, 3}, 0.1, 6);
+  const DTuckerOptions opt = MakeOptions({3, 3, 3}, 1);
   TuckerStats stats;
-  ShardedDTuckerOptions opt = MakeOptions({3, 3, 3}, 9);
-  opt.comm_timeout_seconds = 10;  // A lockstep bug should fail, not hang.
-  Result<TuckerDecomposition> dec = ShardedDTucker(x, opt, &stats);
-  ASSERT_TRUE(dec.ok()) << dec.status().ToString();
+  const std::vector<Result<TuckerDecomposition>> results =
+      RunInProcessSpmdRanks(9, [&](Communicator* c) {
+        return ShardedDTuckerRank(x, opt, c, c->rank() == 0 ? &stats : nullptr);
+      });
+  Result<TuckerDecomposition> ref = DTucker(x, opt);
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  ExpectRanksMatch(results, ref.value(), "9 ranks");
   EXPECT_EQ(stats.completion, StatusCode::kOk);
-  EXPECT_LT(dec.value().RelativeErrorAgainst(x), 0.1);
+  EXPECT_LT(ref.value().RelativeErrorAgainst(x), 0.1);
+}
+
+// An Engine solve with an explicit rank count, or its error.
+Result<EngineRun> SolveWithRanks(const Tensor& x, std::vector<Index> ranks,
+                                 int num_ranks) {
+  EngineOptions eopt;
+  eopt.num_ranks = num_ranks;
+  eopt.method_options.tucker.ranks = std::move(ranks);
+  Engine engine(std::move(eopt));
+  return engine.Solve(x);
 }
 
 TEST(ShardedDTuckerTest, ValidateRejectsMoreRanksThanSlices) {
   Tensor x = MakeLowRankTensor({8, 7, 4}, {2, 2, 2}, 0.0, 7);
-  Result<TuckerDecomposition> dec =
-      ShardedDTucker(x, MakeOptions({2, 2, 2}, 5));
-  ASSERT_FALSE(dec.ok());
-  EXPECT_EQ(dec.status().code(), StatusCode::kInvalidArgument);
+  Result<EngineRun> run = SolveWithRanks(x, {2, 2, 2}, 5);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(run.status().message().find("exceeds the slice count L=4"),
+            std::string::npos)
+      << run.status().ToString();
 }
 
 TEST(ShardedDTuckerTest, ValidateRejectsBadRankCountAndTimeout) {
   Tensor x = MakeLowRankTensor({8, 7, 4}, {2, 2, 2}, 0.0, 7);
-  EXPECT_FALSE(ShardedDTucker(x, MakeOptions({2, 2, 2}, 0)).ok());
-  ShardedDTuckerOptions opt = MakeOptions({2, 2, 2}, 2);
-  opt.comm_timeout_seconds = 0;
-  EXPECT_FALSE(ShardedDTucker(x, opt).ok());
+  Result<EngineRun> run = SolveWithRanks(x, {2, 2, 2}, -1);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ShardedDTuckerTest, FromFileMatchesInMemoryBitwise) {
   Tensor x = MakeLowRankTensor({14, 12, 10}, {3, 3, 3}, 0.2, 8);
   const std::string path = ::testing::TempDir() + "/sharded.dtnsr";
   ASSERT_TRUE(SaveTensor(x, path).ok());
-  ShardedDTuckerOptions opt = MakeOptions({3, 3, 3}, 2);
-  Result<TuckerDecomposition> mem = ShardedDTucker(x, opt);
+  const DTuckerOptions opt = MakeOptions({3, 3, 3}, 2);
+  Result<TuckerDecomposition> mem = DTucker(x, opt);
   ASSERT_TRUE(mem.ok()) << mem.status().ToString();
   TuckerStats stats;
-  Result<TuckerDecomposition> file = ShardedDTuckerFromFile(path, opt, &stats);
+  Result<TuckerDecomposition> file = DTuckerFromFile(path, opt, &stats);
   ASSERT_TRUE(file.ok()) << file.status().ToString();
   ExpectBitwiseEqual(file.value(), mem.value(), "from-file");
   // Out-of-core working set: the compressed shard, not the tensor.
@@ -271,35 +341,22 @@ TEST(ShardedDTuckerTest, SpmdEntryMatchesDriver) {
   // Drive the SPMD surface directly: one ShardedDTuckerRank call per rank
   // thread over an explicit group, as a multi-process launcher would.
   Tensor x = MakeLowRankTensor({13, 11, 8}, {3, 3, 3}, 0.15, 9);
-  ShardedDTuckerOptions opt = MakeOptions({3, 3, 2}, 2);
-  Result<TuckerDecomposition> driver = ShardedDTucker(x, opt);
+  const DTuckerOptions opt = MakeOptions({3, 3, 2}, 2);
+  Result<TuckerDecomposition> driver = DTucker(x, opt);
   ASSERT_TRUE(driver.ok()) << driver.status().ToString();
 
-  auto group = InProcessGroup::Create(2);
-  std::vector<Result<TuckerDecomposition>> results;
-  results.emplace_back(Status::InvalidArgument("unset"));
-  results.emplace_back(Status::InvalidArgument("unset"));
-  std::thread peer([&] {
-    results[1] = ShardedDTuckerRank(x, opt.dtucker, group->comm(1));
-  });
-  results[0] = ShardedDTuckerRank(x, opt.dtucker, group->comm(0));
-  peer.join();
-  for (int r = 0; r < 2; ++r) {
-    ASSERT_TRUE(results[r].ok()) << "rank " << r << ": "
-                                 << results[r].status().ToString();
-    // Every rank exits with the full, identical decomposition.
-    ExpectBitwiseEqual(results[r].value(), driver.value(),
-                       ("spmd rank " + std::to_string(r)).c_str());
-  }
+  // Every rank exits with the full, identical decomposition.
+  auto solve = [&](Communicator* c) { return ShardedDTuckerRank(x, opt, c); };
+  ExpectRanksMatch(RunInProcessSpmdRanks(2, solve), driver.value(), "spmd");
 }
 
 TEST(ShardedDTuckerTest, CancelBeforeStartFailsCleanly) {
   Tensor x = MakeLowRankTensor({12, 10, 8}, {3, 3, 3}, 0.1, 10);
   RunContext ctx;
   ctx.RequestCancel();
-  ShardedDTuckerOptions opt = MakeOptions({3, 3, 3}, 2);
-  opt.dtucker.tucker.run_context = &ctx;
-  Result<TuckerDecomposition> dec = ShardedDTucker(x, opt);
+  DTuckerOptions opt = MakeOptions({3, 3, 3}, 2);
+  opt.tucker.run_context = &ctx;
+  Result<TuckerDecomposition> dec = DTucker(x, opt);
   // No usable state exists yet: the run surfaces as an error, on every
   // rank, without deadlocking the group.
   ASSERT_FALSE(dec.ok());
@@ -309,14 +366,14 @@ TEST(ShardedDTuckerTest, CancelBeforeStartFailsCleanly) {
 TEST(ShardedDTuckerTest, MidRunCancelReturnsLastCompletedSweep) {
   Tensor x = MakeLowRankTensor({15, 13, 9}, {4, 4, 4}, 0.3, 11);
   RunContext ctx;
-  ShardedDTuckerOptions opt = MakeOptions({4, 4, 4}, 2, 20);
-  opt.dtucker.tucker.tolerance = 0;  // Never converge; only the cancel stops it.
-  opt.dtucker.tucker.run_context = &ctx;
-  opt.dtucker.sweep_callback = [&](const SweepTelemetry& t) {
+  DTuckerOptions opt = MakeOptions({4, 4, 4}, 2, 20);
+  opt.tucker.tolerance = 0;  // Never converge; only the cancel stops it.
+  opt.tucker.run_context = &ctx;
+  opt.sweep_callback = [&](const SweepTelemetry& t) {
     if (t.sweep >= 2) ctx.RequestCancel();
   };
   TuckerStats stats;
-  Result<TuckerDecomposition> dec = ShardedDTucker(x, opt, &stats);
+  Result<TuckerDecomposition> dec = DTucker(x, opt, &stats);
   // Best-so-far semantics: a valid decomposition plus a kCancelled
   // completion code, agreed at a sweep boundary by both ranks.
   ASSERT_TRUE(dec.ok()) << dec.status().ToString();
@@ -342,36 +399,45 @@ TEST(ShardedDTuckerTest, AutoReorderAtFourThreadsMatchesOneThread) {
   Result<TuckerDecomposition> four = DTucker(x, opt);
   ASSERT_TRUE(four.ok()) << four.status().ToString();
   ExpectBitwiseEqual(four.value(), one.value(), "auto_reorder threads=4");
-  ShardedDTuckerOptions sopt;
-  sopt.dtucker = opt;
-  sopt.num_ranks = 4;
-  Result<TuckerDecomposition> ranks = ShardedDTucker(x, sopt);
-  ASSERT_TRUE(ranks.ok()) << ranks.status().ToString();
-  ExpectBitwiseEqual(ranks.value(), one.value(), "auto_reorder ranks=4");
+  auto solve = [&](Communicator* c) { return ShardedDTuckerRank(x, opt, c); };
+  ExpectRanksMatch(RunInProcessSpmdRanks(4, solve), one.value(),
+                   "auto_reorder spmd ranks=4");
 }
 
 TEST(ShardedDTuckerTest, BitwiseIdenticalAcrossAllThreeTransports) {
   // The transport contract end-to-end: a full sharded solve produces the
   // same bits whether the ranks exchange buffers through in-process
-  // mailboxes or a shm segment — and each transport also reproduces the
-  // 1-rank run. (The name predates the file transport's removal.)
+  // mailboxes (DTucker's rank threads) or a shm segment (SPMD ranks, here
+  // on test threads) — and each reproduces the 1-rank run. (The name
+  // predates the file transport's removal.)
   Tensor x = MakeLowRankTensor({15, 13, 9}, {4, 4, 4}, 0.2, 3);
-  Result<TuckerDecomposition> one =
-      ShardedDTucker(x, MakeOptions({4, 3, 3}, 1));
+  const DTuckerOptions opt = MakeOptions({4, 3, 3}, 1);
+  Result<TuckerDecomposition> one = DTucker(x, opt);
   ASSERT_TRUE(one.ok()) << one.status().ToString();
-  for (CommTransport transport :
-       {CommTransport::kInProcess, CommTransport::kShm}) {
-    for (int num_ranks : {2, 4}) {
-      ShardedDTuckerOptions opt = MakeOptions({4, 3, 3}, num_ranks);
-      opt.transport = transport;
-      Result<TuckerDecomposition> dec = ShardedDTucker(x, opt);
-      ASSERT_TRUE(dec.ok()) << CommTransportName(transport) << ": "
-                            << dec.status().ToString();
-      ExpectBitwiseEqual(dec.value(), one.value(),
-                         (std::string(CommTransportName(transport)) +
-                          " ranks=" + std::to_string(num_ranks))
-                             .c_str());
+  auto solve = [&](Communicator* c) { return ShardedDTuckerRank(x, opt, c); };
+  for (int num_ranks : {2, 4}) {
+    Result<TuckerDecomposition> inproc =
+        DTucker(x, MakeOptions({4, 3, 3}, num_ranks));
+    ASSERT_TRUE(inproc.ok()) << inproc.status().ToString();
+    ExpectBitwiseEqual(inproc.value(), one.value(),
+                       ("inproc ranks=" + std::to_string(num_ranks)).c_str());
+
+    // Rank 0 creates the segment before its peers map it; its destructor
+    // unlinks it.
+    const std::string name = "/dtucker-sharded-test-" +
+                             std::to_string(::getpid()) + "-" +
+                             std::to_string(num_ranks);
+    std::vector<std::unique_ptr<Communicator>> owned;
+    std::vector<Communicator*> comms;
+    for (int r = 0; r < num_ranks; ++r) {
+      Result<std::unique_ptr<Communicator>> c =
+          CreateShmCommunicator(name, r, num_ranks);
+      ASSERT_TRUE(c.ok()) << c.status().ToString();
+      owned.push_back(std::move(c).ValueOrDie());
+      comms.push_back(owned.back().get());
     }
+    ExpectRanksMatch(RunSpmdRanks(comms, solve), one.value(),
+                     "shm ranks=" + std::to_string(num_ranks));
   }
 }
 
@@ -381,11 +447,11 @@ TEST(ShardedDTuckerTest, NonPowerOfTwoRankCountsMatchFitTo4Digits) {
   // 1-rank run bit for bit — and so its fit, to every digit.
   Tensor x = MakeLowRankTensor({18, 16, 12}, {4, 4, 4}, 0.25, 21);
   Result<TuckerDecomposition> one =
-      ShardedDTucker(x, MakeOptions({4, 4, 4}, 1));
+      DTucker(x, MakeOptions({4, 4, 4}, 1));
   ASSERT_TRUE(one.ok()) << one.status().ToString();
   for (int num_ranks : {3, 5, 6, 7}) {
     Result<TuckerDecomposition> many =
-        ShardedDTucker(x, MakeOptions({4, 4, 4}, num_ranks));
+        DTucker(x, MakeOptions({4, 4, 4}, num_ranks));
     ASSERT_TRUE(many.ok()) << many.status().ToString();
     ExpectBitwiseEqual(many.value(), one.value(),
                        ("ranks=" + std::to_string(num_ranks)).c_str());
@@ -399,11 +465,11 @@ TEST(ShardedDTuckerTest, ReplicatedTrailingFallbackStaysBitwise) {
   // bitwise identity must hold on that reduction shape too.
   Tensor x = MakeLowRankTensor({15, 13, 9}, {4, 4, 4}, 0.2, 3);
   Result<TuckerDecomposition> one =
-      ShardedDTucker(x, MakeOptions({4, 3, 3}, 1));
+      DTucker(x, MakeOptions({4, 3, 3}, 1));
   ASSERT_TRUE(one.ok()) << one.status().ToString();
   for (int num_ranks : {2, 3, 4}) {
     Result<TuckerDecomposition> many =
-        ShardedDTucker(x, MakeOptions({4, 3, 3}, num_ranks));
+        DTucker(x, MakeOptions({4, 3, 3}, num_ranks));
     ASSERT_TRUE(many.ok()) << many.status().ToString();
     ExpectBitwiseEqual(many.value(), one.value(),
                        ("gathered trailing ranks=" +
@@ -466,12 +532,12 @@ TEST(ShardedDTuckerTest, OversizedTrailingRankFallsBackAndStaysBitwise) {
   // rank count.
   Tensor x = MakeLowRankTensor({16, 14, 12}, {2, 2, 5}, 0.15, 17);
   Result<TuckerDecomposition> one =
-      ShardedDTucker(x, MakeOptions({2, 2, 5}, 1));
+      DTucker(x, MakeOptions({2, 2, 5}, 1));
   ASSERT_TRUE(one.ok()) << one.status().ToString();
   EXPECT_LT(one.value().RelativeErrorAgainst(x), 0.1);
   for (int num_ranks : {2, 3, 4}) {
     Result<TuckerDecomposition> many =
-        ShardedDTucker(x, MakeOptions({2, 2, 5}, num_ranks));
+        DTucker(x, MakeOptions({2, 2, 5}, num_ranks));
     ASSERT_TRUE(many.ok()) << many.status().ToString();
     ExpectBitwiseEqual(many.value(), one.value(),
                        ("oversized trailing ranks=" +
@@ -482,11 +548,14 @@ TEST(ShardedDTuckerTest, OversizedTrailingRankFallsBackAndStaysBitwise) {
 
 TEST(ShardedEngineTest, SolveRoutesThroughShardedPath) {
   Tensor x = MakeLowRankTensor({14, 12, 9}, {3, 3, 3}, 0.2, 13);
-  EngineRun runs[2];
-  int num_ranks[2] = {1, 4};
-  for (int i = 0; i < 2; ++i) {
+  // Runs 0 and 1 set num_ranks 1 and 4; run 2 sets num_threads 4, the
+  // same in-process path, which must report the same numbers.
+  EngineRun runs[3];
+  const int num_ranks[3] = {1, 4, 0};
+  for (int i = 0; i < 3; ++i) {
     EngineOptions eopt;
     eopt.num_ranks = num_ranks[i];
+    if (i == 2) eopt.method_options.num_threads = 4;
     eopt.method_options.tucker.ranks = {3, 3, 3};
     eopt.method_options.tucker.max_iterations = 6;
     Engine engine(std::move(eopt));
@@ -497,8 +566,12 @@ TEST(ShardedEngineTest, SolveRoutesThroughShardedPath) {
   }
   ExpectBitwiseEqual(runs[0].decomposition, runs[1].decomposition,
                      "engine ranks 1 vs 4");
+  ExpectBitwiseEqual(runs[2].decomposition, runs[1].decomposition,
+                     "engine threads 4 vs ranks 4");
   EXPECT_EQ(runs[0].relative_error, runs[1].relative_error);
   EXPECT_GT(runs[0].stored_bytes, 0u);
+  EXPECT_EQ(runs[2].stored_bytes, runs[1].stored_bytes);
+  EXPECT_EQ(runs[2].relative_error, runs[1].relative_error);
 }
 
 TEST(ShardedEngineTest, NumRanksRequiresDTucker) {
