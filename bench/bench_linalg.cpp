@@ -1,6 +1,8 @@
 // Microbenchmarks for the hand-written linear-algebra substrate.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "common/rng.h"
 #include "fft/fft.h"
 #include "linalg/blas.h"
@@ -169,6 +171,29 @@ BENCHMARK(BM_QrOrthonormalize)
     ->Args({8192, 128})
     ->Args({1024, 256});
 
+// The slice rSVD's panel orthonormalizer on its I x (J + p) panels. The
+// flop counter models the useful work: two symmetric Grams and two
+// triangular solves, m k^2 flops each.
+void BM_CholeskyQr2(benchmark::State& state) {
+  const Index m = state.range(0);
+  const Index k = state.range(1);
+  Rng rng(3);
+  Matrix a = Matrix::GaussianRandom(m, k, rng);
+  Matrix q = Matrix::Uninitialized(m, k);
+  Matrix r = Matrix::Uninitialized(k, k);
+  for (auto _ : state) {
+    CholeskyQr2Raw(a.data(), m, k, q.data(), r.data());
+    benchmark::DoNotOptimize(q.data());
+    benchmark::DoNotOptimize(r.data());
+    benchmark::ClobberMemory();
+  }
+  const double flops = 4.0 * static_cast<double>(m) * static_cast<double>(k) *
+                       static_cast<double>(k);
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      flops * 1e-9, benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_CholeskyQr2)->Args({80, 15})->Args({256, 15})->Args({1024, 15});
+
 // The level-2 reference: the ratio to BM_QrOrthonormalize at the same
 // shape is the speedup delivered by the compact-WY blocking.
 void BM_QrOrthonormalizeUnblocked(benchmark::State& state) {
@@ -248,6 +273,45 @@ BENCHMARK(BM_RandomizedSvd)
     ->Args({512, 256})
     ->Args({1024, 1024})
     ->Args({4096, 512});
+
+// The approximation phase's unit of work: one group of kRsvdGroupSize
+// slices, each sketched, then one batched core SVD, then each slice's
+// factors. us/slice is the wall time per slice; GFLOP/s uses
+// BM_RandomizedSvd's pass model.
+void BM_SliceRsvdGroup(benchmark::State& state) {
+  const Index m = state.range(0);
+  const Index n = state.range(1);
+  Rng rng(5);
+  std::vector<Matrix> slices;
+  for (int l = 0; l < kRsvdGroupSize; ++l) {
+    slices.push_back(Matrix::GaussianRandom(m, n, rng));
+  }
+  RsvdOptions opt;
+  opt.rank = 10;
+  opt.oversampling = 5;
+  RsvdGroup group(m, n, opt);
+  for (auto _ : state) {
+    for (int l = 0; l < kRsvdGroupSize; ++l) {
+      group.Sketch(l, slices[static_cast<std::size_t>(l)].data(), 42 + l);
+    }
+    group.Solve(kRsvdGroupSize);
+    for (int l = 0; l < kRsvdGroupSize; ++l) {
+      SvdResult svd = group.Extract(l, group.target());
+      benchmark::DoNotOptimize(svd.u.data());
+    }
+  }
+  const Index sketch = opt.rank + opt.oversampling;
+  const double passes = 2.0 * opt.power_iterations + 1.0;
+  const double flops = kRsvdGroupSize * passes * 2.0 * static_cast<double>(m) *
+                       static_cast<double>(n) * static_cast<double>(sketch);
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      flops * 1e-9, benchmark::Counter::kIsIterationInvariantRate);
+  state.counters["us/slice"] = benchmark::Counter(
+      kRsvdGroupSize * 1e-6,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SliceRsvdGroup)->Args({80, 60})->Args({256, 256});
 
 Matrix BenchSymmetric(Index n) {
   Rng rng(11);

@@ -25,16 +25,29 @@ Rng::Rng(uint64_t seed) {
   for (auto& s : s_) s = SplitMix64(x);
 }
 
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
+namespace {
+
+// One xoshiro256++ step on `s`.
+inline uint64_t Xoshiro256pp(uint64_t* s) {
+  const uint64_t result = Rotl(s[0] + s[3], 23) + s[0];
+  const uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = Rotl(s[3], 45);
   return result;
+}
+
+}  // namespace
+
+uint64_t Rng::NextU64() { return Xoshiro256pp(s_); }
+
+void Rng::FillU64(uint64_t* out, std::size_t n) {
+  uint64_t s[4] = {s_[0], s_[1], s_[2], s_[3]};
+  for (std::size_t i = 0; i < n; ++i) out[i] = Xoshiro256pp(s);
+  for (int i = 0; i < 4; ++i) s_[i] = s[i];
 }
 
 double Rng::Uniform() {

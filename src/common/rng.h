@@ -22,6 +22,10 @@ class Rng {
   // Next raw 64-bit value.
   uint64_t NextU64();
 
+  // The next n raw values, as n calls of NextU64 would return them, with
+  // the state kept in registers across the batch.
+  void FillU64(uint64_t* out, std::size_t n);
+
   // Uniform double in [0, 1).
   double Uniform();
 

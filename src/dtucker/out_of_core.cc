@@ -25,8 +25,9 @@ Result<std::vector<SliceSvd>> ApproximateSliceRangeFromFile(
   // A retrying read, so a transient storage fault does not kill a
   // multi-hour streaming pass.
   DT_RETURN_NOT_OK(internal_dtucker::CompressSliceRange(
-      [&reader, &options](Index l, Matrix* slice) {
-        return reader.ReadFrontalSlicesWithRetry(l, 1, slice->data(),
+      [&reader, &options](Index l, double* buffer, const double** slice) {
+        *slice = buffer;
+        return reader.ReadFrontalSlicesWithRetry(l, 1, buffer,
                                                  options.run_context);
       },
       reader.dim(0), reader.dim(1), first, count, options, out.data()));

@@ -23,7 +23,6 @@
 #include "linalg/eigen_sym.h"
 #include "linalg/qr.h"
 #include "tensor/tensor_ops.h"
-#include "tensor/tensor_utils.h"
 #include "tucker/hosvd.h"
 
 namespace dtucker {
@@ -883,7 +882,6 @@ Result<TuckerDecomposition> ShardedDTuckerRank(const Tensor& x,
                                                Communicator* comm,
                                                TuckerStats* stats) {
   DT_RETURN_NOT_OK(options.Validate(x.shape()));
-  if (options.tucker.validate_input) DT_RETURN_NOT_OK(ValidateFinite(x));
   return internal_dtucker::SolveReordered(
       x, options, [&](const Tensor& xs, const DTuckerOptions& inner) {
         return SolveRankFromTensor(xs, inner, comm, stats);
@@ -926,7 +924,6 @@ Result<TuckerDecomposition> DTucker(const Tensor& x,
                                     const DTuckerOptions& options,
                                     TuckerStats* stats) {
   DT_RETURN_NOT_OK(options.Validate(x.shape()));
-  if (options.tucker.validate_input) DT_RETURN_NOT_OK(ValidateFinite(x));
   // Permuted before the ranks start, so every rank reads the same tensor
   // and the rank count follows the permuted slice count.
   return internal_dtucker::SolveReordered(

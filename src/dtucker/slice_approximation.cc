@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
+#include <string>
 
 #include "comm/sharding.h"
 #include "common/trace.h"
@@ -91,63 +93,116 @@ Status SliceApproximation::Validate() const {
 
 namespace internal_dtucker {
 
+namespace {
+
+// The smallest prefix of the descending values s[0, n) whose tail energy
+// is at most tolerance * total, floor 1.
+Index AdaptiveRank(const double* s, Index n, double total, double tolerance) {
+  double kept = 0.0;
+  for (Index j = 0; j < n; ++j) {
+    kept += s[j] * s[j];
+    if (total <= 0.0 || (total - kept) <= tolerance * total) return j + 1;
+  }
+  return std::max<Index>(1, n);
+}
+
+// The kExact ablation: full thin SVD of one slice, then truncation.
+SliceSvd ExactSliceSvd(const double* a, Index rows, Index cols, double total,
+                       const SliceApproximationOptions& options) {
+  Matrix slice = Matrix::Uninitialized(rows, cols);
+  std::memcpy(slice.data(), a,
+              static_cast<std::size_t>(rows * cols) * sizeof(double));
+  SvdResult svd = ThinSvd(slice);
+  svd.Truncate(options.slice_rank);
+  if (options.adaptive_tolerance > 0.0) {
+    svd.Truncate(AdaptiveRank(svd.s.data(), static_cast<Index>(svd.s.size()),
+                              total, options.adaptive_tolerance));
+  }
+  return SliceSvd{std::move(svd.u), std::move(svd.s), std::move(svd.v)};
+}
+
+}  // namespace
+
 Status CompressSliceRange(const SliceSource& read, Index rows, Index cols,
                           Index first, Index count,
                           const SliceApproximationOptions& options,
                           SliceSvd* out) {
   DT_TRACE_SPAN("dtucker.slice_range");
-  RsvdOptions base;
-  base.rank = options.slice_rank;
-  base.oversampling = options.oversampling;
-  base.power_iterations = options.power_iterations;
-  Matrix slice = Matrix::Uninitialized(rows, cols);  // Reused buffer.
-  for (Index i = 0; i < count; ++i) {
-    const StatusCode check = RunContext::CheckOrOk(options.run_context);
-    if (check != StatusCode::kOk) {
-      return Status(check, "slice approximation interrupted");
-    }
-    DT_TRACE_SPAN("dtucker.slice_svd");
-    const Index l = first + i;
-    DT_RETURN_NOT_OK(read(l, &slice));
-    // Extreme magnitudes denormalize the squared quantities inside the SVD
-    // (Gram entries, Jacobi dots); normalize the slice and fold the scale
-    // back into the singular values. Only applied outside a wide safe
-    // band, so ordinary inputs are bit-identical with or without it.
-    double scale = 1.0;
-    const double max_abs = slice.MaxAbs();
-    if (max_abs > 0.0 && (max_abs < 1e-100 || max_abs > 1e100)) {
-      scale = max_abs;
-      slice *= 1.0 / scale;
-    }
-    SvdResult svd;
-    if (options.method == SliceSvdMethod::kRandomized) {
-      RsvdOptions rsvd = base;
-      // Independent, deterministic test matrix per slice.
-      rsvd.seed = options.seed + static_cast<uint64_t>(l) * 0x9E3779B9ULL;
-      svd = RandomizedSvd(slice, rsvd);
-    } else {
-      svd = ThinSvd(slice);
-      svd.Truncate(options.slice_rank);
-    }
-    if (options.adaptive_tolerance > 0.0) {
-      // Keep the smallest prefix whose tail energy is below tolerance.
-      const double total = slice.SquaredNorm();
-      double kept = 0.0;
-      Index rank = static_cast<Index>(svd.s.size());
-      for (std::size_t j = 0; j < svd.s.size(); ++j) {
-        kept += svd.s[j] * svd.s[j];
-        if (total <= 0.0 ||
-            (total - kept) <= options.adaptive_tolerance * total) {
-          rank = static_cast<Index>(j + 1);
-          break;
-        }
+  if (count <= 0) return Status::OK();
+  const Index size = rows * cols;
+  const bool adaptive = options.adaptive_tolerance > 0.0;
+  const bool exact = options.method == SliceSvdMethod::kExact;
+  // Written only by file reads and rescales: in-memory slices at ordinary
+  // magnitudes are read in place and never fault this buffer in.
+  Matrix buffer = Matrix::Uninitialized(rows, cols);
+  RsvdOptions rsvd;
+  rsvd.rank = options.slice_rank;
+  rsvd.oversampling = options.oversampling;
+  rsvd.power_iterations = options.power_iterations;
+  std::optional<RsvdGroup> group;
+  if (!exact) {
+    group.emplace(rows, cols, rsvd,
+                  static_cast<int>(std::min<Index>(kRsvdGroupSize, count)));
+  }
+  double scale[kRsvdGroupSize] = {};
+  double total[kRsvdGroupSize] = {};
+  for (Index g0 = 0; g0 < count; g0 += kRsvdGroupSize) {
+    const int lanes =
+        static_cast<int>(std::min<Index>(kRsvdGroupSize, count - g0));
+    for (int lane = 0; lane < lanes; ++lane) {
+      const StatusCode check = RunContext::CheckOrOk(options.run_context);
+      if (check != StatusCode::kOk) {
+        return Status(check, "slice approximation interrupted");
       }
-      svd.Truncate(std::max<Index>(1, rank));
+      DT_TRACE_SPAN("dtucker.slice_svd");
+      const Index l = first + g0 + lane;
+      const double* a = nullptr;
+      DT_RETURN_NOT_OK(read(l, buffer.data(), &a));
+      bool finite = true;
+      const double max_abs = MaxAbsFinite(a, size, &finite);
+      if (!finite) {
+        return Status::InvalidArgument(
+            "slice " + std::to_string(l) +
+            " holds a non-finite value (NaN or infinity)");
+      }
+      // Extreme magnitudes overflow or denormalize the squared quantities
+      // inside the rSVD (the panels' Gram entries); normalize the slice and
+      // fold the scale back into the singular values. Only applied outside
+      // a wide safe band, so ordinary inputs are bit-identical with or
+      // without it.
+      scale[lane] = 1.0;
+      if (max_abs > 0.0 && (max_abs < 1e-100 || max_abs > 1e100)) {
+        scale[lane] = max_abs;
+        const double inv = 1.0 / max_abs;
+        double* dst = buffer.data();
+        for (Index i = 0; i < size; ++i) dst[i] = a[i] * inv;
+        a = dst;
+      }
+      if (adaptive) total[lane] = Dot(a, a, size);
+      if (exact) {
+        out[g0 + lane] = ExactSliceSvd(a, rows, cols, total[lane], options);
+        for (double& s : out[g0 + lane].s) s *= scale[lane];
+        continue;
+      }
+      // Independent, deterministic test matrix per slice.
+      group->Sketch(lane, a,
+                    options.seed + static_cast<uint64_t>(l) * 0x9E3779B9ULL);
     }
-    if (scale != 1.0) {
-      for (double& s : svd.s) s *= scale;
+    if (exact) continue;
+    group->Solve(lanes);
+    for (int lane = 0; lane < lanes; ++lane) {
+      Index keep = group->target();
+      if (adaptive) {
+        keep = AdaptiveRank(group->SingularValues(lane), keep, total[lane],
+                            options.adaptive_tolerance);
+      }
+      SvdResult svd = group->Extract(lane, keep);
+      if (scale[lane] != 1.0) {
+        for (double& s : svd.s) s *= scale[lane];
+      }
+      out[g0 + lane] =
+          SliceSvd{std::move(svd.u), std::move(svd.s), std::move(svd.v)};
     }
-    out[i] = SliceSvd{std::move(svd.u), std::move(svd.s), std::move(svd.v)};
   }
   return Status::OK();
 }
@@ -173,17 +228,14 @@ Status CheckSliceRange(const Tensor& x, Index first, Index count,
   return Status::OK();
 }
 
-// CompressSliceRange over the frontal slices of `x`, each copied into the
-// compressor's reused buffer.
+// CompressSliceRange over the frontal slices of `x`, read in place.
 Status CompressTensorSlices(const Tensor& x, Index first, Index count,
                             const SliceApproximationOptions& options,
                             SliceSvd* out) {
   const std::size_t slice_size = static_cast<std::size_t>(x.dim(0) * x.dim(1));
   return internal_dtucker::CompressSliceRange(
-      [&x, slice_size](Index l, Matrix* slice) {
-        std::memcpy(slice->data(),
-                    x.data() + static_cast<std::size_t>(l) * slice_size,
-                    slice_size * sizeof(double));
+      [&x, slice_size](Index l, double*, const double** slice) {
+        *slice = x.data() + static_cast<std::size_t>(l) * slice_size;
         return Status::OK();
       },
       x.dim(0), x.dim(1), first, count, options, out);

@@ -107,17 +107,24 @@ Result<std::vector<SliceSvd>> ApproximateSliceRange(
 
 namespace internal_dtucker {
 
-// Reads frontal slice l into `slice`, an I1 x I2 buffer reused across the
-// slices of one range.
-using SliceSource = std::function<Status(Index l, Matrix* slice)>;
+// Provides frontal slice l (I1 x I2, column-major): either points *slice at
+// storage the source owns (an in-memory tensor, read in place) or fills
+// `buffer`, an I1 x I2 scratch reused across the slices of one range, and
+// points *slice at it.
+using SliceSource =
+    std::function<Status(Index l, double* buffer, const double** slice)>;
 
 // The approximation phase's one per-slice compressor, shared by the
 // in-memory (ApproximateSliceRange) and file (ApproximateSliceRangeFromFile)
 // paths: compresses slices [first, first + count) of an I1 = rows by
 // I2 = cols slice grid, read through `read`, serially into out[0, count).
-// Polls the run context once per slice; the approximation phase has no
-// usable partial state, so an interruption is a hard stop. Arguments are
-// the caller's to validate.
+// Slices go through an RsvdGroup kRsvdGroupSize consecutive slices at a
+// time (rsvd/rsvd.h); a slice's bits do not depend on its group, so any
+// split of the slices into ranges gives the same result. Rejects a slice
+// holding a NaN or an infinity with InvalidArgument, found by the same
+// pass that measures its magnitude. Polls the run context once per slice;
+// the approximation phase has no usable partial state, so an interruption
+// is a hard stop. Arguments are the caller's to validate.
 Status CompressSliceRange(const SliceSource& read, Index rows, Index cols,
                           Index first, Index count,
                           const SliceApproximationOptions& options,

@@ -499,7 +499,12 @@ void TrsmLowerRaw(Index n, Index ncols, const double* l, Index ldl, double* x,
   }
 }
 
-double MaxAbs(const double* x, Index n) {
+namespace {
+
+// MaxAbs's loop; kCheckFinite also sums x - x, which is 0 for a finite
+// entry and NaN for a NaN or infinite one.
+template <bool kCheckFinite>
+double MaxAbsImpl(const double* x, Index n, bool* finite) {
   // Every accumulator runs the scalar rule m = (m < |v|) ? |v| : m, so NaN
   // entries never replace a value and the result is +0 when nothing beats
   // it; max is exact, so splitting the chain across independent lanes
@@ -507,10 +512,12 @@ double MaxAbs(const double* x, Index n) {
 #if defined(__GNUC__) || defined(__clang__)
   Vec acc0 = Vec{};
   Vec acc1 = Vec{};
+  Vec bad = Vec{};
   Index i = 0;
   for (; i + 2 * kVecLen <= n; i += 2 * kVecLen) {
     Vec v0 = *reinterpret_cast<const Vec*>(x + i);
     Vec v1 = *reinterpret_cast<const Vec*>(x + i + kVecLen);
+    if (kCheckFinite) bad += (v0 - v0) + (v1 - v1);
     v0 = v0 < 0.0 ? -v0 : v0;
     v1 = v1 < 0.0 ? -v1 : v1;
     acc0 = acc0 < v0 ? v0 : acc0;
@@ -518,16 +525,33 @@ double MaxAbs(const double* x, Index n) {
   }
   acc0 = acc0 < acc1 ? acc1 : acc0;
   double m = 0.0;
-  for (Index l = 0; l < kVecLen; ++l) m = m < acc0[l] ? acc0[l] : m;
+  double bad_sum = 0.0;
+  for (Index l = 0; l < kVecLen; ++l) {
+    m = m < acc0[l] ? acc0[l] : m;
+    bad_sum += bad[l];
+  }
 #else
   double m = 0.0;
+  double bad_sum = 0.0;
   Index i = 0;
 #endif
   for (; i < n; ++i) {
+    if (kCheckFinite) bad_sum += x[i] - x[i];
     const double a = std::fabs(x[i]);
     m = m < a ? a : m;
   }
+  if (kCheckFinite) *finite = bad_sum == 0.0;
   return m;
+}
+
+}  // namespace
+
+double MaxAbs(const double* x, Index n) {
+  return MaxAbsImpl<false>(x, n, nullptr);
+}
+
+double MaxAbsFinite(const double* x, Index n, bool* finite) {
+  return MaxAbsImpl<true>(x, n, finite);
 }
 
 double Nrm2(const double* x, Index n) {

@@ -41,6 +41,9 @@ void Scal(double alpha, double* x, Index n);
 double Nrm2(const double* x, Index n);
 // max_i |x_i|, ignoring NaN entries; 0 for an empty or all-NaN vector.
 double MaxAbs(const double* x, Index n);
+// MaxAbs(x, n), and in the same pass *finite = whether every entry is
+// finite (no NaN, no infinity).
+double MaxAbsFinite(const double* x, Index n, bool* finite);
 
 // Triangular kernels. `t`/`r`/`l` are n x n column-major with the given
 // leading dimension; entries outside the referenced triangle are never

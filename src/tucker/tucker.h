@@ -51,9 +51,11 @@ struct TuckerOptions {
   // Stop when the change of relative error between sweeps drops below this.
   double tolerance = 1e-4;
   uint64_t seed = 42;  // For randomized components.
-  // When true, solvers reject inputs containing NaN/Inf with
+  // When true, Tucker-ALS rejects inputs containing NaN/Inf with
   // InvalidArgument instead of silently propagating them (one O(size)
-  // scan; off by default to keep timing benchmarks clean).
+  // scan; off by default to keep timing benchmarks clean). D-Tucker
+  // ignores it: its slice compressor always rejects a non-finite slice, in
+  // the pass that already measures each slice's magnitude.
   bool validate_input = false;
   // Optional execution control (caller-owned, must outlive the solve).
   // When set, the solver polls it at bounded-work checkpoints and honors

@@ -169,6 +169,29 @@ TEST(BlasTest, MaxAbsMatchesNaiveLoopOnSpecialValues) {
   }
 }
 
+TEST(BlasTest, MaxAbsFiniteFlagsNanAndInfinityInOnePass) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(43);
+  for (Index n = 1; n <= 37; ++n) {
+    std::vector<double> v(static_cast<std::size_t>(n));
+    for (double& x : v) x = rng.Gaussian() * 1e300;
+    bool finite = false;
+    const double m = MaxAbsFinite(v.data(), n, &finite);
+    EXPECT_TRUE(finite) << "n=" << n;
+    EXPECT_EQ(m, MaxAbs(v.data(), n));
+    for (double special : {nan, -nan, inf, -inf}) {
+      for (Index pos = 0; pos < n; pos += 4) {
+        std::vector<double> w = v;
+        w[static_cast<std::size_t>(pos)] = special;
+        finite = true;
+        MaxAbsFinite(w.data(), n, &finite);
+        EXPECT_FALSE(finite) << "n=" << n << " pos=" << pos;
+      }
+    }
+  }
+}
+
 TEST(BlasTest, GramMatchesExplicit) {
   Rng rng(10);
   Matrix a = Matrix::GaussianRandom(20, 6, rng);

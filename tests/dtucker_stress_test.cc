@@ -8,13 +8,17 @@
 // (-DDTUCKER_SANITIZE=address).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.h"
 #include "dtucker/dtucker.h"
 #include "dtucker/slice_approximation.h"
 #include "linalg/blas.h"
+#include "linalg/svd.h"
+#include "rsvd/rsvd.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 
@@ -217,6 +221,117 @@ TEST_F(DTuckerStressTest, ModeProductIntoReusesAndMatchesModeProduct) {
     // Reuse the same workspace tensor across modes (shape changes).
     ModeProductInto(x, u, mode, Trans::kYes, &out);
     EXPECT_TRUE(BitwiseEqualTensor(ref, out)) << "mode " << mode;
+  }
+}
+
+// The slice compressor runs slices through groups of kRsvdGroupSize,
+// one slice per SIMD lane of the batched core SVD. A slice's bits must
+// not depend on which group or lane it lands in, so any split of the
+// slices into ranges (threads, ranks, online appends) is bitwise equal.
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.size()) * sizeof(double)) == 0;
+}
+
+bool SameSliceBits(const SliceSvd& a, const SliceSvd& b) {
+  return SameBits(a.u, b.u) && SameBits(a.v, b.v) && a.s.size() == b.s.size() &&
+         std::memcmp(a.s.data(), b.s.data(), a.s.size() * sizeof(double)) == 0;
+}
+
+Tensor LaneTestTensor() {
+  // 21 slices: groups of 8, 8 and 5 over the whole range.
+  Tensor x({30, 22, 21});
+  Rng rng(71);
+  for (Index l = 0; l < x.NumFrontalSlices(); ++l) {
+    const Index r = 2 + l % 7;
+    Matrix slice = Multiply(Matrix::GaussianRandom(30, r, rng),
+                            Matrix::GaussianRandom(r, 22, rng));
+    slice += Matrix::GaussianRandom(30, 22, rng) * 0.05;
+    x.SetFrontalSlice(l, slice);
+  }
+  return x;
+}
+
+TEST(SliceRsvdLaneTest, RangeSplitsAreBitwiseEqual) {
+  const Tensor x = LaneTestTensor();
+  const Index num_slices = x.NumFrontalSlices();
+  for (int q : {0, 1, 2}) {
+    for (double tolerance : {0.0, 0.01}) {
+      SliceApproximationOptions opt;
+      opt.slice_rank = 6;
+      opt.power_iterations = q;
+      opt.adaptive_tolerance = tolerance;
+      Result<std::vector<SliceSvd>> whole =
+          ApproximateSliceRange(x, 0, num_slices, opt);
+      ASSERT_TRUE(whole.ok());
+      for (Index step : {1, 3, 5}) {
+        for (Index first = 0; first < num_slices; first += step) {
+          const Index count = std::min(step, num_slices - first);
+          Result<std::vector<SliceSvd>> part =
+              ApproximateSliceRange(x, first, count, opt);
+          ASSERT_TRUE(part.ok());
+          for (Index i = 0; i < count; ++i) {
+            EXPECT_TRUE(SameSliceBits(
+                part.value()[static_cast<std::size_t>(i)],
+                whole.value()[static_cast<std::size_t>(first + i)]))
+                << "q=" << q << " tol=" << tolerance << " step=" << step
+                << " slice " << first + i;
+          }
+        }
+      }
+      // Threads split the range by rank: same bits again.
+      opt.num_threads = 3;
+      Result<SliceApproximation> threaded = ApproximateSlices(x, opt);
+      ASSERT_TRUE(threaded.ok());
+      for (Index l = 0; l < num_slices; ++l) {
+        EXPECT_TRUE(SameSliceBits(threaded.value().slices[l],
+                                  whole.value()[static_cast<std::size_t>(l)]))
+            << "threads, slice " << l;
+      }
+    }
+  }
+}
+
+TEST(SliceRsvdLaneTest, RandomizedSvdOfASliceMatchesTheCompressor) {
+  const Tensor x = LaneTestTensor();
+  SliceApproximationOptions opt;
+  opt.slice_rank = 6;
+  Result<std::vector<SliceSvd>> whole =
+      ApproximateSliceRange(x, 0, x.NumFrontalSlices(), opt);
+  ASSERT_TRUE(whole.ok());
+  for (Index l = 0; l < x.NumFrontalSlices(); ++l) {
+    RsvdOptions ro;
+    ro.rank = opt.slice_rank;
+    ro.oversampling = opt.oversampling;
+    ro.power_iterations = opt.power_iterations;
+    ro.seed = opt.seed + static_cast<uint64_t>(l) * 0x9E3779B9ULL;
+    SvdResult svd = RandomizedSvd(x.FrontalSlice(l), ro);
+    EXPECT_TRUE(SameSliceBits(SliceSvd{svd.u, svd.s, svd.v},
+                              whole.value()[static_cast<std::size_t>(l)]))
+        << "slice " << l;
+  }
+}
+
+TEST(SliceRsvdLaneTest, IdenticalSlicesGetIndependentSketches) {
+  // A shared test matrix would give identical slices identical bits (and
+  // make every slice of a shared row space miss the same directions).
+  Rng rng(72);
+  Matrix slice = Multiply(Matrix::GaussianRandom(40, 8, rng),
+                          Matrix::GaussianRandom(8, 30, rng));
+  slice += Matrix::GaussianRandom(40, 30, rng) * 0.3;
+  Tensor x({40, 30, 6});
+  for (Index l = 0; l < 6; ++l) x.SetFrontalSlice(l, slice);
+  SliceApproximationOptions opt;
+  opt.slice_rank = 5;
+  Result<std::vector<SliceSvd>> approx = ApproximateSliceRange(x, 0, 6, opt);
+  ASSERT_TRUE(approx.ok());
+  EXPECT_FALSE(SameSliceBits(approx.value()[0], approx.value()[1]));
+  SvdResult best = ThinSvd(slice);
+  best.Truncate(5);
+  const double optimal = (slice - best.Reconstruct()).SquaredNorm();
+  for (const SliceSvd& sl : approx.value()) {
+    EXPECT_LT((slice - sl.Reconstruct()).SquaredNorm(), 1.5 * optimal);
   }
 }
 

@@ -82,7 +82,7 @@ TEST(ObservabilityTest, TraceShowsNestedSpansForAllThreePhases) {
   for (const char* phase :
        {"dtucker.approximation", "dtucker.initialization",
         "dtucker.iteration", "dtucker.sweep", "dtucker.slice_svd",
-        "qr.thin", "rsvd"}) {
+        "qr.cholqr2", "rsvd"}) {
     EXPECT_TRUE(index.names.count(phase)) << "missing span: " << phase;
   }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "common/rng.h"
 #include "linalg/blas.h"
 
@@ -88,6 +93,82 @@ TEST(QrTest, LeastSquaresViaQr) {
   QrResult qr = ThinQr(a);
   Matrix x = SolveUpperTriangular(qr.r, MultiplyTN(qr.q, b));
   EXPECT_TRUE(AlmostEqual(x, x_true, 1e-10));
+}
+
+// An m x k panel U diag(sigma) W^T with orthonormal U and W and sigma
+// graded geometrically from 1 down to 1 / kappa.
+Matrix GradedPanel(Index m, Index k, double kappa, uint64_t seed) {
+  Rng rng(seed);
+  Matrix u = QrOrthonormalize(Matrix::GaussianRandom(m, k, rng));
+  Matrix w = QrOrthonormalize(Matrix::GaussianRandom(k, k, rng));
+  for (Index j = 0; j < k; ++j) {
+    const double sigma =
+        std::pow(kappa, -static_cast<double>(j) / static_cast<double>(k - 1));
+    for (Index i = 0; i < m; ++i) u(i, j) *= sigma;
+  }
+  return MultiplyNT(u, w);
+}
+
+double OrthonormalityError(const Matrix& q) {
+  return (MultiplyTN(q, q) - Matrix::Identity(q.cols())).FrobeniusNorm();
+}
+
+TEST(CholeskyQr2Test, WellConditionedPanelsStayOnTheCholeskyPath) {
+  const Index k = 15;
+  for (Index m : {80, 256, 1024}) {
+    for (double kappa : {1.0, 1e4, 1e6}) {
+      const Matrix y = GradedPanel(m, k, kappa, 7);
+      Matrix q = Matrix::Uninitialized(m, k);
+      Matrix r = Matrix::Uninitialized(k, k);
+      EXPECT_TRUE(CholeskyQr2Raw(y.data(), m, k, q.data(), r.data()))
+          << "m=" << m << " kappa=" << kappa;
+      EXPECT_LE(OrthonormalityError(q), 1e-14 * k)
+          << "m=" << m << " kappa=" << kappa;
+      EXPECT_LE((Multiply(q, r) - y).FrobeniusNorm(), 1e-14 * y.FrobeniusNorm())
+          << "m=" << m << " kappa=" << kappa;
+      for (Index j = 0; j < k; ++j) {
+        for (Index i = j + 1; i < k; ++i) EXPECT_EQ(r(i, j), 0.0);
+      }
+    }
+  }
+}
+
+TEST(CholeskyQr2Test, IllConditionedAndDeficientPanelsFallBackToHouseholder) {
+  const Index m = 256;
+  const Index k = 15;
+  std::vector<Matrix> panels = {GradedPanel(m, k, 1e9, 8),
+                                GradedPanel(m, k, 1e14, 9)};
+  Rng rng(10);
+  Matrix low = Multiply(Matrix::GaussianRandom(m, 6, rng),
+                        Matrix::GaussianRandom(6, k, rng));  // Rank 6.
+  panels.push_back(low);
+  Matrix zero_col = Matrix::GaussianRandom(m, k, rng);
+  for (Index i = 0; i < m; ++i) zero_col(i, 4) = 0.0;
+  panels.push_back(zero_col);
+  panels.push_back(Matrix(m, k));  // All zero.
+  for (std::size_t t = 0; t < panels.size(); ++t) {
+    const Matrix& y = panels[t];
+    Matrix q = Matrix::Uninitialized(m, k);
+    Matrix r = Matrix::Uninitialized(k, k);
+    EXPECT_FALSE(CholeskyQr2Raw(y.data(), m, k, q.data(), r.data()))
+        << "panel " << t;
+    EXPECT_LE(OrthonormalityError(q), 1e-14 * k) << "panel " << t;
+    EXPECT_LE((Multiply(q, r) - y).FrobeniusNorm(),
+              1e-13 * std::max(1.0, y.FrobeniusNorm()))
+        << "panel " << t;
+    // Without R the fallback still returns an orthonormal Q.
+    Matrix q_only = Matrix::Uninitialized(m, k);
+    EXPECT_FALSE(CholeskyQr2Raw(y.data(), m, k, q_only.data(), nullptr));
+    EXPECT_LE(OrthonormalityError(q_only), 1e-14 * k) << "panel " << t;
+  }
+}
+
+TEST(CholeskyQr2Test, NonFiniteGramTakesTheFallback) {
+  Rng rng(11);
+  Matrix y = Matrix::GaussianRandom(40, 5, rng);
+  y(3, 2) = std::numeric_limits<double>::infinity();
+  Matrix q = Matrix::Uninitialized(40, 5);
+  EXPECT_FALSE(CholeskyQr2Raw(y.data(), 40, 5, q.data(), nullptr));
 }
 
 }  // namespace

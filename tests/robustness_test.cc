@@ -5,12 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <limits>
+#include <string>
 
 #include "baselines/registry.h"
 #include "common/rng.h"
 #include "data/generators.h"
+#include "data/tensor_io.h"
 #include "dtucker/dtucker.h"
+#include "dtucker/engine.h"
 #include "dtucker/online_dtucker.h"
+#include "dtucker/out_of_core.h"
 #include "tensor/tensor_utils.h"
 #include "tucker/tucker_als.h"
 
@@ -120,6 +126,28 @@ TEST(RobustnessTest, TinyValuesDoNotUnderflowToGarbage) {
   EXPECT_LT(dec.value().RelativeErrorAgainst(x), 0.1);
 }
 
+TEST(RobustnessTest, LargeValuesInsideTheRescaleBandKeepTheirAccuracy) {
+  // Slices up to 1e100 are not rescaled; their cores' squared column norms
+  // pass 1e300, which the core SVD must survive without losing accuracy.
+  const Tensor base = MakeLowRankTensor({20, 16, 8}, {3, 3, 3}, 0.1, 7);
+  DTuckerOptions opt;
+  opt.tucker.ranks = {3, 3, 3};
+  opt.tucker.max_iterations = 5;
+  Result<TuckerDecomposition> ref = DTucker(base, opt);
+  ASSERT_TRUE(ref.ok());
+  const double ref_error = ref.value().RelativeErrorAgainst(base);
+  for (double scale : {1e90, 1e-90}) {
+    Tensor x = base;
+    x *= scale;
+    Result<TuckerDecomposition> dec = DTucker(x, opt);
+    ASSERT_TRUE(dec.ok());
+    EXPECT_TRUE(DecompositionIsFinite(dec.value()));
+    EXPECT_NEAR(dec.value().RelativeErrorAgainst(x), ref_error,
+                1e-6 * ref_error)
+        << "scale " << scale;
+  }
+}
+
 TEST(RobustnessTest, HugeValuesDoNotOverflow) {
   Tensor x = MakeLowRankTensor({10, 9, 8}, {2, 2, 2}, 0.1, 6);
   x *= 1e120;  // Squared norms reach 1e246 — still finite in double.
@@ -142,6 +170,51 @@ TEST(RobustnessTest, OnlineWithZeroChunk) {
   ASSERT_TRUE(online.Append(zeros).ok());
   EXPECT_TRUE(DecompositionIsFinite(online.decomposition()));
   EXPECT_EQ(online.shape()[2], 10);
+}
+
+TEST(RobustnessTest, NonFiniteSliceIsRejectedEverywhere) {
+  // D-Tucker checks every slice as it compresses it, whatever
+  // validate_input says: memory and file input, any thread count, and the
+  // Engine's file entry point.
+  const std::string path = ::testing::TempDir() + "/nonfinite.dtnsr";
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    Tensor x = MakeLowRankTensor({24, 20, 12}, {3, 3, 3}, 0.1, 31);
+    x(7, 3, 5) = bad;  // Slice 5.
+    ASSERT_TRUE(SaveTensor(x, path).ok());
+    for (int threads : {1, 4}) {
+      DTuckerOptions opt;
+      opt.tucker.ranks = {3, 3, 3};
+      opt.num_threads = threads;
+      Result<TuckerDecomposition> mem = DTucker(x, opt);
+      Result<TuckerDecomposition> file = DTuckerFromFile(path, opt);
+      for (const Result<TuckerDecomposition>* r : {&mem, &file}) {
+        ASSERT_FALSE(r->ok()) << "bad=" << bad << " threads=" << threads;
+        EXPECT_EQ(r->status().code(), StatusCode::kInvalidArgument);
+        if (threads == 1) {
+          EXPECT_NE(r->status().message().find("slice 5"), std::string::npos)
+              << r->status().ToString();
+        }
+      }
+    }
+    EngineOptions eopt;
+    eopt.method_options.tucker.ranks = {3, 3, 3};
+    Engine engine(std::move(eopt));
+    Result<EngineRun> run = engine.SolveFile(path);
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+    std::remove(path.c_str());
+
+    // An online append of the bad chunk is refused too.
+    OnlineDTuckerOptions oopt;
+    oopt.dtucker.tucker.ranks = {3, 3, 3};
+    OnlineDTucker online(oopt);
+    ASSERT_TRUE(online.Initialize(
+        MakeLowRankTensor({24, 20, 6}, {3, 3, 3}, 0.1, 32)).ok());
+    Tensor chunk = MakeLowRankTensor({24, 20, 4}, {3, 3, 3}, 0.1, 33);
+    chunk(2, 2, 1) = bad;
+    EXPECT_EQ(online.Append(chunk).code(), StatusCode::kInvalidArgument);
+  }
 }
 
 }  // namespace
