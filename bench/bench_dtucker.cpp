@@ -1,50 +1,16 @@
 // Microbenchmarks for the D-Tucker iteration phase: the matricization-free
 // mode-n Gram kernel, the slice kernels of the carrier builders, one HOOI
-// sweep, and the end-to-end pipeline. The binary
-// installs a global allocation probe so BM_ModeGram can assert the kernel
+// sweep, and the end-to-end pipeline. The binary links the global
+// allocation probe (alloc_probe.h) so BM_ModeGram can assert the kernel
 // never materializes an unfolding-sized copy.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <cstdint>
-#include <cstdlib>
-#include <new>
-
+#include "alloc_probe.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "dtucker/dtucker.h"
 #include "linalg/blas.h"
 #include "tensor/tensor_ops.h"
-
-namespace {
-
-// Process-wide allocation byte counter (atomic, so worker-thread
-// allocations are captured too). Deliberately counts every operator new in
-// the binary: the probe brackets a single kernel call on a quiet process.
-std::atomic<std::size_t> g_allocated_bytes{0};
-
-std::size_t AllocatedBytes() {
-  return g_allocated_bytes.load(std::memory_order_relaxed);
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace dtucker {
 namespace {

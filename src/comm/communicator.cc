@@ -105,7 +105,12 @@ void Communicator::FinishWait(const AdaptiveWait& w) {
   op_wait_ns_ += w.timer.Seconds() * 1e9;
 }
 
-Communicator::OpScope::OpScope(Communicator* comm, const char* op)
+Communicator::OpMetrics::OpMetrics(const std::string& op)
+    : wait_gauge(&MetricGauge("comm.wait_ns." + op)),
+      wait_histogram(&MetricHistogram("comm.wait_ns." + op)),
+      ops(&MetricCounter("comm.ops." + op)) {}
+
+Communicator::OpScope::OpScope(Communicator* comm, const OpMetrics* op)
     : comm_(comm), outermost_(comm->current_op_ == nullptr) {
   if (outermost_) {
     comm_->current_op_ = op;
@@ -115,15 +120,22 @@ Communicator::OpScope::OpScope(Communicator* comm, const char* op)
 
 Communicator::OpScope::~OpScope() {
   if (!outermost_) return;
-  const std::string op = comm_->current_op_;
+  const OpMetrics& op = *comm_->current_op_;
   // Gauge (cumulative, what bench_report reads) and histogram (the wait
   // *distribution* of this op kind) side by side.
-  MetricGauge("comm.wait_ns." + op).Add(comm_->op_wait_ns_);
-  MetricHistogram("comm.wait_ns." + op)
-      .Record(static_cast<std::uint64_t>(comm_->op_wait_ns_));
-  MetricCounter("comm.ops." + op).Add(1);
+  op.wait_gauge->Add(comm_->op_wait_ns_);
+  op.wait_histogram->Record(static_cast<std::uint64_t>(comm_->op_wait_ns_));
+  op.ops->Add(1);
   comm_->current_op_ = nullptr;
   comm_->op_wait_ns_ = 0.0;
+}
+
+void Communicator::AddReduceNs(double ns) {
+  if (reduce_ns_ == nullptr) {
+    reduce_ns_ =
+        &MetricGauge("comm.rank" + std::to_string(rank_) + ".reduce_ns");
+  }
+  reduce_ns_->Add(ns);
 }
 
 // Binomial reduce to rank 0: at distance d = 1, 2, 4, ... the rank with
@@ -149,7 +161,8 @@ Status Communicator::ReduceTree(double* data, std::size_t n, Combine combine) {
 Status Communicator::Broadcast(double* data, std::size_t n, int root) {
   if (size_ == 1) return Status::OK();
   TraceSpan span("comm.broadcast", NextFlowId(), FlowPhase());
-  OpScope scope(this, "broadcast");
+  static const OpMetrics op_metrics("broadcast");
+  OpScope scope(this, &op_metrics);
   DT_CHECK(root >= 0 && root < size_) << "broadcast root out of range";
   // Rotate so the algorithm always roots at virtual rank 0.
   const int vrank = (rank_ - root + size_) % size_;
@@ -173,7 +186,8 @@ Status Communicator::Broadcast(double* data, std::size_t n, int root) {
 Status Communicator::AllReduceSum(double* data, std::size_t n) {
   if (size_ == 1) return Status::OK();
   TraceSpan span("comm.allreduce_sum", NextFlowId(), FlowPhase());
-  OpScope scope(this, "allreduce_sum");
+  static const OpMetrics op_metrics("allreduce_sum");
+  OpScope scope(this, &op_metrics);
   Timer timer;
   DT_RETURN_NOT_OK(ReduceTree(data, n, Combine::kAdd));
   DT_RETURN_NOT_OK(Broadcast(data, n, /*root=*/0));
@@ -181,15 +195,15 @@ Status Communicator::AllReduceSum(double* data, std::size_t n) {
   static Counter& bytes = MetricCounter("comm.bytes_reduced");
   reduces.Add(1);
   bytes.Add(static_cast<std::uint64_t>(n) * sizeof(double));
-  MetricGauge("comm.rank" + std::to_string(rank_) + ".reduce_ns")
-      .Add(timer.Seconds() * 1e9);
+  AddReduceNs(timer.Seconds() * 1e9);
   return Status::OK();
 }
 
 Status Communicator::AllReduceMax(double* data, std::size_t n) {
   if (size_ == 1) return Status::OK();
   TraceSpan span("comm.allreduce_max", NextFlowId(), FlowPhase());
-  OpScope scope(this, "allreduce_max");
+  static const OpMetrics op_metrics("allreduce_max");
+  OpScope scope(this, &op_metrics);
   Timer timer;
   DT_RETURN_NOT_OK(ReduceTree(data, n, Combine::kMax));
   DT_RETURN_NOT_OK(Broadcast(data, n, /*root=*/0));
@@ -197,15 +211,15 @@ Status Communicator::AllReduceMax(double* data, std::size_t n) {
   static Counter& bytes = MetricCounter("comm.bytes_reduced");
   reduces.Add(1);
   bytes.Add(static_cast<std::uint64_t>(n) * sizeof(double));
-  MetricGauge("comm.rank" + std::to_string(rank_) + ".reduce_ns")
-      .Add(timer.Seconds() * 1e9);
+  AddReduceNs(timer.Seconds() * 1e9);
   return Status::OK();
 }
 
 Status Communicator::Barrier() {
   if (size_ == 1) return Status::OK();
   TraceSpan span("comm.barrier", NextFlowId(), FlowPhase());
-  OpScope scope(this, "barrier");
+  static const OpMetrics op_metrics("barrier");
+  OpScope scope(this, &op_metrics);
   double token = 0.0;
   DT_RETURN_NOT_OK(ReduceTree(&token, 1, Combine::kAdd));
   return Broadcast(&token, 1, /*root=*/0);
@@ -215,7 +229,8 @@ Status Communicator::Gather(const double* send,
                             const std::vector<std::size_t>& counts,
                             double* recv, int root) {
   TraceSpan span("comm.gather", NextFlowId(), FlowPhase());
-  OpScope scope(this, "gather");
+  static const OpMetrics op_metrics("gather");
+  OpScope scope(this, &op_metrics);
   DT_CHECK(root >= 0 && root < size_) << "gather root out of range";
   DT_CHECK_EQ(counts.size(), static_cast<std::size_t>(size_))
       << "one count per rank";
@@ -245,7 +260,8 @@ Status Communicator::AllGatherV(const double* send,
                                 const std::vector<std::size_t>& counts,
                                 double* recv) {
   TraceSpan span("comm.allgatherv", NextFlowId(), FlowPhase());
-  OpScope scope(this, "allgatherv");
+  static const OpMetrics op_metrics("allgatherv");
+  OpScope scope(this, &op_metrics);
   DT_RETURN_NOT_OK(Gather(send, counts, recv, /*root=*/0));
   std::size_t total = 0;
   for (std::size_t c : counts) total += c;
@@ -257,7 +273,8 @@ Result<std::int64_t> Communicator::EstimateClockOffsetNs(int rounds) {
   // Tags for one peer live in [op*64, op*64+64): 2 per round + 1 for the
   // final offset ship caps the rounds at 31.
   rounds = std::max(1, std::min(rounds, 31));
-  OpScope scope(this, "clock_sync");
+  static const OpMetrics op_metrics("clock_sync");
+  OpScope scope(this, &op_metrics);
   std::int64_t my_offset = 0;
   for (int peer = 1; peer < size_; ++peer) {
     // Every rank draws the tag so the sequence stays in lockstep even for

@@ -84,6 +84,10 @@
 
 namespace dtucker {
 
+class Counter;
+class Gauge;
+class Histogram;
+
 class Communicator {
  public:
   virtual ~Communicator() = default;
@@ -187,6 +191,17 @@ class Communicator {
   Status WaitStep(AdaptiveWait* w);
   void FinishWait(const AdaptiveWait& w);
 
+  // The comm.wait_ns.<op> gauge and histogram and the comm.ops.<op>
+  // counter of one collective kind. Each collective resolves its own once
+  // per process (a function-local static), so leaving a collective never
+  // takes the registry lock.
+  struct OpMetrics {
+    explicit OpMetrics(const std::string& op);
+    Gauge* wait_gauge;
+    Histogram* wait_histogram;
+    Counter* ops;
+  };
+
   // RAII collective bracket: the outermost scope on a communicator names
   // the op that wait time is attributed to (nested collectives — e.g. the
   // broadcast inside AllReduceSum — fold into the outer op) and flushes
@@ -194,7 +209,7 @@ class Communicator {
   // one thread at a time, so plain members suffice.
   class OpScope {
    public:
-    OpScope(Communicator* comm, const char* op);
+    OpScope(Communicator* comm, const OpMetrics* op);
     ~OpScope();
     OpScope(const OpScope&) = delete;
     OpScope& operator=(const OpScope&) = delete;
@@ -208,6 +223,10 @@ class Communicator {
 
  private:
   Status ReduceTree(double* data, std::size_t n, Combine combine);
+
+  // Adds `ns` to this rank's comm.rank<r>.reduce_ns gauge, resolved on the
+  // first reduction.
+  void AddReduceNs(double ns);
 
   // Flow id for the next collective call: same value on every rank by the
   // lockstep argument in the file comment. Bumped unconditionally (even
@@ -232,8 +251,9 @@ class Communicator {
   std::uint64_t trace_flow_group_ = 0;
   std::uint64_t trace_flow_seq_ = 0;
   // Wait-attribution state for the current outermost collective.
-  const char* current_op_ = nullptr;
+  const OpMetrics* current_op_ = nullptr;
   double op_wait_ns_ = 0.0;
+  Gauge* reduce_ns_ = nullptr;
 };
 
 // In-process transport: `size` communicators sharing one rendezvous table,

@@ -5,6 +5,7 @@
 
 #include "common/trace.h"
 #include "linalg/blas.h"
+#include "rsvd/rsvd.h"
 #include "tensor/tensor_ops.h"
 #include "tucker/tucker_als.h"
 
@@ -109,6 +110,38 @@ void BuildProjectedCoreInto(std::span<const SliceSvd> slices,
             a2.data(), i2, 0.0, q, js);
     GemmRaw(Trans::kNo, Trans::kNo, j1, j2, js, 1.0, p, j1, q, js, 0.0,
             z->data() + static_cast<std::size_t>(l) * slab, j1);
+  }
+}
+
+void PackScaledFactors(std::span<const SliceSvd> slices, int m, double s_inv,
+                       double* pack) {
+  for (const SliceSvd& sl : slices) {
+    const Matrix& f = m == 0 ? sl.u : sl.v;
+    const Index dim = f.rows();
+    for (Index j = 0; j < f.cols(); ++j) {
+      const double sj = sl.s[static_cast<std::size_t>(j)] * s_inv;
+      const double* src = f.col_data(j);
+      for (Index i = 0; i < dim; ++i) pack[i] = sj * src[i];
+      pack += dim;
+    }
+  }
+}
+
+void FillInitSketch(std::span<const SliceSvd> slices, Index first_slice,
+                    int m, std::uint64_t seed, Index width, double* omega_t) {
+  for (std::size_t i = 0; i < slices.size(); ++i) {
+    const Index l = first_slice + static_cast<Index>(i);
+    const std::size_t count =
+        static_cast<std::size_t>(width) *
+        static_cast<std::size_t>(m == 0 ? slices[i].u.cols()
+                                        : slices[i].v.cols());
+    // Rng mixes its seed through SplitMix64; the odd multiplier keeps
+    // (m, l) apart from the approximation phase's seed + l * 0x9E3779B9.
+    Rng rng(seed ^ ((2 * static_cast<std::uint64_t>(l) +
+                     static_cast<std::uint64_t>(m) + 1) *
+                    0xD1B54A32D192ED03ULL));
+    FillSketchGaussian(rng, omega_t, count);
+    omega_t += count;
   }
 }
 

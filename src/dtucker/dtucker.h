@@ -7,9 +7,9 @@
 //                       slice (src/dtucker/slice_approximation.h). The only
 //                       pass over the raw tensor.
 //   2. Initialization — factor matrices computed from the slice factors:
-//                       A(1) from the stacked U<l>S<l>, A(2) from the
-//                       stacked V<l>S<l>, modes >= 3 from the projected
-//                       small tensor Z(:,:,l) = A(1)^T X<l> A(2).
+//                       A(1) and A(2) by randomized SVDs of the stacked
+//                       U<l>S<l> and V<l>S<l>, modes >= 3 from the
+//                       projected small tensor Z(:,:,l) = A(1)^T X<l> A(2).
 //   3. Iteration      — HOOI sweeps whose contractions are decoupled slice
 //                       by slice so each update costs O((I1+I2) L Js J)
 //                       instead of O(J prod I_n).
@@ -21,6 +21,7 @@
 #ifndef DTUCKER_DTUCKER_DTUCKER_H_
 #define DTUCKER_DTUCKER_DTUCKER_H_
 
+#include <cstdint>
 #include <functional>
 #include <span>
 
@@ -41,8 +42,12 @@ struct DTuckerOptions {
   // Rank Js of the per-slice SVDs. 0 means "max of the first two Tucker
   // ranks", the paper's setting.
   Index slice_rank = 0;
-  Index oversampling = 5;    // rSVD oversampling in the approximation phase.
-  int power_iterations = 1;  // rSVD power iterations.
+  // Oversampling p and power iterations q of the paper's two randomized
+  // SVDs, which share them: the per-slice rSVDs of the approximation phase
+  // and the initialization's range finder over the stacked slice factors
+  // (sketch width min(I_n, J_n + p) for modes 1 and 2).
+  Index oversampling = 5;
+  int power_iterations = 1;
   // If true, the tensor entry points (DTucker and ShardedDTuckerRank)
   // permute the modes so the two largest lead (the layout the slice
   // compression wants) before the ranks start, and permute the result
@@ -139,9 +144,29 @@ void BuildModeOneCarrierInto(std::span<const SliceSvd> slices, Index i1,
 void BuildModeTwoCarrierInto(std::span<const SliceSvd> slices, Index i2,
                              const Matrix& a1, double s_inv, Tensor* t);
 
+// Kernels of the initialization's range finder for modes 1 and 2, over
+// F<l> = slice U (m == 0) or V (m == 1), dim rows each.
+//
+// Writes F<l> diag(s<l> * s_inv) for every slice of `slices` side by side
+// into `pack` (column-major, leading dimension dim), in slice order, so a
+// run of slices is one contiguous dim x (summed slice ranks) matrix and
+// each step of the range finder is one GEMM per chunk.
+void PackScaledFactors(std::span<const SliceSvd> slices, int m, double s_inv,
+                       double* pack);
+// Writes the test matrices Omega<l> (Js<l> x width) of `slices`, global
+// slice indices first_slice, first_slice + 1, ..., into `omega_t` as
+// their transposes side by side (width x summed slice ranks, column-major),
+// matching PackScaledFactors' columns. Omega<l> is drawn by
+// FillSketchGaussian from a seed that depends only on (seed, m, l), so it
+// is the same whichever rank, chunk or thread draws it.
+void FillInitSketch(std::span<const SliceSvd> slices, Index first_slice,
+                    int m, std::uint64_t seed, Index width, double* omega_t);
+
 // gram (+)= F diag(s * s_inv)^2 F^T for F = slice U (m == 0) or V (m == 1)
 // into the dim x dim column-major `gram`, staging the scaled factor in TLS
-// scratch. `beta` 0 overwrites the accumulator, 1 adds.
+// scratch. `beta` 0 overwrites the accumulator, 1 adds. Only
+// SuggestRanksFromApproximation uses it: it needs the full mode-1/2
+// spectra, which the initialization's range finder does not form.
 void AccumulateScaledFactorGram(const SliceSvd& sl, int m, double s_inv,
                                 double beta, double* gram);
 

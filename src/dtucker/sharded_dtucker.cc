@@ -34,6 +34,8 @@ using internal_dtucker::BuildModeOneCarrierInto;
 using internal_dtucker::BuildModeTwoCarrierInto;
 using internal_dtucker::BuildProjectedCoreInto;
 using internal_dtucker::ContractTrailing;
+using internal_dtucker::FillInitSketch;
+using internal_dtucker::PackScaledFactors;
 using internal_dtucker::SweepWorkspace;
 
 // Bounded inner eigensolve for the sweeps' factor updates: the outer HOOI
@@ -139,9 +141,10 @@ Status ReduceOverChunks(const ShardContext& sc, std::size_t n,
 }
 
 // G = sum_l F_l diag(s_l * s_inv)^2 F_l^T over *all* ranks' slices
-// (F = U for m == 0, V for m == 1). The I x I chunk partials are the
-// largest buffers of the solve and are needed only here, so their scratch
-// is freed on return rather than kept in the sweep workspace.
+// (F = U for m == 0, V for m == 1). Only SuggestRanksFromApproximation
+// forms it, for the full mode-1/2 spectra; the solve's initialization
+// takes the range finder below. The I x I chunk partials are freed on
+// return.
 Status ShardedStackedFactorGram(const ShardContext& sc, int m, Matrix* g) {
   const Index dim = sc.full_shape[static_cast<std::size_t>(m)];
   *g = Matrix::Uninitialized(dim, dim);
@@ -367,8 +370,9 @@ bool UseShardedTrailing(const std::vector<Index>& shape,
 //      U = Z_(3) W, computed transposed (k x nlocal) so step 4 is a pure
 //      ascending-rank concatenation with no floating-point combine.
 //   4. AllGatherV + local transpose to L x k.
-//   5. Replicated thin QR restores orthonormal columns. Identical inputs
-//      and a deterministic kernel keep every rank in bitwise agreement.
+//   5. Replicated thin QR (CholeskyQR2, Householder fallback) restores
+//      orthonormal columns. Identical inputs and a deterministic kernel
+//      keep every rank in bitwise agreement.
 // The computed basis spans the same subspace as the gathered-Z
 // LeadingModeVectorsViaGram update, through a different factorization.
 Status ShardedTrailingFactorUpdate(const ShardContext& sc,
@@ -421,7 +425,135 @@ Status ShardedTrailingFactorUpdate(const ShardContext& sc,
     const double* src = ut_all.col_data(l);
     for (Index j = 0; j < k; ++j) u.col_data(j)[l] = src[j];
   }
-  (*factors)[2] = QrOrthonormalize(u);
+  Matrix a3 = Matrix::Uninitialized(big_l, k);
+  CholeskyQr2Raw(u.data(), big_l, k, a3.data(), nullptr);
+  (*factors)[2] = std::move(a3);
+  return Status::OK();
+}
+
+// Mode-m (0 or 1) initial factor: the top k = ranks[m] left singular
+// vectors of the stacked scaled slice factors B = [F_l S_l] (F_l = U_l or
+// V_l, S_l = diag(s_l * s_inv); PAPER.md §1 step 2), by a randomized range
+// finder on G = B B^T of width s = min(I, k + p) with q power steps (p, q =
+// the options' oversampling and power iterations):
+//   1. Y = B Omega = sum_l F_l S_l Omega_l (FillInitSketch's test
+//      matrices);
+//   2. q times: Q = orth(Y), then Y = G Q = sum_l F_l S_l (S_l F_l^T Q);
+//   3. Q = orth(Y), then Y = G Q once more. H = Q^T Y = Q^T G Q is the
+//      Rayleigh-Ritz matrix; the Nystrom approximation
+//      G ~ Y H^+ Y^T = Q2 (K K^T) Q2^T (Y = Q2 R2, H = V diag(h) V^T,
+//      K = R2 V diag(h)^(-1/2)) also uses the range of this last product,
+//      so A = Q2 * (top-k eigenvectors of K K^T) captures as much energy
+//      as Rayleigh-Ritz after one more power step would.
+// Every sum goes through the canonical reduction (I x s doubles). Each
+// product packs the chunk's F_l S_l side by side (PackScaledFactors) and
+// is one GEMM per chunk on the packed copy, still in cache; a rank holds
+// one chunk's copy, not one of its whole slice range. Only the
+// orthonormalizations (CholeskyQR2, Householder fallback) and the s x s
+// eigensolves are replicated. The result depends on the approximation and
+// the options alone: the same bits for every rank and thread count, and on
+// every repeat.
+Status RangeFinderFactor(const ShardContext& sc, int m, Index k,
+                         const DTuckerOptions& options, ShardWorkspace* sw,
+                         Matrix* a) {
+  DT_TRACE_SPAN("dtucker.init_range_finder");
+  const Index dim = sc.full_shape[static_cast<std::size_t>(m)];
+  const Index s = std::min(dim, k + options.oversampling);
+  const std::size_t ys = static_cast<std::size_t>(dim * s);
+  // One chunk's packed factors P (dim x c), and a c x s panel beside them.
+  std::vector<double> pack;
+  std::vector<double> panel;
+  auto chunk = [&](Index begin, Index end, Index* c) {
+    *c = 0;
+    for (const SliceSvd& sl : sc.SliceRange(begin, end)) *c += sl.u.cols();
+    if (pack.size() < static_cast<std::size_t>(*c * dim)) {
+      pack.resize(static_cast<std::size_t>(*c * dim));
+      panel.resize(static_cast<std::size_t>(*c * s));
+    }
+    PackScaledFactors(sc.SliceRange(begin, end), m, sc.s_inv, pack.data());
+    return pack.data();
+  };
+  Matrix y = Matrix::Uninitialized(dim, s);
+  Matrix q = Matrix::Uninitialized(dim, s);
+  DT_RETURN_NOT_OK(ReduceOverChunks(
+      sc, ys,
+      [&](Index begin, Index end, double* block) {
+        Index c = 0;
+        const double* p = chunk(begin, end, &c);
+        if (c == 0) {
+          std::fill(block, block + ys, 0.0);
+          return;
+        }
+        // The panel holds Omega^T (s x c).
+        FillInitSketch(sc.SliceRange(begin, end), begin, m,
+                       options.tucker.seed, s, panel.data());
+        GemmRaw(Trans::kNo, Trans::kYes, dim, s, c, 1.0, p, dim,
+                panel.data(), s, 0.0, block, dim);
+      },
+      y.data(), &sw->scratch));
+  // Y = G orth(Y): the q power steps, then step 3's product, whose Q
+  // stays in q.
+  auto power_step = [&]() {
+    CholeskyQr2Raw(y.data(), dim, s, q.data(), nullptr);
+    return ReduceOverChunks(
+        sc, ys,
+        [&](Index begin, Index end, double* block) {
+          Index c = 0;
+          const double* p = chunk(begin, end, &c);
+          if (c == 0) {
+            std::fill(block, block + ys, 0.0);
+            return;
+          }
+          GemmRaw(Trans::kYes, Trans::kNo, c, s, dim, 1.0, p, dim, q.data(),
+                  dim, 0.0, panel.data(), c);
+          GemmRaw(Trans::kNo, Trans::kNo, dim, s, c, 1.0, p, dim,
+                  panel.data(), c, 0.0, block, dim);
+        },
+        y.data(), &sw->scratch);
+  };
+  for (int it = 0; it <= options.power_iterations; ++it) {
+    DT_RETURN_NOT_OK(power_step());
+  }
+  // H = Q^T Y, symmetrized against roundoff.
+  Matrix h = Matrix::Uninitialized(s, s);
+  GemmRaw(Trans::kYes, Trans::kNo, s, s, dim, 1.0, q.data(), dim, y.data(),
+          dim, 0.0, h.data(), s);
+  for (Index j = 0; j < s; ++j) {
+    for (Index i = 0; i < j; ++i) {
+      const double v = 0.5 * (h(i, j) + h(j, i));
+      h(i, j) = v;
+      h(j, i) = v;
+    }
+  }
+  const EigenSymResult he = EigenSymFast(h);
+  Matrix r = Matrix::Uninitialized(s, s);
+  CholeskyQr2Raw(y.data(), dim, s, q.data(), r.data());  // Y = Q2 R2.
+  // K = R2 V diag(h)^(-1/2) over the eigenvalues above 1e-13 h_max: the
+  // pseudo-inverse drops the directions G annihilates, whose columns would
+  // be rounding noise. A zero G keeps none, and A is Q2's leading columns.
+  Index keep = 0;
+  while (keep < s && he.values[static_cast<std::size_t>(keep)] >
+                         1e-13 * he.values[0]) {
+    ++keep;
+  }
+  Matrix kk(s, s);
+  if (keep > 0) {
+    Matrix vs = Matrix::Uninitialized(s, keep);
+    for (Index j = 0; j < keep; ++j) {
+      const double w = 1.0 / std::sqrt(he.values[static_cast<std::size_t>(j)]);
+      for (Index i = 0; i < s; ++i) vs(i, j) = w * he.vectors(i, j);
+    }
+    const Matrix km = Multiply(r, vs);
+    GemmRaw(Trans::kNo, Trans::kYes, s, s, keep, 1.0, km.data(), s,
+            km.data(), s, 0.0, kk.data(), s);
+    for (Index j = 0; j < s; ++j) {
+      for (Index i = 0; i < j; ++i) kk(i, j) = kk(j, i);
+    }
+  }
+  const EigenSymResult nystrom = EigenSymFast(kk);
+  *a = Matrix::Uninitialized(dim, k);
+  GemmRaw(Trans::kNo, Trans::kNo, dim, k, s, 1.0, q.data(), dim,
+          nystrom.vectors.data(), s, 0.0, a->data(), dim);
   return Status::OK();
 }
 
@@ -430,21 +562,21 @@ struct InitResult {
   Tensor core;
 };
 
-// Initialization phase: reduced Grams for A1/A2, gathered Z for the
+// Initialization phase: the range finder for A1/A2, gathered Z for the
 // trailing factors and the first core. All panels are collective and every
 // rank runs all of them (an interruption degrades the run to
 // "initialization only" rather than aborting it); the caller agrees on the
 // interruption verdict afterwards.
-Status ShardedInitialize(const ShardContext& sc,
-                         const std::vector<Index>& ranks, ShardWorkspace* sw,
-                         InitResult* init) {
+Status ShardedInitialize(const ShardContext& sc, const DTuckerOptions& options,
+                         ShardWorkspace* sw, InitResult* init) {
+  const std::vector<Index>& ranks = options.tucker.ranks;
   const Index order = static_cast<Index>(sc.full_shape.size());
   init->factors.resize(static_cast<std::size_t>(order));
-  Matrix gram;
-  DT_RETURN_NOT_OK(ShardedStackedFactorGram(sc, 0, &gram));
-  init->factors[0] = TopEigenvectorsSym(gram, ranks[0]);
-  DT_RETURN_NOT_OK(ShardedStackedFactorGram(sc, 1, &gram));
-  init->factors[1] = TopEigenvectorsSym(gram, ranks[1]);
+  for (int m = 0; m < 2; ++m) {
+    DT_RETURN_NOT_OK(RangeFinderFactor(
+        sc, m, ranks[static_cast<std::size_t>(m)], options, sw,
+        &init->factors[static_cast<std::size_t>(m)]));
+  }
 
   if (static_cast<Index>(sw->ws.subspace.size()) < order) {
     sw->ws.subspace.resize(static_cast<std::size_t>(order));
@@ -633,7 +765,7 @@ Result<TuckerDecomposition> SolveRank(std::span<const SliceSvd> owned,
   InitResult state;
   {
     DT_TRACE_SPAN("dtucker.initialization");
-    DT_RETURN_NOT_OK(ShardedInitialize(sc, ranks, &sw, &state));
+    DT_RETURN_NOT_OK(ShardedInitialize(sc, options, &sw, &state));
   }
   // One verdict for the whole init phase: all panels always run (each is a
   // bounded collective unit), so a cancel during init degrades the run to

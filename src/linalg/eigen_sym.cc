@@ -87,16 +87,13 @@ namespace {
 
 thread_local std::uint64_t tls_subspace_sweeps = 0;
 
-// Dense solve for the sketch-sized problems inside TopEigenvectorsSym: the
-// QL solver is several times faster than Jacobi at these sizes; Jacobi is
-// the fallback for (pathological) QL non-convergence.
+}  // namespace
+
 EigenSymResult EigenSymFast(const Matrix& a) {
   Result<EigenSymResult> qr = EigenSymQr(a);
   if (qr.ok()) return std::move(qr).ValueOrDie();
   return EigenSym(a);
 }
-
-}  // namespace
 
 Matrix TopEigenvectorsSym(const Matrix& a, Index k, Matrix* subspace,
                           const SubspaceIterationOptions& options) {
@@ -169,7 +166,8 @@ Matrix TopEigenvectorsSym(const Matrix& a, Index k, Matrix* subspace,
       if (subspace != nullptr) *subspace = std::move(q);
       return out;
     }
-    q = QrOrthonormalize(z);
+    // CholeskyQR2, with its Householder fallback rule (linalg/qr.h).
+    CholeskyQr2Raw(z.data(), n, s, q.data(), nullptr);
   }
   // Fallback extraction after max_sweeps.
   Gemm(Trans::kNo, Trans::kNo, 1.0, a, q, 0.0, &z);

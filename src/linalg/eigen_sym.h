@@ -22,6 +22,12 @@ struct EigenSymResult {
 // upper triangle is read).
 EigenSymResult EigenSym(const Matrix& a);
 
+// Same contract, for the sketch-sized problems of the randomized solvers:
+// the tridiagonal QL solver (linalg/eigen_tridiag.h), several times faster
+// than Jacobi at these sizes, with Jacobi as the fallback for
+// (pathological) QL non-convergence.
+EigenSymResult EigenSymFast(const Matrix& a);
+
 // Knobs for the randomized subspace iteration inside TopEigenvectorsSym.
 // The defaults solve to near machine precision. Iterative outer loops
 // (HOOI/ALS sweeps) can afford a looser tolerance and a tighter sweep cap:

@@ -507,9 +507,14 @@ void CholeskyQr2Fallback(const double* y, Index m, Index k, double* q,
 }  // namespace
 
 bool CholeskyQr2Raw(const double* y, Index m, Index k, double* q, double* r) {
+  DT_TRACE_SPAN("qr.cholqr2");
+  return CholeskyQr2RawUntraced(y, m, k, q, r);
+}
+
+bool CholeskyQr2RawUntraced(const double* y, Index m, Index k, double* q,
+                            double* r) {
   static Counter& calls = MetricCounter("qr.calls");
   calls.Add(1);
-  DT_TRACE_SPAN("qr.cholqr2");
   DT_CHECK(k >= 1 && m >= k) << "CholeskyQR2 needs a tall panel";
   const Index kk = k * k;
   double* g = TlsCholQrScratch(static_cast<std::size_t>(3 * kk + 2 * k));

@@ -77,6 +77,13 @@ Matrix QrOrthonormalizeUnblocked(const Matrix& a);
 // fallback into qr.cholqr2_fallbacks.
 bool CholeskyQr2Raw(const double* y, Index m, Index k, double* q, double* r);
 
+// CholeskyQr2Raw without its `qr.cholqr2` span, for a caller whose own span
+// already brackets many panels: the slice rSVD runs three per slice under
+// its `rsvd` span, and a span for each tripled the approximation phase's
+// trace event rate (a traced window then no longer fits a fixed ring).
+bool CholeskyQr2RawUntraced(const double* y, Index m, Index k, double* q,
+                            double* r);
+
 // Solves R x = b for upper-triangular R (n x n) and b (n x k).
 // Requires all diagonal entries of R to be nonzero.
 Matrix SolveUpperTriangular(const Matrix& r, const Matrix& b);

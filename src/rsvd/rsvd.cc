@@ -152,7 +152,8 @@ RsvdGroup::RsvdGroup(Index rows, Index cols, const RsvdOptions& options,
 //            [Z, R] = qr(A^T Q) it is B = R^T Z^T, so SVD(R^T) finishes.
 //
 // Every panel is orthonormalized by CholeskyQR2 (linalg/qr.h), which
-// falls back to Householder by its own fixed rule.
+// falls back to Householder by its own fixed rule; the panels' time counts
+// as this span's own, so a slice records no span per panel.
 void RsvdGroup::Sketch(int lane, const double* a, uint64_t seed) {
   static Counter& calls = MetricCounter("rsvd.calls");
   calls.Add(1);
@@ -168,18 +169,19 @@ void RsvdGroup::Sketch(int lane, const double* a, uint64_t seed) {
   FillSketchGaussian(rng, omega_.data(), static_cast<std::size_t>(n * k));
   GemmRaw(Trans::kNo, Trans::kNo, m, k, n, 1.0, a, m, omega_.data(), n, 0.0,
           y, m);  // Pass 1: Y = A Omega.
-  CholeskyQr2Raw(y, m, k, q, nullptr);
+  CholeskyQr2RawUntraced(y, m, k, q, nullptr);
   const bool transpose_core = power_iterations_ <= 0;
   if (transpose_core) {
     GemmRaw(Trans::kYes, Trans::kNo, n, k, m, 1.0, a, m, q, m, 0.0, y, n);
-    CholeskyQr2Raw(y, n, k, z, r);  // A^T Q = Z R.
+    CholeskyQr2RawUntraced(y, n, k, z, r);  // A^T Q = Z R.
   }
   for (int it = 0; it < power_iterations_; ++it) {
     GemmRaw(Trans::kYes, Trans::kNo, n, k, m, 1.0, a, m, q, m, 0.0, y, n);
-    CholeskyQr2Raw(y, n, k, z, nullptr);  // Z = orth(A^T Q).
+    CholeskyQr2RawUntraced(y, n, k, z, nullptr);  // Z = orth(A^T Q).
     GemmRaw(Trans::kNo, Trans::kNo, m, k, n, 1.0, a, m, z, n, 0.0, y, m);
     // The last half-iteration keeps R: the product is also the projection.
-    CholeskyQr2Raw(y, m, k, q, it + 1 == power_iterations_ ? r : nullptr);
+    CholeskyQr2RawUntraced(y, m, k, q,
+                           it + 1 == power_iterations_ ? r : nullptr);
   }
 
   // Scatter R (or R^T) into this lane of the interleaved cores.

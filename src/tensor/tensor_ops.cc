@@ -156,9 +156,14 @@ Tensor ModeProduct(const Tensor& x, const Matrix& u, Index mode, Trans trans) {
 
 void ModeProductInto(const Tensor& x, const Matrix& u, Index mode, Trans trans,
                      Tensor* out) {
+  DT_TRACE_SPAN("tensor.mode_product");
+  ModeProductIntoUntraced(x, u, mode, trans, out);
+}
+
+void ModeProductIntoUntraced(const Tensor& x, const Matrix& u, Index mode,
+                             Trans trans, Tensor* out) {
   static Counter& calls = MetricCounter("tensor.mode_product");
   calls.Add(1);
-  DT_TRACE_SPAN("tensor.mode_product");
   DT_CHECK(static_cast<const Tensor*>(out) != &x)
       << "ModeProductInto output must not alias the input";
   const ModeSplit s = SplitAtMode(x, mode);

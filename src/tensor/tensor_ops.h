@@ -47,6 +47,14 @@ Tensor ModeProduct(const Tensor& x, const Matrix& u, Index mode,
 void ModeProductInto(const Tensor& x, const Matrix& u, Index mode, Trans trans,
                      Tensor* out);
 
+// ModeProductInto without its `tensor.mode_product` span, for a caller that
+// runs many tiny products under one span of its own: an element query
+// contracts one factor row per mode and element, and a span for each
+// filled a client thread's 2^17-event trace ring within one traced
+// serve-mixed run.
+void ModeProductIntoUntraced(const Tensor& x, const Matrix& u, Index mode,
+                             Trans trans, Tensor* out);
+
 // Applies op(matrices[k]) along every mode k != skip_mode (pass
 // skip_mode = -1 to contract every mode). Modes are applied in ascending
 // order, shrinking the working tensor as early as possible.

@@ -35,7 +35,8 @@ Matrix LeadingModeVectorsViaGram(const Tensor& x, Index mode, Index k,
     // A A^T (n x n): the top-k eigenvectors W are the leading right
     // singular vectors of A, so Q from the QR of A W spans — and, the
     // columns of A W being orthogonal with norms sigma_i, equals up to
-    // column signs — the leading left singular basis. Every step is a
+    // column signs — the leading left singular basis. The QR is CholeskyQR2
+    // (Householder when A W is too ill-conditioned). Every step is a
     // deterministic dense kernel, so the result is thread-count invariant
     // like the large-Gram path.
     Matrix c = Matrix::Uninitialized(m, m);
@@ -45,7 +46,9 @@ Matrix LeadingModeVectorsViaGram(const Tensor& x, Index mode, Index k,
     Matrix u = Matrix::Uninitialized(n, k);
     GemmRaw(Trans::kNo, Trans::kNo, n, k, m, 1.0, x.data(), n, w.data(), m,
             0.0, u.data(), n);
-    return QrOrthonormalize(u);
+    Matrix q = Matrix::Uninitialized(n, k);
+    CholeskyQr2Raw(u.data(), n, k, q.data(), nullptr);
+    return q;
   }
   Matrix g = ModeGram(x, mode);
   return TopEigenvectorsSym(g, k, subspace, eig_options);

@@ -1,6 +1,7 @@
 #include "tucker/reconstruct.h"
 
 #include <string>
+#include <utility>
 
 #include "linalg/blas.h"
 #include "tensor/tensor_ops.h"
@@ -14,13 +15,18 @@ namespace {
 // whole (rows[n] == -1). Restriction only drops output elements of each
 // mode product; the per-element contraction order is untouched, so every
 // surviving element is bitwise identical to the full reconstruction's.
+// The products are tiny (one factor row each for an element), so they
+// record no span of their own; the query's span covers them.
 Tensor ReconstructRestricted(const TuckerDecomposition& dec,
                              const std::vector<Index>& rows) {
   Tensor out = dec.core;
+  Tensor next;
   for (Index n = 0; n < dec.order(); ++n) {
     const Matrix& f = dec.factors[static_cast<std::size_t>(n)];
     const Index r = rows[static_cast<std::size_t>(n)];
-    out = ModeProduct(out, r >= 0 ? f.Row(r) : f, n, Trans::kNo);
+    ModeProductIntoUntraced(out, r >= 0 ? f.Row(r) : f, n, Trans::kNo,
+                            &next);
+    std::swap(out, next);
   }
   return out;
 }

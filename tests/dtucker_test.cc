@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "data/datasets.h"
 #include "data/generators.h"
 #include "linalg/blas.h"
 #include "tucker/tucker_als.h"
@@ -132,6 +133,57 @@ TEST(DTuckerTest, InitializeOnlyIsReasonable) {
   ASSERT_TRUE(full.ok());
   EXPECT_LE(full.value().RelativeErrorAgainst(x),
             init.value().RelativeErrorAgainst(x) + 1e-9);
+}
+
+TEST(DTuckerTest, InitRangeFinderCapturesTheTopEnergy) {
+  // A1/A2 come from a randomized range finder over the stacked slice
+  // factors B = [F_l S_l]. The energy ||A^T B||^2 they capture is compared
+  // with the exact top-k energy, the sum of the k largest eigenvalues of
+  // B B^T that SuggestRanksFromApproximation computes from the full Gram.
+  // Music's flat slice spectra are the hard case.
+  for (const DatasetSpec& spec : BenchmarkDatasets()) {
+    for (std::uint64_t seed : {1, 2, 3}) {
+      const std::string what = spec.name + " seed " + std::to_string(seed);
+      const Tensor x = MakeDataset(spec.name, 0.5, seed).ValueOrDie();
+      SliceApproximationOptions sopt;
+      sopt.slice_rank = 10;
+      sopt.seed = seed;
+      const SliceApproximation approx =
+          ApproximateSlices(x, sopt).ValueOrDie();
+      DTuckerOptions opt;
+      for (Index n = 0; n < x.order(); ++n) {
+        opt.tucker.ranks.push_back(std::min<Index>(10, x.dim(n)));
+      }
+      opt.tucker.seed = seed;
+      const Result<TuckerDecomposition> init =
+          DTuckerInitializeOnly(approx, opt);
+      ASSERT_TRUE(init.ok()) << what << ": " << init.status().ToString();
+      const Result<RankSuggestion> exact =
+          SuggestRanksFromApproximation(approx, 1.0);
+      ASSERT_TRUE(exact.ok()) << what;
+      const double floor = spec.name == "music" ? 0.99 : 0.9999;
+      for (int m = 0; m < 2; ++m) {
+        const Matrix& a = init.value().factors[static_cast<std::size_t>(m)];
+        double top = 0.0;
+        for (Index i = 0; i < a.cols(); ++i) {
+          top += exact.value().spectra[static_cast<std::size_t>(m)]
+                                      [static_cast<std::size_t>(i)];
+        }
+        double captured = 0.0;
+        for (const SliceSvd& sl : approx.slices) {
+          const Matrix& f = m == 0 ? sl.u : sl.v;
+          const Matrix p = MultiplyTN(a, f);
+          for (Index j = 0; j < p.cols(); ++j) {
+            const double sj = sl.s[static_cast<std::size_t>(j)];
+            for (Index i = 0; i < p.rows(); ++i) {
+              captured += p(i, j) * p(i, j) * sj * sj;
+            }
+          }
+        }
+        EXPECT_GE(captured / top, floor) << what << " mode " << m + 1;
+      }
+    }
+  }
 }
 
 TEST(DTuckerTest, ApproximationReuseAcrossRanks) {

@@ -19,6 +19,7 @@
 #include "dtucker/engine.h"
 #include "dtucker/out_of_core.h"
 #include "linalg/blas.h"
+#include "serve/server.h"
 
 namespace dtucker {
 namespace {
@@ -204,6 +205,141 @@ TEST(ShardedDTuckerTest, EveryWayOfRunningIsBitwiseIdentical) {
     engine_runs(eopt, what + " Engine");
   }
   std::remove(path.c_str());
+}
+
+TEST(ShardedDTuckerTest, RepeatedSolvesAreBitwiseIdentical) {
+  // A solve is a function of its input and options alone: no generator,
+  // cached sketch or scratch buffer carries state from one solve into the
+  // next, on one Engine or on concurrent server workers.
+  const auto a = std::make_shared<Tensor>(
+      MakeLowRankTensor({18, 16, 10}, {4, 4, 4}, 0.3, 21));
+  const auto b = std::make_shared<Tensor>(
+      MakeLowRankTensor({23, 9, 13}, {3, 3, 3}, 0.2, 22));
+  TuckerOptions tucker;
+  tucker.ranks = {4, 4, 4};
+  tucker.max_iterations = 6;
+  Result<TuckerDecomposition> ref = [&] {
+    DTuckerOptions opt;
+    opt.tucker = tucker;
+    return DTucker(*a, opt);
+  }();
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+
+  for (int threads : {1, 4}) {
+    const std::string what = "threads=" + std::to_string(threads);
+    EngineOptions eopt;
+    eopt.method_options.tucker = tucker;
+    eopt.method_options.num_threads = threads;
+    eopt.blas_threads = threads;
+    Engine engine(std::move(eopt));
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      Result<EngineRun> run_a = engine.Solve(*a);
+      ASSERT_TRUE(run_a.ok()) << what << ": " << run_a.status().ToString();
+      ExpectBitwiseEqual(run_a.value().decomposition, ref.value(),
+                         (what + " solve of A #" + std::to_string(repeat))
+                             .c_str());
+      Result<EngineRun> run_b = engine.Solve(*b);
+      ASSERT_TRUE(run_b.ok()) << what << ": " << run_b.status().ToString();
+    }
+  }
+  SetBlasThreads(1);
+
+  ServerOptions sopt;
+  sopt.num_workers = 2;
+  DecompositionServer server(std::move(sopt));
+  std::vector<JobId> a_jobs;
+  for (int i = 0; i < 3; ++i) {
+    // Distinct dataset ids, so every job is a cold solve, not a cache hit.
+    for (const auto& [tensor, name] : {std::pair{a, "a"}, std::pair{b, "b"}}) {
+      SolveRequest req;
+      req.model.dataset_id = std::string(name) + std::to_string(i);
+      req.model.ranks = tucker.ranks;
+      req.model.max_iterations = tucker.max_iterations;
+      req.model.tolerance = tucker.tolerance;
+      req.model.seed = tucker.seed;
+      req.tensor = tensor;
+      Result<JobId> id = server.Submit(std::move(req));
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      if (tensor == a) a_jobs.push_back(id.value());
+    }
+  }
+  for (JobId id : a_jobs) {
+    Result<JobResult> res = server.Wait(id);
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    ASSERT_TRUE(res.value().status.ok()) << res.value().status.ToString();
+    ASSERT_NE(res.value().model, nullptr);
+    EXPECT_FALSE(res.value().from_cache);
+    ExpectBitwiseEqual(res.value().model->decomposition, ref.value(),
+                       ("server job " + std::to_string(id)).c_str());
+  }
+}
+
+// The initialization's range finder on inputs that make its sketch
+// rank-deficient or full-width: each solve returns OK with finite,
+// orthonormal factors, bitwise equal at 1 and 4 threads.
+void ExpectInitEdgeCase(const SliceApproximation& approx,
+                        const std::vector<Index>& ranks,
+                        const std::string& what) {
+  TuckerDecomposition dec[2];
+  for (int t = 0; t < 2; ++t) {
+    DTuckerOptions opt = MakeOptions(ranks, t == 0 ? 1 : 4, /*iters=*/3);
+    Result<TuckerDecomposition> got = DTuckerFromApproximation(approx, opt);
+    ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
+    dec[t] = std::move(got).ValueOrDie();
+    for (Index i = 0; i < dec[t].core.size(); ++i) {
+      ASSERT_TRUE(std::isfinite(dec[t].core.data()[i])) << what;
+    }
+    for (const Matrix& f : dec[t].factors) {
+      EXPECT_TRUE(AlmostEqual(MultiplyTN(f, f), Matrix::Identity(f.cols())))
+          << what;
+    }
+  }
+  ExpectBitwiseEqual(dec[1], dec[0], (what + " threads 4 vs 1").c_str());
+}
+
+SliceApproximation Approximate(const Tensor& x, Index slice_rank,
+                               double adaptive_tolerance = 0.0) {
+  SliceApproximationOptions aopt;
+  aopt.slice_rank = slice_rank;
+  aopt.adaptive_tolerance = adaptive_tolerance;
+  return ApproximateSlices(x, aopt).ValueOrDie();
+}
+
+TEST(ShardedDTuckerTest, InitRangeFinderEdgeCases) {
+  {
+    // Adaptive truncation and zero slices: per-slice ranks 1..Js.
+    Tensor x = MakeLowRankTensor({20, 16, 12}, {3, 3, 3}, 0.05, 31);
+    const Matrix zero(20, 16);
+    for (Index l : {0, 5, 11}) x.SetFrontalSlice(l, zero);
+    const SliceApproximation approx = Approximate(x, 6, 0.05);
+    Index narrowest = 6;
+    for (const SliceSvd& sl : approx.slices) {
+      narrowest = std::min(narrowest, sl.u.cols());
+    }
+    ASSERT_LT(narrowest, 6) << "no slice was truncated";
+    ExpectInitEdgeCase(approx, {3, 3, 3}, "Js-deficient and zero slices");
+  }
+  {
+    // L * Js = 4 columns stacked, below the sketch width 8 and the rank 5.
+    const Tensor x = MakeLowRankTensor({12, 10, 2}, {3, 3, 2}, 0.1, 32);
+    ExpectInitEdgeCase(Approximate(x, 2), {5, 5, 2}, "s >= L * Js");
+  }
+  {
+    // Ranks equal to the dims: the sketch spans the whole space (s = I).
+    const Tensor x = MakeLowRankTensor({6, 5, 4}, {2, 2, 2}, 0.2, 33);
+    ExpectInitEdgeCase(Approximate(x, 5), {6, 5, 4}, "rank equal to dim");
+  }
+  for (double scale : {1e150, 1e-150}) {
+    Tensor x = MakeLowRankTensor({14, 12, 9}, {3, 3, 3}, 0.1, 34);
+    x *= scale;
+    ExpectInitEdgeCase(Approximate(x, 3), {3, 3, 3},
+                       "scale " + std::to_string(scale));
+  }
+  {
+    // An all-zero tensor: every stacked factor is zero.
+    ExpectInitEdgeCase(Approximate(Tensor({10, 9, 8}), 2), {2, 2, 2},
+                       "all-zero tensor");
+  }
 }
 
 TEST(ShardedDTuckerTest, FewerSlicesThanThreadsRunsOneRankPerSlice) {
