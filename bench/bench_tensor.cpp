@@ -1,8 +1,8 @@
-// Microbenchmarks for tensor operations and the D-Tucker phases.
+// Microbenchmarks for tensor operations (the D-Tucker phases are timed by
+// bench_linalg's BM_SliceRsvdGroup and bench_dtucker's BM_DTuckerSweep).
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
-#include "dtucker/dtucker.h"
 #include "tensor/tensor_ops.h"
 
 namespace dtucker {
@@ -36,38 +36,6 @@ void BM_ModeProduct(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * x.size() * 10);
 }
 BENCHMARK(BM_ModeProduct)->Arg(0)->Arg(1)->Arg(2);
-
-void BM_SliceApproximation(benchmark::State& state) {
-  const Index side = state.range(0);
-  Rng rng(3);
-  Tensor x = Tensor::GaussianRandom({side, side, 32}, rng);
-  SliceApproximationOptions opt;
-  opt.slice_rank = 10;
-  for (auto _ : state) {
-    auto approx = ApproximateSlices(x, opt);
-    benchmark::DoNotOptimize(approx.ok());
-  }
-}
-BENCHMARK(BM_SliceApproximation)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_DTuckerSweepCost(benchmark::State& state) {
-  // One full query-phase fit at fixed small iterations.
-  const Index side = state.range(0);
-  Rng rng(4);
-  Tensor x = Tensor::GaussianRandom({side, side, 32}, rng);
-  SliceApproximationOptions sopt;
-  sopt.slice_rank = 10;
-  auto approx = ApproximateSlices(x, sopt);
-  DTuckerOptions opt;
-  opt.tucker.ranks = {10, 10, 10};
-  opt.tucker.max_iterations = 3;
-  opt.tucker.tolerance = 0.0;
-  for (auto _ : state) {
-    auto dec = DTuckerFromApproximation(approx.value(), opt);
-    benchmark::DoNotOptimize(dec.ok());
-  }
-}
-BENCHMARK(BM_DTuckerSweepCost)->Arg(64)->Arg(128)->Arg(256);
 
 void BM_Kronecker(benchmark::State& state) {
   Rng rng(5);

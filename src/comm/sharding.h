@@ -1,7 +1,7 @@
 // Shard assignment for the slice dimension, built on a fixed chunk grid,
 // and the one reduction every D-Tucker slice sum goes through.
 //
-// Reductions over slices (stacked-factor Grams, carrier contractions,
+// Reductions over slices (range-finder products, carrier contractions,
 // squared norms) must produce bitwise-identical results whether they run
 // on 1 rank or many. Floating-point addition is not associative, so the
 // *shape* of the reduction has to be pinned independently of the rank

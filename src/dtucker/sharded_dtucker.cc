@@ -99,11 +99,6 @@ struct ShardWorkspace {
   std::vector<double> runs;      // Per-run mode-3 contractions of a chunk.
   std::vector<double> scratch;   // Chunk partials in flight (reductions).
   std::vector<std::size_t> z_counts;  // Owned-slice counts per rank.
-  // Sharded trailing-update scratch (order-3 fast path).
-  Matrix trailing_gram;  // Small-side Gram C = Z_(3)^T Z_(3) (m x m).
-  Matrix ut_local;       // This rank's factor rows, transposed (k x nlocal).
-  Matrix ut_all;         // Gathered panel, transposed (k x L).
-  Matrix trailing_u;     // Unnormalized factor panel (L x k).
 };
 
 // Maps an agreed status code back to a Status.
@@ -344,93 +339,6 @@ Status GatherProjectedCore(const ShardContext& sc, const Matrix& a1,
   return sc.comm->AllGatherV(sw->z_local.data(), counts, sw->ws.z.data());
 }
 
-// Whether the sweep-time trailing update runs sharded: order 3 (one
-// trailing mode, whose Gram decomposes slice by slice on the chunk grid)
-// and the small side of the mode-3 unfolding is the J1*J2 side, so its
-// m x m Gram (m = J1*J2 <= L) is the cheaper eigenproblem and can deliver
-// J3 vectors. Otherwise the update runs on the gathered Z, whose L x L
-// mode Gram is the small side. Orders >= 4 always gather: a trailing
-// unfolding's columns group slices whose indices straddle shard
-// boundaries, so the small-side Gram does not shard on the slice grid.
-// A pure function of shape and ranks, hence identical on every rank.
-bool UseShardedTrailing(const std::vector<Index>& shape,
-                        const std::vector<Index>& ranks) {
-  const Index m = ranks[0] * ranks[1];
-  return shape.size() == 3 && ranks[2] <= m && m <= shape[2];
-}
-
-// Sharded mode-3 factor update (order-3), never materializing the gathered
-// Z. With B = Z_(3)^T (m x L, m = J1*J2, column l = vec(z_l)):
-//   1. Small-side Gram C = B B^T = sum_l vec(z_l) vec(z_l)^T through the
-//      canonical reduction (one GEMM per owned chunk), so C is replicated
-//      and bitwise rank-count-invariant.
-//   2. Replicated small eig: W = top-k eigenvectors of C, the dominant
-//      right singular basis of the mode-3 unfolding.
-//   3. Each rank recovers only its own rows of the unnormalized panel
-//      U = Z_(3) W, computed transposed (k x nlocal) so step 4 is a pure
-//      ascending-rank concatenation with no floating-point combine.
-//   4. AllGatherV + local transpose to L x k.
-//   5. Replicated thin QR (CholeskyQR2, Householder fallback) restores
-//      orthonormal columns. Identical inputs and a deterministic kernel
-//      keep every rank in bitwise agreement.
-// The computed basis spans the same subspace as the gathered-Z
-// LeadingModeVectorsViaGram update, through a different factorization.
-Status ShardedTrailingFactorUpdate(const ShardContext& sc,
-                                   const std::vector<Index>& ranks,
-                                   std::vector<Matrix>* factors,
-                                   ShardWorkspace* sw) {
-  DT_TRACE_SPAN("dtucker.update_trailing_sharded");
-  const Index m = ranks[0] * ranks[1];
-  const Index k = ranks[2];
-  const Index big_l = sc.plan.num_slices;
-  const Index nlocal = sc.plan.NumLocalSlices();
-  Matrix& c = sw->trailing_gram;
-  if (c.rows() != m || c.cols() != m) c = Matrix::Uninitialized(m, m);
-  DT_RETURN_NOT_OK(ReduceOverChunks(
-      sc, static_cast<std::size_t>(m * m),
-      [&](Index begin, Index end, double* block) {
-        const double* z0 =
-            sw->z_local.data() +
-            static_cast<std::size_t>(begin - sc.plan.slice_begin) *
-                static_cast<std::size_t>(m);
-        GemmRaw(Trans::kNo, Trans::kYes, m, m, end - begin, /*alpha=*/1.0, z0,
-                m, z0, m, /*beta=*/0.0, block, m);
-      },
-      c.data(), &sw->scratch));
-  const Matrix w =
-      TopEigenvectorsSym(c, k, &sw->ws.subspace[2], kInnerEig);
-  Matrix& ut = sw->ut_local;
-  if (ut.rows() != k || ut.cols() != nlocal) {
-    ut = Matrix::Uninitialized(k, nlocal);
-  }
-  if (nlocal > 0) {
-    GemmRaw(Trans::kYes, Trans::kNo, k, nlocal, m, /*alpha=*/1.0, w.data(), m,
-            sw->z_local.data(), m, /*beta=*/0.0, ut.data(), k);
-  }
-  const std::vector<std::size_t>& slice_counts = RankSliceCounts(sc, sw);
-  std::vector<std::size_t> counts(slice_counts.size());
-  for (std::size_t r = 0; r < counts.size(); ++r) {
-    counts[r] = slice_counts[r] * static_cast<std::size_t>(k);
-  }
-  Matrix& ut_all = sw->ut_all;
-  if (ut_all.rows() != k || ut_all.cols() != big_l) {
-    ut_all = Matrix::Uninitialized(k, big_l);
-  }
-  DT_RETURN_NOT_OK(sc.comm->AllGatherV(ut.data(), counts, ut_all.data()));
-  Matrix& u = sw->trailing_u;
-  if (u.rows() != big_l || u.cols() != k) {
-    u = Matrix::Uninitialized(big_l, k);
-  }
-  for (Index l = 0; l < big_l; ++l) {
-    const double* src = ut_all.col_data(l);
-    for (Index j = 0; j < k; ++j) u.col_data(j)[l] = src[j];
-  }
-  Matrix a3 = Matrix::Uninitialized(big_l, k);
-  CholeskyQr2Raw(u.data(), big_l, k, a3.data(), nullptr);
-  (*factors)[2] = std::move(a3);
-  return Status::OK();
-}
-
 // Mode-m (0 or 1) initial factor: the top k = ranks[m] left singular
 // vectors of the stacked scaled slice factors B = [F_l S_l] (F_l = U_l or
 // V_l, S_l = diag(s_l * s_inv); PAPER.md §1 step 2), by a randomized range
@@ -600,12 +508,11 @@ Status ShardedInitialize(const ShardContext& sc, const DTuckerOptions& options,
 enum class SweepStop { kNone, kEntry, kMid };
 
 // One HOOI sweep: the mode-1/2 carrier contractions reduced across ranks,
-// the trailing update sharded over this rank's Z slab (order-3 fast path —
-// see UseShardedTrailing) or run on the gathered Z, and the core refreshed
-// from the Z slabs. Interruption checkpoints are *agreement points*
-// (AgreeOnStop) so every rank observes the same verdict at the same
-// boundary; `stop`/`where` report it. A communicator failure is returned
-// as an error Status.
+// then Z gathered on every rank and the trailing factors and the core
+// computed from it, replicated. Interruption checkpoints are *agreement
+// points* (AgreeOnStop) so every rank observes the same verdict at the
+// same boundary; `stop`/`where` report it. A communicator failure is
+// returned as an error Status.
 Status ShardedSweep(const ShardContext& sc, const std::vector<Index>& ranks,
                     const RunContext* ctx, std::vector<Matrix>* factors,
                     Tensor* core, ShardWorkspace* sw, StatusCode* stop,
@@ -681,25 +588,16 @@ Status ShardedSweep(const ShardContext& sc, const std::vector<Index>& ranks,
     static Histogram& stage_hist =
         MetricHistogram("dtucker.stage_ns.trailing");
     StageTimer stage_timer(&stage_hist);
-    if (UseShardedTrailing(sc.full_shape, ranks)) {
-      // Refresh only this rank's Z slab on the fresh A1/A2 and recover the
-      // mode-3 factor from the small-side Gram reduced through the
-      // canonical tree — the full Z is never gathered during sweeps.
-      BuildProjectedCoreInto(sc.slices, (*factors)[0], (*factors)[1],
-                             sc.s_inv, &sw->z_local);
-      DT_RETURN_NOT_OK(ShardedTrailingFactorUpdate(sc, ranks, factors, sw));
-    } else {
-      // Trailing updates on the gathered Z — replicated compute, zero
-      // communication past the gather.
-      DT_RETURN_NOT_OK(
-          GatherProjectedCore(sc, (*factors)[0], (*factors)[1], sw));
-      for (Index n = 2; n < order; ++n) {
-        (*factors)[static_cast<std::size_t>(n)] = LeadingModeVectorsViaGram(
-            *ContractTrailing(sw->ws.z, *factors, /*skip_mode=*/n, &sw->ws), n,
-            ranks[static_cast<std::size_t>(n)],
-            &sw->ws.subspace[static_cast<std::size_t>(n)],
-            kInnerEig);
-      }
+    // Every trailing factor from the gathered Z: replicated compute, no
+    // communication past the gather. LeadingModeVectorsViaGram picks the
+    // Gram side from the contracted tensor's shape.
+    DT_RETURN_NOT_OK(
+        GatherProjectedCore(sc, (*factors)[0], (*factors)[1], sw));
+    for (Index n = 2; n < order; ++n) {
+      (*factors)[static_cast<std::size_t>(n)] = LeadingModeVectorsViaGram(
+          *ContractTrailing(sw->ws.z, *factors, /*skip_mode=*/n, &sw->ws), n,
+          ranks[static_cast<std::size_t>(n)],
+          &sw->ws.subspace[static_cast<std::size_t>(n)], kInnerEig);
     }
   }
   DT_ASSIGN_OR_RETURN(stopped, agree(SweepStop::kMid));
@@ -709,19 +607,9 @@ Status ShardedSweep(const ShardContext& sc, const std::vector<Index>& ranks,
     static Histogram& stage_hist =
         MetricHistogram("dtucker.stage_ns.core_refresh");
     StageTimer stage_timer(&stage_hist);
-    // Contract this rank's Z slab — current in both branches above —
-    // against the *updated* trailing factors, through the same reduction
-    // the mode-1/2 updates use.
-    BuildOuterWeights(*factors, sc.full_shape, sc.plan, &sw->kout);
-    const Index m = ranks[0] * ranks[1];
-    DT_RETURN_NOT_OK(ReduceCarrierContraction(
-        sc, m, *factors, sw->kout, ranks,
-        [&](Index begin, Index) {
-          return sw->z_local.data() +
-                 static_cast<std::size_t>(begin - sc.plan.slice_begin) *
-                     static_cast<std::size_t>(m);
-        },
-        sw, core));
+    // The gathered Z against the *updated* trailing factors, as in the
+    // initialization: replicated, so no reduction.
+    *core = *ContractTrailing(sw->ws.z, *factors, /*skip_mode=*/-1, &sw->ws);
   }
   return Status::OK();
 }
@@ -1115,27 +1003,6 @@ Result<RankSuggestion> SuggestRanksFromApproximation(
   out.spectra.resize(static_cast<std::size_t>(order));
   out.retained_energy.resize(static_cast<std::size_t>(order));
 
-  auto pick = [&](std::vector<double> spectrum, Index mode) {
-    double total = 0;
-    for (double v : spectrum) total += std::max(v, 0.0);
-    Index rank = 1;
-    double cum = 0;
-    for (std::size_t i = 0; i < spectrum.size(); ++i) {
-      cum += std::max(spectrum[i], 0.0);
-      rank = static_cast<Index>(i + 1);
-      if (total <= 0.0 || cum >= energy_threshold * total) break;
-    }
-    if (max_rank > 0) rank = std::min(rank, max_rank);
-    double kept = 0;
-    for (Index i = 0; i < rank; ++i) {
-      kept += std::max(spectrum[static_cast<std::size_t>(i)], 0.0);
-    }
-    out.ranks[static_cast<std::size_t>(mode)] = rank;
-    out.retained_energy[static_cast<std::size_t>(mode)] =
-        total > 0 ? kept / total : 1.0;
-    out.spectra[static_cast<std::size_t>(mode)] = std::move(spectrum);
-  };
-
   // Modes 1 and 2: exact (for the approximated tensor) spectra from the
   // accumulated slice-factor Grams, since X~_(1) X~_(1)^T = sum_l U S^2 U^T,
   // reduced on one rank through the canonical chunk tree.
@@ -1148,10 +1015,11 @@ Result<RankSuggestion> SuggestRanksFromApproximation(
     const Index dim = approx.Dim(m);
     Matrix gram;
     DT_RETURN_NOT_OK(ShardedStackedFactorGram(sc, m, &gram));
-    EigenSymResult eig = EigenSym(gram);
+    EigenSymResult eig = EigenSymFast(gram);
     leading_vecs[static_cast<std::size_t>(m)] = eig.vectors.LeftCols(
         std::min(dim, std::max<Index>(approx.slice_rank, 1)));
-    pick(std::move(eig.values), m);
+    PickRankFromSpectrum(std::move(eig.values), energy_threshold, max_rank,
+                         m, &out);
   }
 
   // Trailing modes: spectra of the projected tensor Z built at the probe
@@ -1166,8 +1034,8 @@ Result<RankSuggestion> SuggestRanksFromApproximation(
   zshape[1] = leading_vecs[1].cols();
   z = z.Reshaped(zshape);
   for (Index n = 2; n < order; ++n) {
-    EigenSymResult eig = EigenSym(ModeGram(z, n));
-    pick(std::move(eig.values), n);
+    PickRankFromSpectrum(EigenSymFast(ModeGram(z, n)).values,
+                         energy_threshold, max_rank, n, &out);
   }
   return out;
 }

@@ -16,22 +16,18 @@
 //                     owned slice range (streaming just that shard when the
 //                     tensor lives in a file), so no rank ever touches
 //                     tensor data it does not own.
-//   Initialization  — the stacked-factor Grams sum per-slice contributions
-//                     through the canonical chunk tree. The small
-//                     projected tensor Z is assembled by a pure-concatenation
-//                     all-gather of per-shard slabs.
+//   Initialization  — A1 and A2 come from a randomized range finder over
+//                     the stacked slice factors, whose n x s sketch
+//                     products sum per-slice contributions through the
+//                     canonical chunk tree. The small projected tensor Z is
+//                     assembled by a pure-concatenation all-gather of
+//                     per-shard slabs.
 //   Iteration       — the mode-1/2 carrier contractions reduce per-chunk
-//                     GEMM partials through the same tree. For order 3 with
-//                     J1*J2 <= L the trailing update is sharded too: the
-//                     small-side trailing Gram accumulates per-slice outer
-//                     products of the rank's own Z slab, each rank recovers
-//                     its own rows of the factor panel, and a
-//                     pure-concatenation all-gather plus a replicated thin
-//                     QR finishes the update. Otherwise the trailing
-//                     updates run on the gathered Z, whose L x L mode Gram
-//                     is then the small side. The core refresh contracts
-//                     the rank's Z slab over the trailing modes and reduces
-//                     it through the same tree (any order).
+//                     GEMM partials through the same tree. Then Z is
+//                     gathered again, and every rank computes the trailing
+//                     factors (LeadingModeVectorsViaGram, which picks the
+//                     Gram side from the shape) and the core from it,
+//                     replicated, with no further communication.
 //
 // Determinism: every floating-point sum over slices follows the canonical
 // chunk grid of comm/sharding.h — fixed chunks, serial accumulation within

@@ -27,25 +27,30 @@ Matrix LeadingModeVectorsViaGram(const Tensor& x, Index mode, Index k,
   DT_CHECK_LE(k, x.dim(mode)) << "rank exceeds mode dimension";
   const Index n = x.dim(mode);
   const Index m = n > 0 ? x.size() / n : 0;
-  if (mode == 0 && m < n && k <= m) {
-    // Small-side path. The mode-0 unfolding is the flat buffer itself, an
-    // n x m column-major matrix A with m < n (the iteration-phase factor
-    // updates land here: n is a tensor dimension, m a product of ranks).
-    // Eigendecompose the small Gram C = A^T A (m x m) instead of the large
-    // A A^T (n x n): the top-k eigenvectors W are the leading right
-    // singular vectors of A, so Q from the QR of A W spans — and, the
-    // columns of A W being orthogonal with norms sigma_i, equals up to
-    // column signs — the leading left singular basis. The QR is CholeskyQR2
-    // (Householder when A W is too ill-conditioned). Every step is a
-    // deterministic dense kernel, so the result is thread-count invariant
-    // like the large-Gram path.
+  const bool first = mode == 0;
+  if ((first || mode == x.order() - 1) && m < n && k <= m) {
+    // Small-side path. The unfolding A = X_(mode) (n x m, m < n) is the flat
+    // buffer itself for the first mode (n x m, column-major) and its
+    // transpose for the last (m x n); `ta` reads A out of the buffer and
+    // `tat` reads A^T. The iteration-phase factor updates land here: n is
+    // a tensor dimension, m a product of ranks. Eigendecompose the small Gram
+    // C = A^T A (m x m) instead of the large A A^T (n x n): the top-k
+    // eigenvectors W are the leading right singular vectors of A, so Q
+    // from the QR of A W spans — and, the columns of A W being orthogonal
+    // with norms sigma_i, equals up to column signs — the leading left
+    // singular basis. The QR is CholeskyQR2 (Householder when A W is too
+    // ill-conditioned). Every step is a deterministic dense kernel, so the
+    // result is thread-count invariant like the large-Gram path.
+    const Trans ta = first ? Trans::kNo : Trans::kYes;
+    const Trans tat = first ? Trans::kYes : Trans::kNo;
+    const Index lda = first ? n : m;
     Matrix c = Matrix::Uninitialized(m, m);
-    GemmRaw(Trans::kYes, Trans::kNo, m, m, n, 1.0, x.data(), n, x.data(), n,
-            0.0, c.data(), m);
+    GemmRaw(tat, ta, m, m, n, 1.0, x.data(), lda, x.data(), lda, 0.0,
+            c.data(), m);
     Matrix w = TopEigenvectorsSym(c, k, subspace, eig_options);
     Matrix u = Matrix::Uninitialized(n, k);
-    GemmRaw(Trans::kNo, Trans::kNo, n, k, m, 1.0, x.data(), n, w.data(), m,
-            0.0, u.data(), n);
+    GemmRaw(ta, Trans::kNo, n, k, m, 1.0, x.data(), lda, w.data(), m, 0.0,
+            u.data(), n);
     Matrix q = Matrix::Uninitialized(n, k);
     CholeskyQr2Raw(u.data(), n, k, q.data(), nullptr);
     return q;

@@ -36,17 +36,18 @@ Matrix LeadingLeftSingularVectorsViaGram(const Matrix& m, Index k);
 // Leading k left singular vectors of the mode-n unfolding X_(n), computed
 // matricization-free: the Gram X_(n) X_(n)^T is accumulated by ModeGram
 // straight from the flat tensor buffer, so no unfolding copy is ever made.
-// For mode 0 with a wide-side smaller than the mode dimension (the
-// iteration-phase shape: I x prod(ranks)), the Gram is instead formed on
-// the small side — X_(0)^T X_(0), prod(ranks) squared — and the left basis
-// recovered by one thin QR, which is an order of magnitude cheaper when
-// I >> prod(ranks). `subspace` (optional, in/out) is forwarded to
-// TopEigenvectorsSym to warm-start its subspace iteration across repeated
-// calls on slowly-moving operands (HOOI sweeps); pass nullptr for one-shot
-// use. `eig_options` is forwarded to the same routine — outer iterations
-// that re-solve every sweep pass a bounded, looser inner solve (inexact
-// HOOI) and let the outer loop absorb the slack. The returned basis spans
-// the same leading subspace on every path.
+// For the first or the last mode, whose unfolding is the flat buffer or
+// its transpose, with the other dimensions' product m below the mode
+// dimension and at least k (the iteration-phase shapes: I x prod(ranks)),
+// the Gram is instead formed on the small side — X_(n)^T X_(n), m x m —
+// and the left basis recovered by one thin QR, which is an order of
+// magnitude cheaper when I >> prod(ranks). `subspace` (optional, in/out)
+// is forwarded to TopEigenvectorsSym to warm-start its subspace iteration
+// across repeated calls on slowly-moving operands (HOOI sweeps); pass
+// nullptr for one-shot use. `eig_options` is forwarded to the same routine
+// — outer iterations that re-solve every sweep pass a bounded, looser
+// inner solve (inexact HOOI) and let the outer loop absorb the slack. The
+// returned basis spans the same leading subspace on every path.
 Matrix LeadingModeVectorsViaGram(const Tensor& x, Index mode, Index k,
                                  Matrix* subspace = nullptr,
                                  const SubspaceIterationOptions& eig_options = {});

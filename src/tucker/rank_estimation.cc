@@ -1,13 +1,37 @@
 #include "tucker/rank_estimation.h"
 
 #include <algorithm>
+#include <utility>
 
-#include "linalg/blas.h"
 #include "linalg/eigen_sym.h"
-#include "linalg/eigen_tridiag.h"
 #include "tensor/tensor_ops.h"
 
 namespace dtucker {
+
+void PickRankFromSpectrum(std::vector<double> spectrum,
+                          double energy_threshold, Index max_rank, Index mode,
+                          RankSuggestion* out) {
+  double total = 0.0;
+  for (double v : spectrum) total += std::max(v, 0.0);
+  Index rank = 1;
+  double cum = 0.0;
+  for (std::size_t i = 0; i < spectrum.size(); ++i) {
+    cum += std::max(spectrum[i], 0.0);
+    rank = static_cast<Index>(i + 1);
+    if (total <= 0.0 || cum >= energy_threshold * total) break;
+  }
+  if (max_rank > 0) rank = std::min(rank, max_rank);
+
+  // Retained energy at the final (possibly capped) rank.
+  double kept = 0.0;
+  for (Index i = 0; i < rank; ++i) {
+    kept += std::max(spectrum[static_cast<std::size_t>(i)], 0.0);
+  }
+  const std::size_t m = static_cast<std::size_t>(mode);
+  out->ranks[m] = rank;
+  out->spectra[m] = std::move(spectrum);
+  out->retained_energy[m] = total > 0.0 ? kept / total : 1.0;
+}
 
 Result<RankSuggestion> SuggestRanks(const Tensor& x, double energy_threshold,
                                     Index max_rank) {
@@ -22,43 +46,10 @@ Result<RankSuggestion> SuggestRanks(const Tensor& x, double energy_threshold,
   out.ranks.resize(static_cast<std::size_t>(x.order()));
   out.spectra.resize(static_cast<std::size_t>(x.order()));
   out.retained_energy.resize(static_cast<std::size_t>(x.order()));
-
   for (Index n = 0; n < x.order(); ++n) {
-    Matrix unf = Unfold(x, n);
-    Matrix gram(unf.rows(), unf.rows());
-    GemmRaw(Trans::kNo, Trans::kYes, unf.rows(), unf.rows(), unf.cols(), 1.0,
-            unf.data(), unf.rows(), unf.data(), unf.rows(), 0.0, gram.data(),
-            gram.rows());
-    // Full spectrum needed: the QL solver is much faster than Jacobi for
-    // large modes; fall back to Jacobi on (pathological) non-convergence.
-    EigenSymResult eig;
-    Result<EigenSymResult> qr = EigenSymQr(gram);
-    if (qr.ok()) {
-      eig = std::move(qr).ValueOrDie();
-    } else {
-      eig = EigenSym(gram);
-    }
-
-    double total = 0.0;
-    for (double v : eig.values) total += std::max(v, 0.0);
-    Index rank = 1;
-    double cum = 0.0;
-    for (std::size_t i = 0; i < eig.values.size(); ++i) {
-      cum += std::max(eig.values[i], 0.0);
-      rank = static_cast<Index>(i + 1);
-      if (total <= 0.0 || cum >= energy_threshold * total) break;
-    }
-    if (max_rank > 0) rank = std::min(rank, max_rank);
-
-    // Retained energy at the final (possibly capped) rank.
-    double kept = 0.0;
-    for (Index i = 0; i < rank; ++i) {
-      kept += std::max(eig.values[static_cast<std::size_t>(i)], 0.0);
-    }
-    out.ranks[static_cast<std::size_t>(n)] = rank;
-    out.spectra[static_cast<std::size_t>(n)] = std::move(eig.values);
-    out.retained_energy[static_cast<std::size_t>(n)] =
-        total > 0.0 ? kept / total : 1.0;
+    // Full spectrum needed.
+    PickRankFromSpectrum(EigenSymFast(ModeGram(x, n)).values, energy_threshold,
+                         max_rank, n, &out);
   }
   return out;
 }

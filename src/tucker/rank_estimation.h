@@ -28,6 +28,13 @@ struct RankSuggestion {
 Result<RankSuggestion> SuggestRanks(const Tensor& x, double energy_threshold,
                                     Index max_rank = 0);
 
+// The rule above for one mode: sets out->ranks, spectra and
+// retained_energy at `mode` (already sized) from that mode's squared
+// singular values, descending. SuggestRanksFromApproximation shares it.
+void PickRankFromSpectrum(std::vector<double> spectrum,
+                          double energy_threshold, Index max_rank, Index mode,
+                          RankSuggestion* out);
+
 }  // namespace dtucker
 
 #endif  // DTUCKER_TUCKER_RANK_ESTIMATION_H_

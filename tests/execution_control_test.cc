@@ -1,6 +1,7 @@
 // Execution-control suite: cooperative cancellation, deadlines, and IO
 // fault injection across the D-Tucker phases (see DESIGN.md §10).
 #include <atomic>
+#include <cstdio>
 #include <thread>
 #include <vector>
 
@@ -303,6 +304,7 @@ class FaultInjectionTest : public ::testing::Test {
     tensor_ = MakeLowRankTensor({12, 10, 6}, {3, 3, 3}, 0.05, 11);
     ASSERT_TRUE(SaveTensor(tensor_, path_).ok());
   }
+  void TearDown() override { std::remove(path_.c_str()); }
 
   std::string path_;
   Tensor tensor_;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <string>
 
 #include "data/generators.h"
 #include "data/tensor_file.h"
@@ -11,8 +14,14 @@
 namespace dtucker {
 namespace {
 
+// A path under the test temp directory that belongs to the running test
+// alone (its suite, name and process id), so cases run in parallel
+// processes never write or remove each other's files.
 std::string TempPath(const char* name) {
-  return ::testing::TempDir() + "/" + name;
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "/" + info->test_suite_name() + "." +
+         info->name() + "." + std::to_string(::getpid()) + "." + name;
 }
 
 class OutOfCoreTest : public ::testing::Test {
@@ -127,7 +136,7 @@ TEST_F(OutOfCoreTest, EndToEndDecompositionMatchesInMemory) {
 }
 
 TEST(TensorFileWriterTest, StreamedWriteReadRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/writer.dtnsr";
+  const std::string path = TempPath("writer.dtnsr");
   Result<TensorFileWriter> writer =
       TensorFileWriter::Create(path, {5, 4, 6});
   ASSERT_TRUE(writer.ok());
@@ -152,7 +161,7 @@ TEST(TensorFileWriterTest, Validates) {
   EXPECT_FALSE(TensorFileWriter::Create("/tmp/x.dtnsr", {4}).ok());
   EXPECT_FALSE(TensorFileWriter::Create("/tmp/x.dtnsr", {4, 0, 2}).ok());
 
-  const std::string path = ::testing::TempDir() + "/writer2.dtnsr";
+  const std::string path = TempPath("writer2.dtnsr");
   Result<TensorFileWriter> writer =
       TensorFileWriter::Create(path, {3, 3, 2});
   ASSERT_TRUE(writer.ok());
@@ -176,7 +185,7 @@ TEST(OutOfCoreErrorsTest, MissingAndCorruptFiles) {
 
   // A matrix (order 2) file: reader opens it, but out-of-core D-Tucker
   // requires order >= 3.
-  const std::string path = ::testing::TempDir() + "/matrix.dtnsr";
+  const std::string path = TempPath("matrix.dtnsr");
   Rng rng(2);
   Tensor m = Tensor::GaussianRandom({6, 6}, rng);
   ASSERT_TRUE(SaveTensor(m, path).ok());
@@ -184,7 +193,7 @@ TEST(OutOfCoreErrorsTest, MissingAndCorruptFiles) {
   std::remove(path.c_str());
 
   // Truncated payload is rejected at Open.
-  const std::string tpath = ::testing::TempDir() + "/trunc2.dtnsr";
+  const std::string tpath = TempPath("trunc2.dtnsr");
   Tensor t = MakeLowRankTensor({8, 8, 4}, {2, 2, 2}, 0.0, 3);
   ASSERT_TRUE(SaveTensor(t, tpath).ok());
   ASSERT_EQ(truncate(tpath.c_str(), 200), 0);

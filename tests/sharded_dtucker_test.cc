@@ -595,10 +595,10 @@ TEST(ShardedDTuckerTest, NonPowerOfTwoRankCountsMatchFitTo4Digits) {
 }
 
 TEST(ShardedDTuckerTest, ReplicatedTrailingFallbackStaysBitwise) {
-  // Order 3 takes the sharded small-side trailing update only when
-  // J3 <= J1*J2 <= L. Here J1*J2 = 12 > L = 9, so every rank updates the
-  // last factor from the gathered Z in lockstep; the cross-rank-count
-  // bitwise identity must hold on that reduction shape too.
+  // The trailing update eigensolves the small side of the contracted Z's
+  // last-mode unfolding only when J3 <= J1*J2 < L. Here J1*J2 = 12 > L = 9,
+  // so every rank takes the L x L mode Gram of the gathered Z in lockstep;
+  // the cross-rank-count bitwise identity must hold on that Gram side too.
   Tensor x = MakeLowRankTensor({15, 13, 9}, {4, 4, 4}, 0.2, 3);
   Result<TuckerDecomposition> one =
       DTucker(x, MakeOptions({4, 3, 3}, 1));
@@ -615,14 +615,14 @@ TEST(ShardedDTuckerTest, ReplicatedTrailingFallbackStaysBitwise) {
 }
 
 TEST(ShardedDTuckerTest, ShardedAndReplicatedTrailingAgreeOnAccuracy) {
-  // The two trailing updates recover the last factor through different
-  // factorizations (small-side Gram + QR versus the gathered Z's eig), so
-  // their bits differ, but the converged accuracy must not. The size rule
-  // picks the update, so one approximation is solved as is (J1*J2 = 16 >
-  // L = 10: gathered) and with every slice repeated twice (L = 20:
-  // sharded). Repeating the slices scales the mode-1/2 Grams by 2 and
-  // splits each mode-3 singular vector evenly over the two copies, so the
-  // Tucker problem and its relative error are the same.
+  // The trailing update's two Gram sides recover the last factor through
+  // different factorizations (small-side Gram + QR versus the L x L mode
+  // Gram's eig), so their bits differ, but the converged accuracy must
+  // not. The shape picks the side, so one approximation is solved as is
+  // (J1*J2 = 16 > L = 10: mode Gram) and with every slice repeated twice
+  // (L = 20: small side). Repeating the slices scales the mode-1/2 Grams by
+  // 2 and splits each mode-3 singular vector evenly over the two copies, so
+  // the Tucker problem and its relative error are the same.
   Tensor x = MakeLowRankTensor({18, 16, 10}, {4, 4, 4}, 0.3, 5);
   Tensor x2({18, 16, 20});
   for (Index l = 0; l < 20; ++l) x2.SetFrontalSlice(l, x.FrontalSlice(l % 10));
@@ -644,7 +644,7 @@ TEST(ShardedDTuckerTest, ShardedAndReplicatedTrailingAgreeOnAccuracy) {
   double errs[2];
   const SliceApproximation* sides[2] = {&approx2, &approx.value()};
   const Tensor* targets[2] = {&x2, &x};
-  const char* names[2] = {"sharded", "gathered"};
+  const char* names[2] = {"small side", "mode Gram"};
   for (int i = 0; i < 2; ++i) {
     opt.num_threads = 1;
     Result<TuckerDecomposition> one =
@@ -658,14 +658,14 @@ TEST(ShardedDTuckerTest, ShardedAndReplicatedTrailingAgreeOnAccuracy) {
     errs[i] = one.value().RelativeErrorAgainst(*targets[i]);
   }
   EXPECT_NEAR(errs[0], errs[1], 1e-6)
-      << "sharded " << errs[0] << " gathered " << errs[1];
+      << "small side " << errs[0] << " mode Gram " << errs[1];
 }
 
 TEST(ShardedDTuckerTest, OversizedTrailingRankFallsBackAndStaysBitwise) {
-  // ranks[2] > ranks[0] * ranks[1] makes the small-side Gram ineligible
-  // even though J1*J2 = 4 <= L = 12; the solver must take the gathered-Z
-  // update on every rank in lockstep and keep the 1-rank bits at any
-  // rank count.
+  // ranks[2] > ranks[0] * ranks[1] leaves the small-side Gram (J1*J2 = 4)
+  // unable to deliver J3 vectors even though J1*J2 < L = 12; the update
+  // must take the L x L mode Gram on every rank in lockstep and keep the
+  // 1-rank bits at any rank count.
   Tensor x = MakeLowRankTensor({16, 14, 12}, {2, 2, 5}, 0.15, 17);
   Result<TuckerDecomposition> one =
       DTucker(x, MakeOptions({2, 2, 5}, 1));

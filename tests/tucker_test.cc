@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "common/rng.h"
 #include "data/generators.h"
 #include "linalg/blas.h"
+#include "linalg/eigen_sym.h"
 #include "tensor/tensor_ops.h"
 #include "tucker/hosvd.h"
 #include "tucker/tucker_als.h"
@@ -58,6 +63,59 @@ TEST(HosvdTest, FactorsAreOrthonormal) {
       EXPECT_TRUE(AlmostEqual(MultiplyTN(f, f), Matrix::Identity(f.cols()),
                               1e-9));
     }
+  }
+}
+
+// max |Q Q^T - R R^T| over the entries: zero when Q and R span the same
+// subspace, whatever basis each picks.
+double ProjectorDistance(const Matrix& q, const Matrix& r) {
+  const Matrix pq = MultiplyNT(q, q);
+  const Matrix pr = MultiplyNT(r, r);
+  double d = 0.0;
+  for (Index j = 0; j < pq.cols(); ++j) {
+    for (Index i = 0; i < pq.rows(); ++i) {
+      d = std::max(d, std::fabs(pq(i, j) - pr(i, j)));
+    }
+  }
+  return d;
+}
+
+TEST(LeadingModeVectorsTest, LastModeSmallSideMatchesModeGram) {
+  // prod(other dims) = 12 < I_last: the last mode takes the small-side
+  // Gram X_(n)^T X_(n). Its subspace must be the one the I_last x I_last
+  // mode Gram gives, for order 3 and order 4.
+  struct Case {
+    std::vector<Index> shape;
+    std::vector<Index> ranks;
+  };
+  const Case cases[] = {{{3, 4, 40}, {3, 4, 5}}, {{3, 2, 2, 30}, {2, 2, 2, 4}}};
+  for (const Case& c : cases) {
+    Tensor x = MakeLowRankTensor(c.shape, c.ranks, 0.05, 31);
+    const Index last = x.order() - 1;
+    const Index k = c.ranks.back();
+    const Matrix q = LeadingModeVectorsViaGram(x, last, k);
+    const Matrix ref = EigenSymFast(ModeGram(x, last)).vectors.LeftCols(k);
+    ASSERT_EQ(q.rows(), x.dim(last));
+    ASSERT_EQ(q.cols(), k);
+    EXPECT_TRUE(AlmostEqual(MultiplyTN(q, q), Matrix::Identity(k), 1e-12))
+        << x.ShapeString();
+    EXPECT_LE(ProjectorDistance(q, ref), 1e-10) << x.ShapeString();
+  }
+}
+
+TEST(LeadingModeVectorsTest, LastModeWithoutSmallSideTakesModeGram) {
+  // k > prod(other dims) = 4, and prod(other dims) = 25 >= I_last: both
+  // leave the small side and give the mode-Gram path's bits.
+  struct Case {
+    std::vector<Index> shape;
+    Index k;
+  };
+  const Case cases[] = {{{2, 2, 30}, 6}, {{5, 5, 10}, 3}};
+  for (const Case& c : cases) {
+    Tensor x = MakeLowRankTensor(c.shape, {2, 2, 2}, 0.1, 32);
+    const Matrix q = LeadingModeVectorsViaGram(x, 2, c.k);
+    const Matrix ref = TopEigenvectorsSym(ModeGram(x, 2), c.k);
+    EXPECT_TRUE(AlmostEqual(q, ref, 0.0)) << x.ShapeString();
   }
 }
 
