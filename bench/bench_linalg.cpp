@@ -132,9 +132,8 @@ void SetQrCounters(benchmark::State& state, Index m, Index n, bool forms_q) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(flops));
 }
 
-// Shapes mirror what the phases feed the QR: (I1 x sketch) tall-skinny
-// panels from the range finder, and the wider stacked [Y<1> ... Y<L>]
-// blocks of the init phase.
+// Householder QR, the CholeskyQR2 fallback and ThinSvd's preconditioner,
+// on tall-skinny and wider shapes.
 void BM_ThinQr(benchmark::State& state) {
   const Index m = state.range(0);
   const Index n = state.range(1);
@@ -193,45 +192,6 @@ void BM_CholeskyQr2(benchmark::State& state) {
       flops * 1e-9, benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_CholeskyQr2)->Args({80, 15})->Args({256, 15})->Args({1024, 15});
-
-// The level-2 reference: the ratio to BM_QrOrthonormalize at the same
-// shape is the speedup delivered by the compact-WY blocking.
-void BM_QrOrthonormalizeUnblocked(benchmark::State& state) {
-  const Index m = state.range(0);
-  const Index n = state.range(1);
-  Rng rng(3);
-  Matrix a = Matrix::GaussianRandom(m, n, rng);
-  for (auto _ : state) {
-    Matrix q = QrOrthonormalizeUnblocked(a);
-    benchmark::DoNotOptimize(q.data());
-  }
-  SetQrCounters(state, m, n, /*forms_q=*/true);
-}
-BENCHMARK(BM_QrOrthonormalizeUnblocked)
-    ->Args({1024, 15})
-    ->Args({4096, 64})
-    ->Args({8192, 128})
-    ->Args({1024, 256});
-
-// Blocked QR on the shared pool: same product, pool sized per the third
-// argument (compare to the single-thread row at the same shape).
-void BM_QrOrthonormalizeThreaded(benchmark::State& state) {
-  const Index m = state.range(0);
-  const Index n = state.range(1);
-  SetBlasThreads(static_cast<int>(state.range(2)));
-  Rng rng(3);
-  Matrix a = Matrix::GaussianRandom(m, n, rng);
-  for (auto _ : state) {
-    Matrix q = QrOrthonormalize(a);
-    benchmark::DoNotOptimize(q.data());
-  }
-  SetQrCounters(state, m, n, /*forms_q=*/true);
-  SetBlasThreads(1);
-}
-BENCHMARK(BM_QrOrthonormalizeThreaded)
-    ->Args({8192, 128, 1})
-    ->Args({8192, 128, 2})
-    ->Args({8192, 128, 4});
 
 void BM_ThinSvdSmall(benchmark::State& state) {
   const Index n = state.range(0);

@@ -14,12 +14,11 @@ namespace dtucker {
 namespace {
 
 // Grow-only thread_local scratch for per-slice temporaries (the p/q
-// matrices of the carrier and projected-core builders, and the scaled
-// factor of the Gram accumulation). Distinct slots because one slice build
-// needs two live buffers at once. Never handed to nested GEMMs — those
-// pack into their own TLS buffers (TlsPackBufferA/B).
+// matrices of the carrier and projected-core builders). Distinct slots
+// because one slice build needs two live buffers at once. Never handed to
+// nested GEMMs — those pack into their own TLS buffers (TlsPackBufferA/B).
 double* TlsSliceScratch(int slot, std::size_t doubles) {
-  static thread_local std::vector<double> bufs[3];
+  static thread_local std::vector<double> bufs[2];
   std::vector<double>& b = bufs[slot];
   if (b.size() < doubles) b.resize(doubles);
   return b.data();
@@ -143,26 +142,6 @@ void FillInitSketch(std::span<const SliceSvd> slices, Index first_slice,
     FillSketchGaussian(rng, omega_t, count);
     omega_t += count;
   }
-}
-
-void AccumulateScaledFactorGram(const SliceSvd& sl, int m, double s_inv,
-                                double beta, double* gram) {
-  const Matrix& f0 = m == 0 ? sl.u : sl.v;
-  const Index dim = f0.rows();
-  const Index js = f0.cols();
-  if (js == 0) {
-    if (beta == 0.0) std::fill(gram, gram + dim * dim, 0.0);
-    return;
-  }
-  double* f = TlsSliceScratch(2, static_cast<std::size_t>(dim * js));
-  for (Index j = 0; j < js; ++j) {
-    const double sj = sl.s[static_cast<std::size_t>(j)] * s_inv;
-    const double* src = f0.col_data(j);
-    double* dst = f + static_cast<std::size_t>(j) * static_cast<std::size_t>(dim);
-    for (Index i = 0; i < dim; ++i) dst[i] = sj * src[i];
-  }
-  GemmRaw(Trans::kNo, Trans::kYes, dim, dim, js, 1.0, f, dim, f, dim, beta,
-          gram, dim);
 }
 
 const Tensor* ContractTrailing(const Tensor& t,

@@ -162,14 +162,6 @@ void PackScaledFactors(std::span<const SliceSvd> slices, int m, double s_inv,
 void FillInitSketch(std::span<const SliceSvd> slices, Index first_slice,
                     int m, std::uint64_t seed, Index width, double* omega_t);
 
-// gram (+)= F diag(s * s_inv)^2 F^T for F = slice U (m == 0) or V (m == 1)
-// into the dim x dim column-major `gram`, staging the scaled factor in TLS
-// scratch. `beta` 0 overwrites the accumulator, 1 adds. Only
-// SuggestRanksFromApproximation uses it: it needs the full mode-1/2
-// spectra, which the initialization's range finder does not form.
-void AccumulateScaledFactorGram(const SliceSvd& sl, int m, double s_inv,
-                                double beta, double* gram);
-
 // Contracts trailing modes (2..N-1, optionally skipping one) of `t` with
 // factors[n]^T, visiting modes in decreasing dim->rank shrinkage order so
 // the working tensor shrinks as fast as possible, ping-ponging through the

@@ -29,7 +29,6 @@ namespace dtucker {
 
 namespace {
 
-using internal_dtucker::AccumulateScaledFactorGram;
 using internal_dtucker::BuildModeOneCarrierInto;
 using internal_dtucker::BuildModeTwoCarrierInto;
 using internal_dtucker::BuildProjectedCoreInto;
@@ -135,22 +134,42 @@ Status ReduceOverChunks(const ShardContext& sc, std::size_t n,
       out, scratch);
 }
 
+// Packs F_l diag(s_l * s_inv) of the slices [begin, end) side by side
+// into `pack` (PackScaledFactors), growing it as needed, and returns their
+// column count c: `pack` then holds P, dim x c.
+Index PackChunk(const ShardContext& sc, int m, Index begin, Index end,
+                std::vector<double>* pack) {
+  const Index dim = sc.full_shape[static_cast<std::size_t>(m)];
+  Index c = 0;
+  for (const SliceSvd& sl : sc.SliceRange(begin, end)) c += sl.u.cols();
+  if (pack->size() < static_cast<std::size_t>(c * dim)) {
+    pack->resize(static_cast<std::size_t>(c * dim));
+  }
+  PackScaledFactors(sc.SliceRange(begin, end), m, sc.s_inv, pack->data());
+  return c;
+}
+
 // G = sum_l F_l diag(s_l * s_inv)^2 F_l^T over *all* ranks' slices
-// (F = U for m == 0, V for m == 1). Only SuggestRanksFromApproximation
-// forms it, for the full mode-1/2 spectra; the solve's initialization
-// takes the range finder below. The I x I chunk partials are freed on
-// return.
+// (F = U for m == 0, V for m == 1), one GEMM P P^T per chunk. Only
+// SuggestRanksFromApproximation forms it, for the full mode-1/2 spectra;
+// the solve's initialization takes the range finder below. The I x I
+// chunk partials are freed on return.
 Status ShardedStackedFactorGram(const ShardContext& sc, int m, Matrix* g) {
   const Index dim = sc.full_shape[static_cast<std::size_t>(m)];
+  const std::size_t gs = static_cast<std::size_t>(dim * dim);
   *g = Matrix::Uninitialized(dim, dim);
+  std::vector<double> pack;
   std::vector<double> scratch;
   return ReduceOverChunks(
-      sc, static_cast<std::size_t>(dim * dim),
+      sc, gs,
       [&](Index begin, Index end, double* block) {
-        for (Index l = begin; l < end; ++l) {
-          AccumulateScaledFactorGram(sc.Slice(l), m, sc.s_inv,
-                                     l == begin ? 0.0 : 1.0, block);
+        const Index c = PackChunk(sc, m, begin, end, &pack);
+        if (c == 0) {
+          std::fill(block, block + gs, 0.0);
+          return;
         }
+        GemmRaw(Trans::kNo, Trans::kYes, dim, dim, c, 1.0, pack.data(), dim,
+                pack.data(), dim, 0.0, block, dim);
       },
       g->data(), &scratch);
 }
@@ -372,13 +391,10 @@ Status RangeFinderFactor(const ShardContext& sc, int m, Index k,
   std::vector<double> pack;
   std::vector<double> panel;
   auto chunk = [&](Index begin, Index end, Index* c) {
-    *c = 0;
-    for (const SliceSvd& sl : sc.SliceRange(begin, end)) *c += sl.u.cols();
-    if (pack.size() < static_cast<std::size_t>(*c * dim)) {
-      pack.resize(static_cast<std::size_t>(*c * dim));
+    *c = PackChunk(sc, m, begin, end, &pack);
+    if (panel.size() < static_cast<std::size_t>(*c * s)) {
       panel.resize(static_cast<std::size_t>(*c * s));
     }
-    PackScaledFactors(sc.SliceRange(begin, end), m, sc.s_inv, pack.data());
     return pack.data();
   };
   Matrix y = Matrix::Uninitialized(dim, s);

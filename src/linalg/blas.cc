@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstring>
 #include <utility>
-#include <vector>
 
 #include "common/metrics.h"
 #include "common/thread_pool.h"
@@ -27,8 +26,8 @@ constexpr Index kSmallVolume = 32 * 32 * 32;
 
 // Tall-k window of the transposed kernel: a small (<= 32 x 64) output with
 // a long reduction dimension, and an A panel small enough (m * k doubles,
-// <= 2 MiB) to stay cache-resident while the n sweep re-reads it. This is
-// the W = V^T C / Gram-block shape of the blocked QR.
+// <= 2 MiB) to stay cache-resident while the n sweep re-reads it, such as
+// the subspace iteration's Rayleigh quotient Q^T (A Q).
 constexpr Index kTallTnMaxM = 32;
 constexpr Index kTallTnMaxN = 64;
 constexpr Index kTallTnMinK = 256;
@@ -326,8 +325,8 @@ void GemmRaw(Trans trans_a, Trans trans_b, Index m, Index n, Index k,
   }
 
   // Route first: the beta handling below depends on it. Thin, short or
-  // small products, and short-m transposed products with a long k (the
-  // W = V^T C shape of the blocked QR), take the unpacked kernels; the
+  // small products, and short-m transposed products with a long k (such
+  // as Q^T (A Q) of the subspace iteration), take the unpacked kernels; the
   // rest the packed three-level path.
   const bool no_product = k == 0 || alpha == 0.0;
   const bool tall_tn = trans_a == Trans::kYes && trans_b == Trans::kNo &&
@@ -438,35 +437,6 @@ void Axpy(double alpha, const double* x, double* y, Index n) {
 
 void Scal(double alpha, double* x, Index n) {
   for (Index i = 0; i < n; ++i) x[i] *= alpha;
-}
-
-void TrmmUpperRaw(Trans trans_t, Index n, Index ncols, const double* t,
-                  Index ldt, double* w, Index ldw) {
-  if (n == 0 || ncols == 0) return;
-  if (trans_t == Trans::kYes) {
-    // w_i := sum_{j <= i} T(j, i) w_j = dot(T(0:i+1, i), w(0:i+1)): column i
-    // of T is contiguous, and a descending sweep is safe in place (entry i
-    // only reads entries <= i, which later iterations never touch).
-    for (Index c = 0; c < ncols; ++c) {
-      double* wc = w + c * ldw;
-      for (Index i = n - 1; i >= 0; --i) {
-        wc[i] = Dot(t + i * ldt, wc, i + 1);
-      }
-    }
-    return;
-  }
-  // w := T w accumulated column by column: out(0:j+1) += w_j * T(0:j+1, j).
-  // The accumulation target would clobber inputs still needed, so stage the
-  // original column in a small scratch buffer.
-  std::vector<double> tmp(static_cast<std::size_t>(n));
-  for (Index c = 0; c < ncols; ++c) {
-    double* wc = w + c * ldw;
-    std::memcpy(tmp.data(), wc, static_cast<std::size_t>(n) * sizeof(double));
-    std::memset(wc, 0, static_cast<std::size_t>(n) * sizeof(double));
-    for (Index j = 0; j < n; ++j) {
-      Axpy(tmp[static_cast<std::size_t>(j)], t + j * ldt, wc, j + 1);
-    }
-  }
 }
 
 void TrsmUpperRaw(Index n, Index ncols, const double* r, Index ldr, double* x,

@@ -45,19 +45,12 @@ double MaxAbs(const double* x, Index n);
 // finite (no NaN, no infinity).
 double MaxAbsFinite(const double* x, Index n, bool* finite);
 
-// Triangular kernels. `t`/`r`/`l` are n x n column-major with the given
-// leading dimension; entries outside the referenced triangle are never
-// read. All loops sweep columns of the triangle (contiguous memory), the
-// orientation that matches the storage.
-
-// W := op(T) * W for upper-triangular T; W is n x ncols, leading dim ldw.
-// This is the compact-WY "T-apply" of the blocked QR (see linalg/qr.cc).
-void TrmmUpperRaw(Trans trans_t, Index n, Index ncols, const double* t,
-                  Index ldt, double* w, Index ldw);
-
 // In-place triangular solves, X (n x ncols): R X = B (upper, back
 // substitution) and L X = B (lower, forward substitution) in axpy form.
-// Diagonal entries must be nonzero (DT_CHECK).
+// `r`/`l` are n x n column-major with the given leading dimension; entries
+// outside the referenced triangle are never read, and the loops sweep
+// columns of the triangle (contiguous memory). Diagonal entries must be
+// nonzero (DT_CHECK).
 void TrsmUpperRaw(Index n, Index ncols, const double* r, Index ldr, double* x,
                   Index ldx);
 void TrsmLowerRaw(Index n, Index ncols, const double* l, Index ldl, double* x,

@@ -118,9 +118,12 @@ Matrix TopEigenvectorsSym(const Matrix& a, Index k, Matrix* subspace,
     // basis this routine handed back on a previous call).
     q = *subspace;
   } else {
+    // A pure function of (n, k): repeated solves start from the same bits.
     Rng rng(0x70B5EEDULL + static_cast<uint64_t>(n) * 1315423911ULL +
             static_cast<uint64_t>(k));
-    q = QrOrthonormalize(Matrix::GaussianRandom(n, s, rng));
+    const Matrix start = Matrix::GaussianRandom(n, s, rng);
+    q = Matrix::Uninitialized(n, s);
+    CholeskyQr2Raw(start.data(), n, s, q.data(), nullptr);
   }
 
   std::vector<double> prev_ritz;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -14,36 +13,8 @@ namespace dtucker {
 
 namespace {
 
-// Thread-local scratch for the factorization copy (dgeqrf layout), the
-// dense reflector matrix V, and the block reflector workspace W (the
-// TlsPackBuffer pattern of the GEMM engine): consecutive factorizations —
-// e.g. one ThinQr per slice inside the rSVD — reuse the same pages instead
-// of faulting in fresh zeroed ones each call.
-double* TlsQrScratchFact(std::size_t doubles) {
-  static thread_local std::vector<double> buf;
-  if (buf.size() < doubles) buf.resize(doubles);
-  return buf.data();
-}
-
-double* TlsQrScratchV(std::size_t doubles) {
-  static thread_local std::vector<double> buf;
-  if (buf.size() < doubles) buf.resize(doubles);
-  return buf.data();
-}
-
-double* TlsQrScratchW(std::size_t doubles) {
-  static thread_local std::vector<double> buf;
-  if (buf.size() < doubles) buf.resize(doubles);
-  return buf.data();
-}
-
-// Vectorized dot product for the leaf factorization only. Dot() in blas.cc
-// is deliberately scalar (no -ffast-math, so the compiler must preserve the
-// serial reduction order); the leaves sit on the critical path of the
-// blocked factorization, and a reordered reduction is fine there because
-// leaf-blocked shapes are not bit-compared against the unblocked reference
-// — single-panel shapes (min(m, n) < 2 * kQrPanelLeaf), which ARE
-// bit-compared, never reach this function.
+// The vector type of the CholeskyQR2 right solve. aligned(8): the panel
+// rows start at arbitrary 8-byte offsets.
 #if defined(__GNUC__) || defined(__clang__)
 #if defined(__AVX512F__)
 constexpr Index kQrVecLen = 8;
@@ -52,309 +23,78 @@ constexpr Index kQrVecLen = 4;
 #else
 constexpr Index kQrVecLen = 2;
 #endif
-// aligned(8): the reflector tails start at arbitrary 8-byte offsets.
 typedef double QrVec __attribute__((
     vector_size(kQrVecLen * sizeof(double)), aligned(8)));
-
-double DotVec(const double* x, const double* y, Index n) {
-  QrVec acc0 = QrVec{};
-  QrVec acc1 = QrVec{};
-  Index i = 0;
-  for (; i + 2 * kQrVecLen <= n; i += 2 * kQrVecLen) {
-    acc0 += *reinterpret_cast<const QrVec*>(x + i) *
-            *reinterpret_cast<const QrVec*>(y + i);
-    acc1 += *reinterpret_cast<const QrVec*>(x + i + kQrVecLen) *
-            *reinterpret_cast<const QrVec*>(y + i + kQrVecLen);
-  }
-  acc0 += acc1;
-  double s = 0.0;
-  for (Index l = 0; l < kQrVecLen; ++l) s += acc0[l];
-  for (; i < n; ++i) s += x[i] * y[i];
-  return s;
-}
 #else
 constexpr Index kQrVecLen = 1;
 typedef double QrVec;
-
-double DotVec(const double* x, const double* y, Index n) {
-  return Dot(x, y, n);
-}
 #endif
 
-// Unblocked Householder factorization of columns [k0, k1) of the m-row
-// column-major array `a` (LAPACK dgeqrf layout): on return the upper
-// triangle holds R and the columns below the diagonal hold the Householder
-// vectors; `tau[k]` holds the reflector coefficients. Each reflector is
-// applied immediately to columns [k+1, cend) — the leaf for the blocked
-// driver, the whole matrix for the unblocked reference. kVectorDot selects
-// the reduction used in the apply step: the unblocked reference and narrow
-// panels keep the scalar Dot (bit-reproducible against the reference), the
-// leaves of wide panels use the vectorized one.
-template <bool kVectorDot>
-void FactorPanelImpl(double* a, Index m, Index k0, Index k1, Index cend,
-                     double* tau) {
-  for (Index k = k0; k < k1; ++k) {
-    double* col = a + k * m + k;
+// A level-2 Householder factorization in LAPACK dgeqrf layout: R on and
+// above the diagonal of `fact`, the reflector tails below it, and one
+// reflector coefficient per column of the thin Q in `tau`.
+struct Householder {
+  Matrix fact;
+  std::vector<double> tau;
+};
+
+// Forms one reflector per column and applies it to the trailing columns
+// as soon as it is formed (rank-1 updates).
+Householder Factorize(const Matrix& a) {
+  const Index m = a.rows();
+  const Index n = a.cols();
+  Householder f{a, std::vector<double>(
+                       static_cast<std::size_t>(std::min(m, n)), 0.0)};
+  double* fact = f.fact.data();
+  for (Index k = 0; k < static_cast<Index>(f.tau.size()); ++k) {
+    double* col = fact + k * m + k;
     const Index len = m - k;
     double alpha = col[0];
     double xnorm = len > 1 ? Nrm2(col + 1, len - 1) : 0.0;
-    if (xnorm == 0.0) {
-      tau[k] = 0.0;
-      continue;
-    }
+    if (xnorm == 0.0) continue;  // tau = 0: H_k = I.
     double beta = -std::copysign(std::hypot(alpha, xnorm), alpha);
     double t = (beta - alpha) / beta;
     Scal(1.0 / (alpha - beta), col + 1, len - 1);
-    tau[k] = t;
+    f.tau[static_cast<std::size_t>(k)] = t;
     col[0] = beta;
 
     // Apply (I - tau v v^T) to the trailing columns; v = [1; col[1:]].
-    for (Index j = k + 1; j < cend; ++j) {
-      double* cj = a + j * m + k;
-      double s = cj[0] + (kVectorDot ? DotVec(col + 1, cj + 1, len - 1)
-                                     : Dot(col + 1, cj + 1, len - 1));
+    for (Index j = k + 1; j < n; ++j) {
+      double* cj = fact + j * m + k;
+      double s = cj[0] + Dot(col + 1, cj + 1, len - 1);
       s *= t;
       cj[0] -= s;
       Axpy(-s, col + 1, cj + 1, len - 1);
     }
   }
-}
-
-void FactorPanel(Matrix* a, Index k0, Index k1, Index cend,
-                 std::vector<double>* tau) {
-  FactorPanelImpl<false>(a->data(), a->rows(), k0, k1, cend, tau->data());
-}
-
-// Materializes columns [c0, c1) of the dense unit lower-trapezoidal V into
-// scratch storage: explicit zeros above the diagonal, explicit unit, the
-// reflector tail from the dgeqrf layout. Each element is written exactly
-// once, so the scratch needs no prior zeroing. (A reflector skipped with
-// tau = 0 had a zero tail, so its V column comes out as e_c.)
-void MaterializeV(const double* fact, Index m, Index c0, Index c1, double* v,
-                  Index ldv) {
-  for (Index c = c0; c < c1; ++c) {
-    double* dst = v + c * ldv;
-    std::memset(dst, 0, static_cast<std::size_t>(c) * sizeof(double));
-    dst[c] = 1.0;
-    std::memcpy(dst + c + 1, fact + c * m + c + 1,
-                static_cast<std::size_t>(m - c - 1) * sizeof(double));
-  }
-}
-
-// dlarft, forward columnwise, from a precomputed Gram block: column i of
-// the kb x kb upper-triangular T is
-//   T(0:i, i) = -tau_i * T(0:i, 0:i) * g(0:i, i),   T(i, i) = tau_i,
-// where column i of `g` (leading dimension ldg) holds V^T v_i. Only the
-// upper triangle of T is written (plus explicit zeros above a tau = 0
-// diagonal, which keeps that reflector's whole T row at exact zero so its
-// V column never contributes).
-void BuildTFromGram(const double* tau, const double* g, Index ldg, Index kb,
-                    double* t, Index ldt) {
-  for (Index i = 0; i < kb; ++i) {
-    const double ti = tau[i];
-    double* tcol = t + i * ldt;
-    tcol[i] = ti;
-    if (i == 0) continue;
-    if (ti == 0.0) {
-      for (Index j = 0; j < i; ++j) tcol[j] = 0.0;
-      continue;
-    }
-    const double* gi = g + static_cast<std::size_t>(i) * ldg;
-    for (Index j = 0; j < i; ++j) tcol[j] = -ti * gi[j];
-    TrmmUpperRaw(Trans::kNo, i, 1, t, ldt, tcol, ldt);
-  }
-}
-
-// C := (I - V op(T) V^T) C for the len x nc block at `c` (leading dim ldc)
-// — op(T) = T applies the aggregate's H_1...H_kb, op(T) = T^T its
-// transpose. Three level-3 steps: W = V^T C (the tall-k A^T B kernel),
-// W := op(T) W, C -= V W. V and T are raw views into the factorization's
-// scratch storage.
-void ApplyBlockReflector(const double* v, Index ldv, Index len, Index kb,
-                         const double* t, Index ldt, Trans trans_t, double* c,
-                         Index ldc, Index nc) {
-  double* w = TlsQrScratchW(static_cast<std::size_t>(kb) * nc);
-  GemmRaw(Trans::kYes, Trans::kNo, kb, nc, len, 1.0, v, ldv, c, ldc, 0.0, w,
-          kb);
-  TrmmUpperRaw(trans_t, kb, nc, t, ldt, w, kb);
-  GemmRaw(Trans::kNo, Trans::kNo, len, nc, kb, -1.0, v, ldv, w, kb, 1.0, c,
-          ldc);
-}
-
-// A factorization plus the whole-matrix compact-WY aggregate
-// H_1 H_2 ... H_p = I - V T V^T: `fact` is the dgeqrf-layout factorization
-// and V the dense unit lower-trapezoidal reflector matrix (m x p, zeros
-// made explicit so every application is a plain GEMM) — both live in
-// thread-local scratch, valid until the next factorization on this thread —
-// and T the p x p upper-triangular factor, assembled panel by panel with
-// the block-merge rule
-//   T <- [[T_a, -T_a (V_a^T V_b) T_b], [0, T_b]].
-// A single T for all of Q is what lets FormQBlocked collapse to one GEMM.
-struct BlockedFactorization {
-  Index m = 0;
-  Index n = 0;
-  const double* fact = nullptr;  // m x n, dgeqrf layout (scratch).
-  Matrix t;
-  std::vector<double> tau;
-  const double* v = nullptr;  // m x p, leading dimension m (scratch).
-};
-
-Index PanelWidth(Index p) {
-  return p >= kQrWidePanelMin ? kQrPanelWidthLarge : kQrPanelWidthSmall;
-}
-
-BlockedFactorization FactorizeBlocked(const Matrix& in) {
-  const Index m = in.rows();
-  const Index n = in.cols();
-  const Index p = std::min(m, n);
-  const Index nb = PanelWidth(p);
-
-  BlockedFactorization f;
-  f.m = m;
-  f.n = n;
-  f.tau.assign(static_cast<std::size_t>(p), 0.0);
-  f.t = Matrix(p, p);  // Zero-initialized: strictly lower part stays zero.
-  double* a = TlsQrScratchFact(static_cast<std::size_t>(m) * n);
-  std::memcpy(a, in.data(), static_cast<std::size_t>(m) * n * sizeof(double));
-  f.fact = a;
-  double* v = TlsQrScratchV(static_cast<std::size_t>(m) * p);
-  f.v = v;
-  // Scratch for one Gram block row g = V_b^T V(:, 0:k1) and its transposed
-  // leading columns (the merge's cross product).
-  std::vector<double> g(static_cast<std::size_t>(nb) * p);
-  std::vector<double> cross(static_cast<std::size_t>(p) * nb);
-
-  for (Index k0 = 0; k0 < p; k0 += nb) {
-    const Index kb = std::min(nb, p - k0);
-    const Index k1 = k0 + kb;
-
-    if (kb >= 2 * kQrPanelLeaf) {
-      // Two-level panel: factor kQrPanelLeaf-column leaves with the
-      // unblocked code, then push each leaf into the rest of the panel as
-      // a block reflector, so the level-2 work scales with the leaf width,
-      // not the panel width.
-      for (Index l0 = k0; l0 < k1; l0 += kQrPanelLeaf) {
-        const Index lb = std::min(kQrPanelLeaf, k1 - l0);
-        const Index l1 = l0 + lb;
-        FactorPanelImpl<true>(a, m, l0, l1, l1, f.tau.data());
-        MaterializeV(a, m, l0, l1, v, m);
-        if (l1 < k1) {
-          double gleaf[kQrPanelLeaf * kQrPanelLeaf];
-          double tleaf[kQrPanelLeaf * kQrPanelLeaf];
-          const double* vleaf = v + static_cast<std::size_t>(l0) * m + l0;
-          GemmRaw(Trans::kYes, Trans::kNo, lb, lb, m - l0, 1.0, vleaf, m,
-                  vleaf, m, 0.0, gleaf, lb);
-          BuildTFromGram(f.tau.data() + l0, gleaf, lb, lb, tleaf, lb);
-          ApplyBlockReflector(vleaf, m, m - l0, lb, tleaf, lb, Trans::kYes,
-                              a + l1 * m + l0, m, k1 - l1);
-        }
-      }
-    } else {
-      // Narrow panel (possible only when p < 2 * kQrPanelLeaf, or for the
-      // ragged last panel): plain level-2 factorization with the scalar
-      // reduction. For a single-panel matrix this reproduces the unblocked
-      // R bit for bit.
-      FactorPanelImpl<false>(a, m, k0, k1, k1, f.tau.data());
-      MaterializeV(a, m, k0, k1, v, m);
-    }
-
-    // One Gram block row against every reflector so far: columns [0, k0)
-    // are the cross products the T merge needs, columns [k0, k1) the
-    // panel-internal products the T diagonal block needs. All those
-    // V columns are zero above row k0, so the products start there.
-    GemmRaw(Trans::kYes, Trans::kNo, kb, k1, m - k0, 1.0,
-            v + static_cast<std::size_t>(k0) * m + k0, m, v + k0, m, 0.0,
-            g.data(), kb);
-
-    // T diagonal block (dlarft) from the panel-internal part of g.
-    double* tdiag = f.t.col_data(k0) + k0;
-    BuildTFromGram(f.tau.data() + k0,
-                   g.data() + static_cast<std::size_t>(k0) * kb, kb, kb,
-                   tdiag, f.t.rows());
-
-    // Merge into the global aggregate:
-    // T(0:k0, k0:k1) = -T_prev * (V_a^T V_b) * T_b, with V_a^T V_b the
-    // transpose of g's leading k0 columns.
-    if (k0 > 0) {
-      for (Index j = 0; j < kb; ++j) {
-        for (Index i = 0; i < k0; ++i) {
-          cross[static_cast<std::size_t>(j) * k0 + i] =
-              g[static_cast<std::size_t>(i) * kb + j];
-        }
-      }
-      // Dense GEMM is safe: T_b's strictly lower part is exact zeros.
-      GemmRaw(Trans::kNo, Trans::kNo, k0, kb, kb, -1.0, cross.data(), k0,
-              tdiag, p, 0.0, f.t.col_data(k0), p);
-      TrmmUpperRaw(Trans::kNo, k0, kb, f.t.data(), p, f.t.col_data(k0), p);
-    }
-
-    // Trailing update with the transposed aggregate: R's remaining columns
-    // are Q^T A = (I - V T^T V^T) A applied panel by panel.
-    if (k1 < n) {
-      ApplyBlockReflector(v + static_cast<std::size_t>(k0) * m + k0, m,
-                          m - k0, kb, tdiag, p, Trans::kYes, a + k1 * m + k0,
-                          m, n - k1);
-    }
-  }
   return f;
 }
 
-// Forms the thin Q (m x p) in one sweep: Q = (I - V T V^T) E with E the
-// first p columns of the identity, so V^T E is just V's leading p x p
-// block transposed (unit upper triangular) and
-//   Q = E - V (T V1^T)
-// — a p x p triangular multiply plus a single m x p x p GEMM. This is the
-// payoff of carrying one aggregate T for the whole factorization: Q
-// formation runs entirely on the packed GEMM instead of reapplying panels.
-Matrix FormQBlocked(const BlockedFactorization& f) {
-  const Index m = f.m;
+// Copies R (p x n upper triangle) out of the factorization.
+Matrix ExtractR(const Householder& f) {
   const Index p = static_cast<Index>(f.tau.size());
-  Matrix w(p, p);  // Zero-initialized: strictly lower part stays zero.
-  for (Index j = 0; j < p; ++j) {
-    double* wc = w.col_data(j);
-    const double* vrow = f.v + j;  // Row j of V, stride m.
-    for (Index i = 0; i <= j; ++i) {
-      wc[i] = vrow[static_cast<std::size_t>(i) * m];
-    }
-  }
-  TrmmUpperRaw(Trans::kNo, p, p, f.t.data(), p, w.data(), p);
-  // beta = 0 on uninitialized storage: the packed GEMM's overwrite path
-  // makes its single pass over Q the only pass — no zero-fill, no C read.
-  Matrix q = Matrix::Uninitialized(m, p);
-  GemmRaw(Trans::kNo, Trans::kNo, m, p, p, -1.0, f.v, m, w.data(), p, 0.0,
-          q.data(), m);
-  for (Index j = 0; j < p; ++j) q(j, j) += 1.0;
-  return q;
-}
-
-// Copies R (p x n upper triangle) out of a dgeqrf-layout factorization.
-Matrix ExtractR(const double* fact, Index m, Index n, Index p) {
-  Matrix r(p, n);
-  for (Index j = 0; j < n; ++j) {
+  Matrix r(p, f.fact.cols());
+  for (Index j = 0; j < r.cols(); ++j) {
     const Index top = std::min(j + 1, p);
-    const double* src = fact + j * m;
+    const double* src = f.fact.col_data(j);
     double* dst = r.col_data(j);
     for (Index i = 0; i < top; ++i) dst[i] = src[i];
   }
   return r;
 }
 
-Matrix ExtractR(const Matrix& fact, Index p) {
-  return ExtractR(fact.data(), fact.rows(), fact.cols(), p);
-}
-
-// Unblocked thin-Q formation (reference path and small-matrix fast path):
-// apply reflectors in reverse order, Q = H_0 H_1 ... H_{p-1} * I.
-Matrix FormQUnblocked(const Matrix& fact, const std::vector<double>& tau) {
-  const Index m = fact.rows();
-  const Index p = static_cast<Index>(tau.size());
+// Thin Q: the reflectors applied in reverse order to the first p columns
+// of the identity, Q = H_0 H_1 ... H_{p-1} * I.
+Matrix FormQ(const Householder& f) {
+  const Index m = f.fact.rows();
+  const Index p = static_cast<Index>(f.tau.size());
   Matrix q(m, p);
   for (Index j = 0; j < p; ++j) q(j, j) = 1.0;
 
   for (Index k = p - 1; k >= 0; --k) {
-    const double t = tau[static_cast<std::size_t>(k)];
+    const double t = f.tau[static_cast<std::size_t>(k)];
     if (t == 0.0) continue;
-    const double* v = fact.col_data(k) + k;  // v[0] implicit 1.
+    const double* v = f.fact.col_data(k) + k;  // v[0] implicit 1.
     const Index len = m - k;
     for (Index j = k; j < p; ++j) {
       double* cj = q.col_data(j) + k;
@@ -365,10 +105,6 @@ Matrix FormQUnblocked(const Matrix& fact, const std::vector<double>& tau) {
     }
   }
   return q;
-}
-
-bool UseUnblocked(const Matrix& a) {
-  return std::min(a.rows(), a.cols()) <= kQrUnblockedMax;
 }
 
 // CholeskyQR2's pivot rule (see qr.h): pivots at or below this fraction of
@@ -555,35 +291,15 @@ QrResult ThinQr(const Matrix& a) {
   static Counter& calls = MetricCounter("qr.calls");
   calls.Add(1);
   DT_TRACE_SPAN("qr.thin");
-  if (UseUnblocked(a)) return ThinQrUnblocked(a);
-  BlockedFactorization f = FactorizeBlocked(a);
-  Matrix r = ExtractR(f.fact, f.m, f.n, static_cast<Index>(f.tau.size()));
-  return QrResult{FormQBlocked(f), std::move(r)};
+  const Householder f = Factorize(a);
+  return QrResult{FormQ(f), ExtractR(f)};
 }
 
 Matrix QrOrthonormalize(const Matrix& a) {
   static Counter& calls = MetricCounter("qr.calls");
   calls.Add(1);
   DT_TRACE_SPAN("qr.orthonormalize");
-  if (UseUnblocked(a)) return QrOrthonormalizeUnblocked(a);
-  return FormQBlocked(FactorizeBlocked(a));
-}
-
-QrResult ThinQrUnblocked(const Matrix& a) {
-  Matrix fact = a;
-  const Index p = std::min(a.rows(), a.cols());
-  std::vector<double> tau(static_cast<std::size_t>(p), 0.0);
-  FactorPanel(&fact, 0, p, a.cols(), &tau);
-  Matrix r = ExtractR(fact, p);
-  return QrResult{FormQUnblocked(fact, tau), std::move(r)};
-}
-
-Matrix QrOrthonormalizeUnblocked(const Matrix& a) {
-  Matrix fact = a;
-  const Index p = std::min(a.rows(), a.cols());
-  std::vector<double> tau(static_cast<std::size_t>(p), 0.0);
-  FactorPanel(&fact, 0, p, a.cols(), &tau);
-  return FormQUnblocked(fact, tau);
+  return FormQ(Factorize(a));
 }
 
 Matrix SolveUpperTriangular(const Matrix& r, const Matrix& b) {

@@ -1,44 +1,17 @@
-// Householder QR decomposition, blocked compact-WY form.
+// Orthogonalization: level-2 Householder QR and CholeskyQR2.
 //
 // ThinQr(A) for A (m x n) returns Q (m x min(m,n)) with orthonormal columns
-// and upper-triangular R (min(m,n) x n) such that A = Q R. This is the
-// orthogonalization primitive used by randomized range finders, HOOI, and
-// the D-Tucker iteration phase.
-//
-// The implementation factors kQrPanelLeaf-column leaves with unblocked
-// level-2 Householder code, aggregates them into kQr*PanelWidth-column
-// panels and the panels into a single whole-matrix compact-WY form
-// H_1...H_p = I - V T V^T (LAPACK dlarft plus the block-merge rule), and
-// applies every aggregate — to the rest of the panel, to the trailing
-// matrix, and to the identity when forming the thin Q, which collapses to
-// one m x p x p GEMM — as level-3 calls on the kernels in linalg/blas.h.
-// Trailing updates therefore draw threads from the shared SetBlasThreads()
-// pool (with its nested-parallelism guard) and inherit the kernels'
-// bitwise-deterministic scheduling: the factorization is bit-identical
-// across thread counts. See DESIGN.md §7.
+// and upper-triangular R (min(m,n) x n) such that A = Q R, by one
+// Householder reflector per column applied as rank-1 updates. It is the
+// fallback of CholeskyQR2Raw, the preconditioner of ThinSvd and the
+// reference the tests compare against; every orthonormalization in the
+// three D-Tucker phases is CholeskyQR2. See DESIGN.md §7.
 #ifndef DTUCKER_LINALG_QR_H_
 #define DTUCKER_LINALG_QR_H_
 
 #include "linalg/matrix.h"
 
 namespace dtucker {
-
-// Matrices with min(m, n) <= kQrUnblockedMax skip the compact-WY machinery
-// entirely (the V/T/workspace setup costs more than it saves on the J x J
-// problems of the iteration phase). Above that, panels are
-// kQrPanelWidthSmall columns wide, or kQrPanelWidthLarge once min(m, n)
-// reaches kQrWidePanelMin — wide enough to amortize packing, narrow enough
-// that the level-2 panel factorization stays a small fraction of the work.
-// Inside a panel of at least 2 * kQrPanelLeaf columns, kQrPanelLeaf-column
-// leaves are factored level-2 and pushed right as block reflectors, so the
-// level-2 work scales with the leaf width, not the panel width. A
-// factorization with min(m, n) < 2 * kQrPanelLeaf is a single level-2
-// panel, so its R is bit-identical to the unblocked reference.
-inline constexpr Index kQrUnblockedMax = 12;
-inline constexpr Index kQrPanelLeaf = 8;
-inline constexpr Index kQrPanelWidthSmall = 32;
-inline constexpr Index kQrPanelWidthLarge = 32;
-inline constexpr Index kQrWidePanelMin = 192;
 
 struct QrResult {
   Matrix q;  // m x min(m,n), orthonormal columns.
@@ -50,13 +23,6 @@ QrResult ThinQr(const Matrix& a);
 // Returns only the orthonormal factor Q (saves forming R when the caller
 // just needs an orthonormal basis of range(A)).
 Matrix QrOrthonormalize(const Matrix& a);
-
-// Reference level-2 implementations (one reflector at a time, rank-1
-// updates): the path ThinQr/QrOrthonormalize take at or below
-// kQrUnblockedMax, and the correctness and speedup baseline for tests and
-// benchmarks.
-QrResult ThinQrUnblocked(const Matrix& a);
-Matrix QrOrthonormalizeUnblocked(const Matrix& a);
 
 // CholeskyQR2: Y = Q R for a tall m x k panel (m >= k >= 1, column-major,
 // leading dimension m) by two Cholesky passes. Each pass forms the k x k

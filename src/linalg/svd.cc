@@ -117,6 +117,29 @@ SvdResult ExtractAndSort(Matrix w, Matrix v) {
   return out;
 }
 
+// ThinSvd after its power-of-two prescale.
+SvdResult ThinSvdScaled(const Matrix& a) {
+  const Index m = a.rows();
+  const Index n = a.cols();
+  if (m < n) {
+    // SVD of A^T = V S U^T, then swap factors.
+    SvdResult t = ThinSvdScaled(a.Transposed());
+    return SvdResult{std::move(t.v), std::move(t.s), std::move(t.u)};
+  }
+  if (m > n) {
+    // QR precondition: A = Q R, SVD(R) = Ur S V^T, so U = Q Ur.
+    QrResult qr = ThinQr(a);
+    SvdResult inner = ThinSvdScaled(qr.r);
+    return SvdResult{Multiply(qr.q, inner.u), std::move(inner.s),
+                     std::move(inner.v)};
+  }
+  // Square case: one-sided Jacobi.
+  Matrix w = a;
+  Matrix v;
+  OneSidedJacobi(&w, &v);
+  return ExtractAndSort(std::move(w), std::move(v));
+}
+
 }  // namespace
 
 Matrix SvdResult::Reconstruct() const {
@@ -149,23 +172,17 @@ SvdResult ThinSvd(const Matrix& a) {
   if (m == 0 || n == 0) {
     return SvdResult{Matrix(m, 0), {}, Matrix(n, 0)};
   }
-  if (m < n) {
-    // SVD of A^T = V S U^T, then swap factors.
-    SvdResult t = ThinSvd(a.Transposed());
-    return SvdResult{std::move(t.v), std::move(t.s), std::move(t.u)};
-  }
-  if (m > n) {
-    // QR precondition: A = Q R, SVD(R) = Ur S V^T, so U = Q Ur.
-    QrResult qr = ThinQr(a);
-    SvdResult inner = ThinSvd(qr.r);
-    return SvdResult{Multiply(qr.q, inner.u), std::move(inner.s),
-                     std::move(inner.v)};
-  }
-  // Square case: one-sided Jacobi.
-  Matrix w = a;
-  Matrix v;
-  OneSidedJacobi(&w, &v);
-  return ExtractAndSort(std::move(w), std::move(v));
+  // Run at the power-of-two scale that brings the largest entry into
+  // [0.5, 1), as BatchedJacobiSvd does per lane: the squared column norms
+  // of the Jacobi sweep then stay in range for any finite input, and both
+  // scalings are exact, so U and V do not depend on the input's exponent.
+  const double max_abs = a.MaxAbs();
+  int exponent = 0;
+  if (max_abs > 0.0 && std::isfinite(max_abs)) std::frexp(max_abs, &exponent);
+  if (exponent == 0) return ThinSvdScaled(a);
+  SvdResult out = ThinSvdScaled(a * std::ldexp(1.0, -exponent));
+  for (double& sj : out.s) sj = std::ldexp(sj, exponent);
+  return out;
 }
 
 namespace {

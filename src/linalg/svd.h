@@ -7,6 +7,9 @@
 // accurate to high relative precision and has no convergence pathologies —
 // the right trade-off for the small-to-medium factor computations this
 // library performs (the large-matrix path goes through rsvd/ instead).
+// It runs at the power-of-two scale that brings the largest entry into
+// [0.5, 1), so any finite input works, and A scaled by 2^e gives the same
+// U and V bits and singular values scaled by exactly 2^e.
 #ifndef DTUCKER_LINALG_SVD_H_
 #define DTUCKER_LINALG_SVD_H_
 

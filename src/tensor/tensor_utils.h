@@ -1,5 +1,4 @@
-// General tensor utilities: sub-tensor extraction, concatenation,
-// elementwise products, and input validation.
+// Tensor input validation: finiteness checks and the largest entry.
 #ifndef DTUCKER_TENSOR_TENSOR_UTILS_H_
 #define DTUCKER_TENSOR_TENSOR_UTILS_H_
 
@@ -7,16 +6,6 @@
 #include "tensor/tensor.h"
 
 namespace dtucker {
-
-// Copies the sub-tensor with mode-`mode` indices [start, start+len).
-// Generalizes Tensor::LastModeSlice to any mode.
-Result<Tensor> SubTensor(const Tensor& x, Index mode, Index start, Index len);
-
-// Concatenates along `mode`; shapes must agree on all other modes.
-Result<Tensor> Concatenate(const Tensor& a, const Tensor& b, Index mode);
-
-// Elementwise (Hadamard) product; shapes must match.
-Result<Tensor> HadamardProduct(const Tensor& a, const Tensor& b);
 
 // True if any entry is NaN or infinite.
 bool ContainsNonFinite(const Tensor& x);

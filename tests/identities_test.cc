@@ -9,7 +9,6 @@
 #include "linalg/blas.h"
 #include "linalg/qr.h"
 #include "tensor/tensor_ops.h"
-#include "tensor/tensor_utils.h"
 
 namespace dtucker {
 namespace {
@@ -70,19 +69,6 @@ TEST_P(ShapeSweepTest, PermutationIsNormPreservingBijection) {
   Tensor p = x.Permuted(perm);
   EXPECT_NEAR(p.SquaredNorm(), x.SquaredNorm(), 1e-12 * x.SquaredNorm());
   EXPECT_TRUE(AlmostEqual(p.Permuted(perm), x, 0.0));  // Self-inverse here.
-}
-
-TEST_P(ShapeSweepTest, SubTensorConcatenateRoundTripAllModes) {
-  Rng rng(5);
-  Tensor x = Tensor::GaussianRandom(GetParam(), rng);
-  for (Index n = 0; n < x.order(); ++n) {
-    if (x.dim(n) < 2) continue;
-    const Index split = x.dim(n) / 2;
-    Tensor a = SubTensor(x, n, 0, split).value();
-    Tensor b = SubTensor(x, n, split, x.dim(n) - split).value();
-    EXPECT_TRUE(AlmostEqual(Concatenate(a, b, n).value(), x, 0.0))
-        << "mode " << n;
-  }
 }
 
 TEST_P(ShapeSweepTest, UnfoldKroneckerContractionIdentity) {

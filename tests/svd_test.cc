@@ -118,6 +118,27 @@ TEST(SvdTest, EmptyAndDegenerate) {
   for (double s : z.s) EXPECT_EQ(s, 0.0);
 }
 
+TEST(SvdTest, ExtremeMagnitudesAreExactlyScaled) {
+  // ThinSvd runs at a power-of-two scale: A scaled by 2^e gives the same U
+  // and V bits and singular values scaled by exactly 2^e, including at
+  // magnitudes where the Jacobi sweep's squared column norms would leave
+  // double's range.
+  Rng rng(10);
+  for (const Matrix& a : {Matrix::GaussianRandom(20, 16, rng),
+                          Matrix::GaussianRandom(16, 20, rng)}) {
+    const SvdResult ref = ThinSvd(a);
+    for (int e : {-500, 256, 300}) {
+      const SvdResult svd = ThinSvd(a * std::ldexp(1.0, e));
+      ASSERT_EQ(svd.s.size(), ref.s.size());
+      for (std::size_t j = 0; j < ref.s.size(); ++j) {
+        EXPECT_EQ(svd.s[j], std::ldexp(ref.s[j], e)) << "e=" << e;
+      }
+      EXPECT_TRUE(AlmostEqual(svd.u, ref.u, 0.0)) << "e=" << e;
+      EXPECT_TRUE(AlmostEqual(svd.v, ref.v, 0.0)) << "e=" << e;
+    }
+  }
+}
+
 TEST(SvdTest, UTimesSMatchesManualScaling) {
   Rng rng(9);
   Matrix a = Matrix::GaussianRandom(10, 4, rng);
