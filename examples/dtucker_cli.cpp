@@ -16,7 +16,6 @@
 //   dtucker_cli --op=compress --tensor=/tmp/s.dtnsr --approx=/tmp/s.dtsa
 //   dtucker_cli --op=decompose --approx=/tmp/s.dtsa --rank=8 --output=/tmp/s.dtdc
 //   dtucker_cli --op=decompose --tensor=/tmp/s.dtnsr --method=Tucker-ALS
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -42,11 +41,7 @@ int Fail(const Status& st) {
   return 1;
 }
 
-// spmd_rank >= 0 means this process is one rank of a fork()ed --rank-procs
-// group rendezvousing at comm_scratch; ranks > 0 run quietly (rank 0 owns
-// stdout and the saved output, every rank computes the same decomposition).
-int RunOp(const FlagParser& flags, int spmd_rank = -1,
-          const std::string& comm_scratch = {}) {
+int RunOp(const FlagParser& flags) {
   // 0 = all hardware threads, mirroring the engine/BLAS-pool convention.
   int num_threads = static_cast<int>(flags.GetInt("threads"));
   if (num_threads == 0) {
@@ -123,21 +118,12 @@ int RunOp(const FlagParser& flags, int spmd_rank = -1,
     eopt.method_options.num_threads = num_threads;
     eopt.blas_threads = num_threads;
     eopt.num_ranks = static_cast<int>(flags.GetInt("ranks"));
-    const bool quiet = spmd_rank > 0;
-    if (spmd_rank >= 0) {
-      eopt.spmd_rank = spmd_rank;
-      eopt.comm_scratch = comm_scratch;
-      // Rank 0 reports the (identical) error for everyone.
-      if (quiet) eopt.measure_error = false;
-    }
-    if (!quiet) {
-      eopt.method_options.sweep_callback = [](const SweepTelemetry& t) {
-        std::printf("sweep %2d: fit %.6f (delta %+0.2e) in %.3fs, "
-                    "%llu subspace iterations\n",
-                    t.sweep, t.fit, t.delta_fit, t.seconds,
-                    static_cast<unsigned long long>(t.subspace_iterations));
-      };
-    }
+    eopt.method_options.sweep_callback = [](const SweepTelemetry& t) {
+      std::printf("sweep %2d: fit %.6f (delta %+0.2e) in %.3fs, "
+                  "%llu subspace iterations\n",
+                  t.sweep, t.fit, t.delta_fit, t.seconds,
+                  static_cast<unsigned long long>(t.subspace_iterations));
+    };
     TuckerDecomposition dec;
     TuckerStats stats;
     double err = -1;
@@ -175,7 +161,6 @@ int RunOp(const FlagParser& flags, int spmd_rank = -1,
       stats = run.value().stats;
       dec = std::move(run).ValueOrDie().decomposition;
     }
-    if (quiet) return 0;
     std::printf("decomposition: core %s, %zu factors, %s\n",
                 dec.core.ShapeString().c_str(), dec.factors.size(),
                 TablePrinter::FormatBytes(dec.ByteSize()).c_str());
@@ -256,60 +241,6 @@ int RunOp(const FlagParser& flags, int spmd_rank = -1,
   return Fail(Status::InvalidArgument("unknown --op '" + op + "'"));
 }
 
-// --rank-procs: fork one process per rank *before* any Engine exists, so
-// each rank has its own registry/trace buffers and the run exercises the
-// true multi-process rendezvous. Rank 0 stays in the parent (it owns
-// stdout, the saved output, and the merged telemetry files); children run
-// quietly, flush their own telemetry (nothing when the gather handed the
-// merged documents to rank 0), and _exit.
-int RunDecomposeRankProcs(const FlagParser& flags, int ranks) {
-  if (flags.GetString("approx").empty() == false) {
-    return Fail(Status::InvalidArgument(
-        "--rank-procs decomposes a --tensor (the query phase is not "
-        "sharded)"));
-  }
-  const std::string scratch =
-      "/dtucker-cli-" + std::to_string(static_cast<long>(getpid()));
-  std::vector<pid_t> children;
-  for (int r = 1; r < ranks; ++r) {
-    const pid_t child = fork();
-    if (child < 0) {
-      std::perror("fork");
-      break;  // Missing ranks surface as a communicator setup timeout.
-    }
-    if (child == 0) {
-      // Inherited buffers hold the parent's pre-fork events; drop them and
-      // retag everything this process records with its own rank.
-      ResetTelemetryForChildProcess(r);
-      const int rc = RunOp(flags, r, scratch);
-      const Status flush = FlushTelemetryFromFlags(flags);
-      if (!flush.ok()) {
-        std::fprintf(stderr, "rank %d telemetry flush: %s\n", r,
-                     flush.ToString().c_str());
-        _exit(1);
-      }
-      _exit(rc);
-    }
-    children.push_back(child);
-  }
-  const int rc = static_cast<int>(children.size()) == ranks - 1
-                     ? RunOp(flags, 0, scratch)
-                     : 1;
-  int failed = 0;
-  for (const pid_t child : children) {
-    int status = 0;
-    if (waitpid(child, &status, 0) < 0 || !WIFEXITED(status) ||
-        WEXITSTATUS(status) != 0) {
-      ++failed;
-    }
-  }
-  if (failed > 0) {
-    return Fail(Status::Internal(std::to_string(failed) +
-                                 " rank process(es) exited non-zero"));
-  }
-  return rc;
-}
-
 int Run(int argc, char** argv) {
   FlagParser flags;
   flags.AddString("op", "info", "generate | ranks | compress | decompose | round | info");
@@ -326,11 +257,6 @@ int Run(int argc, char** argv) {
   flags.AddInt("ranks", 0,
                "explicit rank count for --method=D-Tucker (0 = --threads "
                "in-process ranks; the result is the same either way)");
-  flags.AddBool("rank-procs", false,
-                "run each rank of --ranks as a fork()ed process meeting in "
-                "shared memory instead of a thread (decompose only); "
-                "--trace-out/--metrics-out still produce single merged "
-                "files via the end-of-run gather");
   flags.AddInt("threads", 1,
                "threads for every phase; D-Tucker runs them as in-process "
                "ranks of the slice grid (at most 8); default 1 = serial, "
@@ -347,15 +273,9 @@ int Run(int argc, char** argv) {
     return 0;
   }
   InitTelemetryFromFlags(flags);
-  // One run id per CLI invocation; fork()ed rank processes inherit it, so
-  // every rank's trace fragment names the same run.
-  SetTelemetryRunId(static_cast<std::uint64_t>(getpid()));
-  const int ranks = static_cast<int>(flags.GetInt("ranks"));
-  const int rc =
-      (flags.GetString("op") == "decompose" && flags.GetBool("rank-procs") &&
-       ranks > 1)
-          ? RunDecomposeRankProcs(flags, ranks)
-          : RunOp(flags);
+  // One run id per CLI invocation, named by every lane of the trace.
+  SetTraceRunId(static_cast<std::uint64_t>(getpid()));
+  const int rc = RunOp(flags);
   Status flush = FlushTelemetryFromFlags(flags);
   if (!flush.ok()) return Fail(flush);
   return rc;

@@ -6,7 +6,6 @@
 // slabs, and scalars — never the raw tensor. A Communicator provides
 // exactly that surface for a fixed group of `size` ranks:
 //
-//   Barrier        rendezvous of every rank
 //   Broadcast      root's buffer replicated to all ranks
 //   AllReduceSum   elementwise sum with a *deterministic* binomial tree
 //   AllReduceMax   elementwise max (order-free, bitwise for non-NaN input)
@@ -18,42 +17,33 @@
 // rank r with r % 2d == d sends its accumulator to rank r - d, which adds
 // it on top of its own (receiver += sender, in ascending-distance order).
 // The addition order therefore depends only on the rank count, never on
-// timing or the transport, so repeated runs are bitwise identical and any
-// two transports produce bit-for-bit the same collective results. Higher
+// timing or the transport, so repeated runs are bitwise identical. Higher
 // layers (dtucker/sharded_dtucker.h) compose this with a fixed chunk grid
 // over slices so the *global* reduction shape is also identical across
-// power-of-two rank counts.
+// rank counts.
 //
-// Two transports share the collective algorithms above (so results are
-// bitwise identical across transports) and differ only in how one rank's
-// buffer reaches another. Neither is chosen by a caller: the layer that
-// launches the ranks implies it.
-//   - InProcessGroup: ranks are threads of one process sharing an address
-//     space; rendezvous is a lock-free seqlock-style mailbox exchange.
-//     The in-process D-Tucker entry points (DTucker*) always run on it.
-//   - ShmCommunicator: ranks are separate processes (or threads) meeting
-//     in one POSIX shared-memory segment (shm_open + mmap). Every ordered
-//     (sender, receiver) pair owns a fixed mailbox with atomic generation
-//     counters; payloads are copied through the mailbox in bounded chunks,
-//     so a collective makes *zero* filesystem syscalls and rendezvous
-//     latency is the adaptive wait below. SPMD rank processes (Engine's
-//     spmd_rank, the CLI's --rank-procs) always meet on it.
+// Transport: the collective algorithms above are written against two
+// point-to-point primitives (SendTo / RecvCombine), implemented by
+// InProcessGroup, whose ranks are threads of one process sharing an
+// address space; rendezvous is a lock-free seqlock-style mailbox exchange.
+// Every D-Tucker entry point runs its ranks on it. The primitives are the
+// seam a transport between machines would implement.
 //
-// Waiting: every transport blocks through one shared adaptive strategy —
-// spin (cpu-relax), then yield, then exponentially growing short sleeps —
-// and every blocking wait polls an optional RunContext plus a communicator
-// -level timeout (default 120 s), so a crashed peer surfaces as
-// kUnavailable instead of a deadlock and a cancellation turns a pending
-// collective into kCancelled/kDeadlineExceeded.
+// Waiting: every blocking wait goes through one adaptive strategy — spin
+// (cpu-relax), then yield, then exponentially growing short sleeps — and
+// polls an optional RunContext plus a communicator-level timeout (default
+// 120 s), so a peer that never arrives surfaces as kUnavailable instead of
+// a deadlock and a cancellation turns a pending collective into
+// kCancelled/kDeadlineExceeded.
 //
 // Observability: every collective is wrapped in a flow-tagged TraceSpan
 // and bumps the comm.* metrics: comm.reduces / comm.bytes_reduced / the
 // per-rank comm.rank<r>.reduce_ns gauge, plus — per outermost collective
 // kind — the time spent blocked on peers in the comm.wait_ns.<op> gauge
 // AND histogram (full p50/p90/p99 wait distributions) and the invocation
-// count in comm.ops.<op> (op in {barrier, broadcast, allreduce_sum,
-// allreduce_max, gather, allgatherv}), so --metrics-out and bench_report
-// can split synchronization into compute vs wait.
+// count in comm.ops.<op> (op in {broadcast, allreduce_sum, allreduce_max,
+// gather, allgatherv}), so --metrics-out and bench_report can split
+// synchronization into compute vs wait.
 //
 // Cross-rank flows: every collective entry bumps a per-communicator
 // sequence number. Ranks execute the identical sequence of collective
@@ -61,13 +51,10 @@
 // on), so call k on rank r and call k on rank s are the same logical
 // collective; combining the sequence number with a run-wide flow group
 // (set_trace_flow_group, identical on all ranks) yields a flow id that is
-// equal across ranks and unique within the merged trace. The exporter
-// emits Perfetto flow events ('s' on rank 0, 't' on middle ranks, 'f' on
-// the last rank) with that id, which draws one arrow through the
-// rank-local spans of the same collective. EstimateClockOffsetNs() runs a
-// symmetric ping-pong against rank 0 so independently started rank
-// processes can map their trace epochs onto rank 0's (offset applied at
-// export; see common/trace.h).
+// equal across ranks and unique within the trace. The exporter emits
+// Perfetto flow events ('s' on rank 0, 't' on middle ranks, 'f' on the
+// last rank) with that id, which draws one arrow through the rank-local
+// spans of the same collective.
 #ifndef DTUCKER_COMM_COMMUNICATOR_H_
 #define DTUCKER_COMM_COMMUNICATOR_H_
 
@@ -108,9 +95,6 @@ class Communicator {
   void set_timeout_seconds(double seconds) { timeout_seconds_ = seconds; }
   double timeout_seconds() const { return timeout_seconds_; }
 
-  // Blocks until every rank has entered the same barrier call.
-  Status Barrier();
-
   // Replicates root's `data[0, n)` into every rank's buffer.
   Status Broadcast(double* data, std::size_t n, int root = 0);
 
@@ -139,21 +123,9 @@ class Communicator {
 
   // Namespace for cross-rank trace flow ids (see the file comment). Must
   // be set to the same value on every rank of a group, before the first
-  // collective, for the flow arrows in a merged trace to connect; 0 (the
+  // collective, for the flow arrows in the trace to connect; 0 (the
   // default) is a valid group.
   void set_trace_flow_group(std::uint64_t group) { trace_flow_group_ = group; }
-
-  // Estimates how far this rank's trace clock sits behind rank 0's, in
-  // nanoseconds (i.e. the value to pass to SetTraceClockOffsetNs so that
-  // exported timestamps align on rank 0's axis). Collective: every rank
-  // must call it at the same point. Rank 0 runs `rounds` symmetric
-  // ping-pongs with each peer, exchanging TraceNowNs() samples; the offset
-  // is taken at the minimum-RTT round as (t0 + rtt/2) - t1, then shipped
-  // to the peer. Returns 0 on rank 0 and for single-rank groups. For
-  // threads (or fork()ed children) of one process the epochs coincide and
-  // the estimate is ~0; the call is cheap either way (`rounds` scalar
-  // round-trips per peer).
-  Result<std::int64_t> EstimateClockOffsetNs(int rounds = 8);
 
  protected:
   Communicator(int rank, int size) : rank_(rank), size_(size) {}
@@ -172,7 +144,7 @@ class Communicator {
   virtual Status RecvCombine(int peer, std::uint64_t tag, double* data,
                              std::size_t n, Combine combine) = 0;
 
-  // One blocking wait, shared by every transport. Use as:
+  // One blocking wait of a transport primitive. Use as:
   //
   //   AdaptiveWait wait;
   //   while (!condition) DT_RETURN_NOT_OK(WaitStep(&wait));
@@ -278,23 +250,6 @@ class InProcessGroup {
   State* state_ = nullptr;
   std::vector<std::unique_ptr<Communicator>> comms_;
 };
-
-// Multi-process transport over one POSIX shared-memory segment. Every rank
-// calls Create with the same `name` (a shm_open name: leading '/', no
-// other slashes, e.g. "/dtucker-<pid>") and its own rank. Rank 0 unlinks
-// any stale segment of that name, creates and sizes a fresh one, lays out
-// size^2 per-edge mailboxes, and publishes a ready flag; the other ranks
-// poll shm_open until the segment exists and the flag is set (bounded by
-// `setup_timeout_seconds`, so a missing rank 0 is kUnavailable, not a
-// hang). Collectives then run entirely on mmap'd atomics — no filesystem
-// syscalls. The segment is unlinked by rank 0's destructor; peers keep
-// their mappings alive until their own destructors (POSIX keeps an
-// unlinked segment valid while mapped). Ranks may be threads of one
-// process or separate processes (fork before or after Create both work —
-// the mapping is MAP_SHARED).
-Result<std::unique_ptr<Communicator>> CreateShmCommunicator(
-    const std::string& name, int rank, int size,
-    double setup_timeout_seconds = 30.0);
 
 }  // namespace dtucker
 

@@ -5,7 +5,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "common/memory.h"
 
@@ -47,36 +46,28 @@ void AppendJsonKey(const std::string& name, std::string* out) {
   out->append("\":");
 }
 
-// One histogram as a JSON object (times in nanoseconds). The raw bucket
-// array rides along so offline tooling can re-derive any quantile.
-void AppendHistogramJson(const HistogramData& h, const std::string& indent,
-                         std::string* out) {
-  out->append("{\n").append(indent).append("  \"count\": ");
+// One histogram as a JSON object (times in nanoseconds), indented as an
+// entry of the snapshot's "histograms" section. The raw bucket array rides
+// along so offline tooling can re-derive any quantile.
+void AppendHistogramJson(const HistogramData& h, std::string* out) {
+  out->append("{\n      \"count\": ");
   AppendJsonUint(h.Count(), out);
-  out->append(",\n").append(indent).append("  \"sum\": ");
+  out->append(",\n      \"sum\": ");
   AppendJsonUint(h.sum_ns, out);
-  out->append(",\n").append(indent).append("  \"p50\": ");
+  out->append(",\n      \"p50\": ");
   AppendJsonDouble(h.QuantileNs(0.50), out);
-  out->append(",\n").append(indent).append("  \"p90\": ");
+  out->append(",\n      \"p90\": ");
   AppendJsonDouble(h.QuantileNs(0.90), out);
-  out->append(",\n").append(indent).append("  \"p99\": ");
+  out->append(",\n      \"p99\": ");
   AppendJsonDouble(h.QuantileNs(0.99), out);
-  out->append(",\n").append(indent).append("  \"max\": ");
+  out->append(",\n      \"max\": ");
   AppendJsonUint(h.max_ns, out);
-  out->append(",\n").append(indent).append("  \"buckets\": [");
+  out->append(",\n      \"buckets\": [");
   for (unsigned b = 0; b < HistogramData::kBuckets; ++b) {
     if (b != 0) out->append(", ");
     AppendJsonUint(h.buckets[b], out);
   }
-  out->append("]\n").append(indent).append("}");
-}
-
-bool NameIsMergeable(const std::string& name) {
-  if (name.empty()) return false;
-  for (char c : name) {
-    if (c == ' ' || c == '\t' || c == '\n' || c == '\r') return false;
-  }
-  return true;
+  out->append("]\n    }");
 }
 
 }  // namespace
@@ -222,7 +213,7 @@ std::string MetricsRegistry::SnapshotJson() const {
       first = false;
       AppendJsonKey(name, &out);
       out += " ";
-      AppendHistogramJson(h->Snapshot(), "    ", &out);
+      AppendHistogramJson(h->Snapshot(), &out);
     }
   }
   out += "\n  },\n  \"phases\": {";
@@ -257,233 +248,6 @@ Status MetricsRegistry::WriteJson(const std::string& path) const {
     return Status::IoError("failed writing metrics output '" + path + "'");
   }
   return Status::OK();
-}
-
-std::string MetricsRegistry::SerializeForMerge() const {
-  std::string out;
-  out.reserve(1024);
-  out += "v 1\n";
-  char buf[40];
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [name, c] : counters_) {
-      if (!NameIsMergeable(name)) continue;
-      out += "c ";
-      out += name;
-      std::snprintf(buf, sizeof(buf), " %" PRIu64 "\n", c->Value());
-      out += buf;
-    }
-    for (const auto& [name, g] : gauges_) {
-      if (!NameIsMergeable(name)) continue;
-      out += "g ";
-      out += name;
-      std::snprintf(buf, sizeof(buf), " %.17g\n", g->Value());
-      out += buf;
-    }
-    for (const auto& [name, h] : histograms_) {
-      if (!NameIsMergeable(name)) continue;
-      const HistogramData data = h->Snapshot();
-      out += "h ";
-      out += name;
-      std::snprintf(buf, sizeof(buf), " %" PRIu64 " %" PRIu64, data.sum_ns,
-                    data.max_ns);
-      out += buf;
-      for (unsigned b = 0; b < HistogramData::kBuckets; ++b) {
-        std::snprintf(buf, sizeof(buf), " %" PRIu64, data.buckets[b]);
-        out += buf;
-      }
-      out += "\n";
-    }
-  }
-  for (const auto& [name, seconds] : GlobalPhaseTimer().totals()) {
-    if (!NameIsMergeable(name)) continue;
-    out += "p ";
-    out += name;
-    std::snprintf(buf, sizeof(buf), " %.17g\n", seconds);
-    out += buf;
-  }
-  std::snprintf(buf, sizeof(buf), "x %zu %zu\n", CurrentRssBytes(),
-                PeakRssBytes());
-  out += buf;
-  return out;
-}
-
-namespace {
-
-// Parsed form of one rank's SerializeForMerge() dump.
-struct RankMetrics {
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, double> gauges;
-  std::map<std::string, HistogramData> histograms;
-  std::map<std::string, double> phases;
-  std::uint64_t rss_bytes = 0;
-  std::uint64_t peak_rss_bytes = 0;
-};
-
-RankMetrics ParseRankDump(const std::string& dump) {
-  RankMetrics out;
-  std::istringstream is(dump);
-  std::string line;
-  while (std::getline(is, line)) {
-    std::istringstream ls(line);
-    std::string kind;
-    if (!(ls >> kind)) continue;
-    if (kind == "c") {
-      std::string name;
-      std::uint64_t v = 0;
-      if (ls >> name >> v) out.counters[name] = v;
-    } else if (kind == "g") {
-      std::string name;
-      double v = 0;
-      if (ls >> name >> v) out.gauges[name] = v;
-    } else if (kind == "p") {
-      std::string name;
-      double v = 0;
-      if (ls >> name >> v) out.phases[name] = v;
-    } else if (kind == "h") {
-      std::string name;
-      HistogramData h;
-      if (!(ls >> name >> h.sum_ns >> h.max_ns)) continue;
-      bool ok = true;
-      for (unsigned b = 0; b < HistogramData::kBuckets; ++b) {
-        if (!(ls >> h.buckets[b])) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) out.histograms[name] = h;
-    } else if (kind == "x") {
-      ls >> out.rss_bytes >> out.peak_rss_bytes;
-    }
-  }
-  return out;
-}
-
-struct Rollup {
-  double min = 0;
-  double max = 0;
-  double sum = 0;
-  bool seen = false;
-
-  void Fold(double v) {
-    if (!seen) {
-      min = max = sum = v;
-      seen = true;
-      return;
-    }
-    if (v < min) min = v;
-    if (v > max) max = v;
-    sum += v;
-  }
-};
-
-void AppendRollupSection(const std::map<std::string, Rollup>& rollups,
-                         std::string* out) {
-  bool first = true;
-  for (const auto& [name, r] : rollups) {
-    out->append(first ? "\n      " : ",\n      ");
-    first = false;
-    AppendJsonKey(name, out);
-    out->append(" {\"min\": ");
-    AppendJsonDouble(r.min, out);
-    out->append(", \"max\": ");
-    AppendJsonDouble(r.max, out);
-    out->append(", \"sum\": ");
-    AppendJsonDouble(r.sum, out);
-    out->append("}");
-  }
-}
-
-}  // namespace
-
-std::string MergeRankMetricsJson(const std::vector<std::string>& rank_dumps) {
-  std::vector<RankMetrics> ranks;
-  ranks.reserve(rank_dumps.size());
-  for (const std::string& dump : rank_dumps) {
-    ranks.push_back(ParseRankDump(dump));
-  }
-
-  std::string out;
-  out.reserve(4096);
-  out += "{\n  \"world_size\": ";
-  AppendJsonUint(ranks.size(), &out);
-  out += ",\n  \"ranks\": {";
-  for (std::size_t r = 0; r < ranks.size(); ++r) {
-    const RankMetrics& m = ranks[r];
-    out += r == 0 ? "\n    " : ",\n    ";
-    AppendJsonKey(std::to_string(r), &out);
-    out += " {\n      \"counters\": {";
-    bool first = true;
-    for (const auto& [name, v] : m.counters) {
-      out += first ? "\n        " : ",\n        ";
-      first = false;
-      AppendJsonKey(name, &out);
-      AppendJsonUint(v, &out);
-    }
-    out += "\n      },\n      \"gauges\": {";
-    first = true;
-    for (const auto& [name, v] : m.gauges) {
-      out += first ? "\n        " : ",\n        ";
-      first = false;
-      AppendJsonKey(name, &out);
-      AppendJsonDouble(v, &out);
-    }
-    out += "\n      },\n      \"histograms\": {";
-    first = true;
-    for (const auto& [name, h] : m.histograms) {
-      out += first ? "\n        " : ",\n        ";
-      first = false;
-      AppendJsonKey(name, &out);
-      out += " ";
-      AppendHistogramJson(h, "        ", &out);
-    }
-    out += "\n      },\n      \"phases\": {";
-    first = true;
-    for (const auto& [name, v] : m.phases) {
-      out += first ? "\n        " : ",\n        ";
-      first = false;
-      AppendJsonKey(name, &out);
-      AppendJsonDouble(v, &out);
-    }
-    out += "\n      },\n      \"process\": {\n        \"rss_bytes\": ";
-    AppendJsonUint(m.rss_bytes, &out);
-    out += ",\n        \"peak_rss_bytes\": ";
-    AppendJsonUint(m.peak_rss_bytes, &out);
-    out += "\n      }\n    }";
-  }
-
-  std::map<std::string, Rollup> counter_rollup;
-  std::map<std::string, Rollup> gauge_rollup;
-  std::map<std::string, Rollup> phase_rollup;
-  std::map<std::string, HistogramData> histogram_rollup;
-  for (const RankMetrics& m : ranks) {
-    for (const auto& [name, v] : m.counters) {
-      counter_rollup[name].Fold(static_cast<double>(v));
-    }
-    for (const auto& [name, v] : m.gauges) gauge_rollup[name].Fold(v);
-    for (const auto& [name, v] : m.phases) phase_rollup[name].Fold(v);
-    for (const auto& [name, h] : m.histograms) {
-      histogram_rollup[name].Merge(h);
-    }
-  }
-
-  out += "\n  },\n  \"rollup\": {\n    \"counters\": {";
-  AppendRollupSection(counter_rollup, &out);
-  out += "\n    },\n    \"gauges\": {";
-  AppendRollupSection(gauge_rollup, &out);
-  out += "\n    },\n    \"phases\": {";
-  AppendRollupSection(phase_rollup, &out);
-  out += "\n    },\n    \"histograms\": {";
-  bool first = true;
-  for (const auto& [name, h] : histogram_rollup) {
-    out += first ? "\n      " : ",\n      ";
-    first = false;
-    AppendJsonKey(name, &out);
-    out += " ";
-    AppendHistogramJson(h, "      ", &out);
-  }
-  out += "\n    }\n  }\n}\n";
-  return out;
 }
 
 Counter& MetricCounter(const std::string& name) {

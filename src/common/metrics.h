@@ -16,7 +16,7 @@
 //
 //   static Counter& calls = MetricCounter("gemm.calls");
 //   calls.Add(1);
-//   static Histogram& waits = MetricHistogram("comm.wait_ns.barrier");
+//   static Histogram& waits = MetricHistogram("comm.wait_ns.broadcast");
 //   waits.Record(elapsed_ns);
 //
 // MetricsRegistry::SnapshotJson() serializes every counter, gauge, and
@@ -33,11 +33,8 @@
 // "dtucker.sweeps.count" / ".total_seconds" / ".total_subspace_iterations"
 // gauges carry the whole-run totals alongside the window.
 //
-// Cross-rank merging: SerializeForMerge() emits a compact text dump of the
-// registry (including raw histogram buckets) that a root rank can combine
-// with MergeRankMetricsJson() into one JSON document with per-rank
-// sections plus cross-rank min/max/sum rollups (histograms merge by
-// summing buckets, so the rollup quantiles are exact over the union).
+// The registry is process-wide: the rank threads of a multi-rank solve all
+// record into it, so one snapshot holds the whole run.
 #ifndef DTUCKER_COMMON_METRICS_H_
 #define DTUCKER_COMMON_METRICS_H_
 
@@ -112,10 +109,8 @@ class Gauge {
 };
 
 // Merged, single-threaded view of one histogram: raw power-of-two bucket
-// counts plus the exact sum and max. This is the unit of cross-rank
-// merging (buckets from different ranks simply add), and the quantile
-// math lives here so the live exporter and the rank-0 merger agree
-// bit-for-bit.
+// counts plus the exact sum and max. Histograms merge by adding buckets,
+// so quantiles over a merge are exact over the union of the samples.
 struct HistogramData {
   static constexpr unsigned kBuckets = 40;
 
@@ -199,13 +194,6 @@ class MetricsRegistry {
   std::string SnapshotJson() const;
   Status WriteJson(const std::string& path) const;
 
-  // Compact line-based dump of the whole registry (counters, gauges, raw
-  // histogram buckets, phase totals, RSS) for cross-rank aggregation: each
-  // rank ships this string to rank 0, which merges the dumps with
-  // MergeRankMetricsJson. Metric names must not contain whitespace (none
-  // do; offenders are skipped).
-  std::string SerializeForMerge() const;
-
  private:
   MetricsRegistry() = default;
 
@@ -214,14 +202,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
-
-// Builds the merged multi-rank metrics document from per-rank
-// SerializeForMerge() dumps (index == rank):
-//   {"world_size": R,
-//    "ranks": {"0": {counters, gauges, histograms, phases, process}, ...},
-//    "rollup": {"counters"/"gauges"/"phases": {name: {min, max, sum}},
-//               "histograms": {name: quantiles over the summed buckets}}}
-std::string MergeRankMetricsJson(const std::vector<std::string>& rank_dumps);
 
 // Shorthand registry lookups (one mutex acquisition; cache the reference).
 Counter& MetricCounter(const std::string& name);

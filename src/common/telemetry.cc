@@ -1,8 +1,7 @@
 #include "common/telemetry.h"
 
-#include <atomic>
-#include <fstream>
-#include <mutex>
+#include <cstdint>
+#include <string>
 
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -10,89 +9,29 @@
 
 namespace dtucker {
 
-namespace {
-
-std::atomic<bool> g_gather_enabled{false};
-std::atomic<int> g_telemetry_rank{0};
-
-std::mutex& AggregatedMutex() {
-  static std::mutex* const kMutex = new std::mutex;
-  return *kMutex;
-}
-
-AggregatedTelemetry& AggregatedSlot() {
-  static AggregatedTelemetry* const kBundle = new AggregatedTelemetry;
-  return *kBundle;
-}
-
-Status WriteStringFile(const std::string& path, const std::string& body,
-                       const char* what) {
-  std::ofstream os(path, std::ios::out | std::ios::trunc);
-  if (!os.is_open()) {
-    return Status::IoError(std::string("cannot open ") + what + " output '" +
-                           path + "'");
-  }
-  os << body;
-  os.flush();
-  if (!os.good()) {
-    return Status::IoError(std::string("failed writing ") + what +
-                           " output '" + path + "'");
-  }
-  return Status::OK();
-}
-
-// Non-zero ranks suffix their fallback outputs so fork()ed rank processes
-// sharing one --trace-out path never clobber each other.
-std::string RankSuffixedPath(const std::string& path) {
-  const int rank = TelemetryRank();
-  if (rank <= 0) return path;
-  return path + ".rank" + std::to_string(rank);
-}
-
-}  // namespace
-
 void AddTelemetryFlags(FlagParser* flags) {
   flags->AddString("trace-out", "",
                    "Write a Chrome-trace (Perfetto) JSON of the run here; "
-                   "also enables span recording. Multi-rank runs merge all "
-                   "ranks into one file on rank 0");
+                   "also enables span recording. Multi-rank runs get one "
+                   "lane per rank, joined by the collectives' flow arrows");
   flags->AddString("metrics-out", "",
                    "Write a JSON snapshot of counters/gauges/histograms/"
-                   "phase timings here at exit. Multi-rank runs merge "
-                   "per-rank sections plus rollups on rank 0");
+                   "phase timings here at exit, totalled over every rank "
+                   "of the process");
 }
 
 void InitTelemetryFromFlags(const FlagParser& flags) {
   if (!flags.GetString("trace-out").empty()) {
     SetTraceEnabled(true);
   }
-  if (!flags.GetString("trace-out").empty() ||
-      !flags.GetString("metrics-out").empty()) {
-    SetTelemetryGatherEnabled(true);
-  }
 }
 
 Status FlushTelemetryFromFlags(const FlagParser& flags) {
   const std::string trace_path = flags.GetString("trace-out");
   const std::string metrics_path = flags.GetString("metrics-out");
-  const AggregatedTelemetry& agg = GetAggregatedTelemetry();
-  if (agg.present) {
-    // A gather ran: rank 0 writes the merged documents, everyone else
-    // writes nothing (their telemetry is inside the merged files).
-    if (!agg.is_root) return Status::OK();
-    if (!trace_path.empty()) {
-      DT_RETURN_NOT_OK(
-          WriteStringFile(trace_path, agg.merged_trace_json, "trace"));
-    }
-    if (!metrics_path.empty()) {
-      DT_RETURN_NOT_OK(
-          WriteStringFile(metrics_path, agg.merged_metrics_json, "metrics"));
-    }
-    return Status::OK();
-  }
   if (!trace_path.empty()) {
     SetTraceEnabled(false);
-    DT_RETURN_NOT_OK(WriteChromeTrace(RankSuffixedPath(trace_path)));
+    DT_RETURN_NOT_OK(WriteChromeTrace(trace_path));
     const std::uint64_t dropped = TraceDroppedEventCount();
     if (dropped > 0) {
       DT_LOG(WARNING) << "trace ring buffers wrapped; " << dropped
@@ -100,46 +39,9 @@ Status FlushTelemetryFromFlags(const FlagParser& flags) {
     }
   }
   if (!metrics_path.empty()) {
-    DT_RETURN_NOT_OK(
-        MetricsRegistry::Global().WriteJson(RankSuffixedPath(metrics_path)));
+    DT_RETURN_NOT_OK(MetricsRegistry::Global().WriteJson(metrics_path));
   }
   return Status::OK();
-}
-
-bool TelemetryGatherEnabled() {
-  return g_gather_enabled.load(std::memory_order_relaxed);
-}
-
-void SetTelemetryGatherEnabled(bool enabled) {
-  g_gather_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-void SetTelemetryRank(int rank) {
-  g_telemetry_rank.store(rank, std::memory_order_relaxed);
-}
-
-int TelemetryRank() {
-  return g_telemetry_rank.load(std::memory_order_relaxed);
-}
-
-void SetTelemetryRunId(std::uint64_t run_id) { SetTraceRunId(run_id); }
-
-void ResetTelemetryForChildProcess(int rank) {
-  ResetTraceForChildProcess(rank);
-  SetTelemetryRank(rank);
-}
-
-void SetAggregatedTelemetry(AggregatedTelemetry bundle) {
-  std::lock_guard<std::mutex> lock(AggregatedMutex());
-  AggregatedTelemetry& slot = AggregatedSlot();
-  // In thread mode every rank of the group shares this process-wide slot;
-  // a non-root marker must not clobber rank 0's merged documents.
-  if (!bundle.is_root && slot.present && slot.is_root) return;
-  slot = std::move(bundle);
-}
-
-const AggregatedTelemetry& GetAggregatedTelemetry() {
-  return AggregatedSlot();
 }
 
 }  // namespace dtucker

@@ -6,78 +6,31 @@
 // FlushTelemetryFromFlags() once the workload is done and worker threads
 // are quiescent (writes the Chrome-trace JSON and/or the metrics snapshot).
 //
-// Multi-rank runs: InitTelemetryFromFlags also arms cross-rank telemetry
-// gathering (TelemetryGatherEnabled). When a sharded solver finishes it
-// gathers every rank's trace fragment and metrics dump to rank 0 (see
-// comm/telemetry_gather.h) and deposits the merged documents here via
-// SetAggregatedTelemetry; FlushTelemetryFromFlags then writes the merged
-// files on rank 0 and *nothing* on other ranks. When no aggregated bundle
-// arrived (single-rank runs, gather failure, or a non-sharded method),
-// each rank-process falls back to its own local snapshot — suffixed
-// "<path>.rank<r>" for ranks > 0 (SetTelemetryRank) so fork()ed ranks
-// never clobber rank 0's file.
+// Multi-rank runs need nothing extra: every rank is a thread of this
+// process, the trace export gives each rank its own lane (with the
+// collectives' flow arrows), and the metrics registry is process-wide, so
+// the one flush writes complete documents at every rank count. A driver
+// may name its run in the trace with SetTraceRunId (common/trace.h,
+// included here for that purpose).
 #ifndef DTUCKER_COMMON_TELEMETRY_H_
 #define DTUCKER_COMMON_TELEMETRY_H_
 
-#include <cstdint>
-#include <string>
-
 #include "common/flags.h"
 #include "common/status.h"
+#include "common/trace.h"
 
 namespace dtucker {
 
 // Declares --trace-out and --metrics-out (both default "" = disabled).
 void AddTelemetryFlags(FlagParser* flags);
 
-// Enables span recording when --trace-out was given, and telemetry
-// gathering when either output was requested. Call before the workload so
-// the trace epoch and buffers are ready.
+// Enables span recording when --trace-out was given. Call before the
+// workload so the trace epoch and buffers are ready.
 void InitTelemetryFromFlags(const FlagParser& flags);
 
 // Writes the requested output files (no-op for flags left empty). Call
 // after the workload, with no spans in flight.
 Status FlushTelemetryFromFlags(const FlagParser& flags);
-
-// Whether the run wants cross-rank telemetry gathered to rank 0 at the end
-// of a sharded solve. Must be uniform across ranks (it gates collective
-// calls); drivers derive it from the same flags on every rank. Default
-// off, so programs that never opt in pay nothing and keep their collective
-// schedules unchanged.
-bool TelemetryGatherEnabled();
-void SetTelemetryGatherEnabled(bool enabled);
-
-// This process's rank for telemetry-file naming: ranks > 0 write
-// "<path>.rank<r>" in the non-aggregated fallback. Default 0 (plain path).
-void SetTelemetryRank(int rank);
-int TelemetryRank();
-
-// Stamps the run id that every trace lane and merged document carries
-// (forwards to SetTraceRunId). Call once per process, before any solve —
-// and before fork()ing rank children, who inherit it, so all ranks of one
-// run agree. A pid works fine.
-void SetTelemetryRunId(std::uint64_t run_id);
-
-// Re-initializes telemetry state in a fork()ed rank child: drops the trace
-// events inherited from the parent, retags this process's buffers with
-// `rank` (ResetTraceForChildProcess), and routes fallback telemetry files
-// to the "<path>.rank<r>" suffix (SetTelemetryRank). Call first thing
-// after fork() in the child.
-void ResetTelemetryForChildProcess(int rank);
-
-// Merged multi-rank telemetry, deposited by the gather step on rank 0
-// (is_root == true) and marked present-but-empty on other ranks so their
-// flush writes nothing.
-struct AggregatedTelemetry {
-  bool present = false;
-  bool is_root = false;
-  std::uint64_t run_id = 0;
-  std::string merged_trace_json;    // Complete Chrome-trace document.
-  std::string merged_metrics_json;  // MergeRankMetricsJson document.
-};
-
-void SetAggregatedTelemetry(AggregatedTelemetry bundle);
-const AggregatedTelemetry& GetAggregatedTelemetry();
 
 }  // namespace dtucker
 

@@ -16,15 +16,11 @@ std::atomic<bool> g_trace_enabled{false};
 namespace {
 
 std::atomic<std::size_t> g_buffer_capacity{1u << 15};
-std::atomic<int> g_default_rank{0};
 std::atomic<std::uint64_t> g_run_id{0};
-std::atomic<std::int64_t> g_clock_offset_ns{0};
 
 std::uint64_t NowNanos() {
   // The epoch is fixed the first time this runs (under SetTraceEnabled's
   // call, before any span can record), so exported timestamps start near 0.
-  // fork()ed children inherit the parent's epoch, keeping all rank
-  // processes of one run on a shared time axis.
   static const std::chrono::steady_clock::time_point kEpoch =
       std::chrono::steady_clock::now();
   return static_cast<std::uint64_t>(
@@ -43,10 +39,7 @@ std::uint64_t NowNanos() {
 class ThreadTraceBuffer {
  public:
   ThreadTraceBuffer(std::uint32_t tid, std::size_t capacity, std::mutex* mutex)
-      : tid_(tid),
-        capacity_(capacity),
-        rank_(g_default_rank.load(std::memory_order_relaxed)),
-        registry_mutex_(mutex) {}
+      : tid_(tid), capacity_(capacity), registry_mutex_(mutex) {}
 
   void Push(const TraceEvent& ev) {
     if (ring_.empty()) {
@@ -81,7 +74,7 @@ class ThreadTraceBuffer {
  private:
   const std::uint32_t tid_;
   const std::size_t capacity_;  // A power of two.
-  std::atomic<int> rank_;
+  std::atomic<int> rank_{0};
   std::mutex* const registry_mutex_;
   std::size_t head_ = 0;  // Monotonic; ring index is head_ & (capacity_ - 1).
   std::vector<TraceEvent> ring_;
@@ -144,14 +137,11 @@ struct BufferSnapshot {
   std::vector<SnapshotEvent> events;
 };
 
-// filter_rank == -1 keeps every buffer; otherwise only buffers currently
-// tagged with that rank.
-std::vector<BufferSnapshot> SnapshotBuffers(int filter_rank) {
+std::vector<BufferSnapshot> SnapshotBuffers() {
   BufferRegistry& reg = Registry();
   std::lock_guard<std::mutex> lock(reg.mutex);
   std::vector<BufferSnapshot> out;
   for (const auto& buf : reg.buffers) {
-    if (filter_rank >= 0 && buf->rank() != filter_rank) continue;
     BufferSnapshot snap;
     snap.tid = buf->tid();
     snap.rank = buf->rank();
@@ -187,13 +177,8 @@ void AppendLaneMetadata(int rank, std::uint64_t run_id, bool* first,
 }
 
 // One "X" event, plus the matching flow event when the span is flow-tagged.
-// The clock offset maps this process's epoch onto rank 0's.
-void AppendEventJson(const SnapshotEvent& se, std::int64_t offset_ns,
-                     bool* first, std::string* out) {
-  const double ts_us =
-      static_cast<double>(static_cast<std::int64_t>(se.event.start_ns) +
-                          offset_ns) *
-      1e-3;
+void AppendEventJson(const SnapshotEvent& se, bool* first, std::string* out) {
+  const double ts_us = static_cast<double>(se.event.start_ns) * 1e-3;
   const double dur_us = static_cast<double>(se.event.dur_ns) * 1e-3;
   char buf[192];
   AppendSep(first, out);
@@ -220,14 +205,10 @@ void AppendEventJson(const SnapshotEvent& se, std::int64_t offset_ns,
   }
 }
 
-// Serializes a buffer set as a comma-joined fragment: lane metadata for
-// every rank present (plus `forced_rank`, so empty ranks still get a
-// lane), per-tid drop accounting, then the events.
-std::string SerializeFragment(const std::vector<BufferSnapshot>& buffers,
-                              int forced_rank) {
+// Serializes a buffer set as comma-joined event objects: lane metadata for
+// every rank present, per-tid drop accounting, then the events.
+std::string SerializeEvents(const std::vector<BufferSnapshot>& buffers) {
   const std::uint64_t run_id = g_run_id.load(std::memory_order_relaxed);
-  const std::int64_t offset_ns =
-      g_clock_offset_ns.load(std::memory_order_relaxed);
   std::string out;
   std::size_t total_events = 0;
   for (const BufferSnapshot& b : buffers) total_events += b.events.size();
@@ -235,15 +216,12 @@ std::string SerializeFragment(const std::vector<BufferSnapshot>& buffers,
   bool first = true;
 
   std::vector<int> ranks_seen;
-  if (forced_rank >= 0) ranks_seen.push_back(forced_rank);
   for (const BufferSnapshot& b : buffers) {
     bool seen = false;
     for (int r : ranks_seen) seen = seen || r == b.rank;
     if (!seen) ranks_seen.push_back(b.rank);
   }
-  if (ranks_seen.empty()) {
-    ranks_seen.push_back(g_default_rank.load(std::memory_order_relaxed));
-  }
+  if (ranks_seen.empty()) ranks_seen.push_back(0);
   for (int r : ranks_seen) AppendLaneMetadata(r, run_id, &first, &out);
 
   char buf[160];
@@ -259,7 +237,7 @@ std::string SerializeFragment(const std::vector<BufferSnapshot>& buffers,
 
   for (const BufferSnapshot& b : buffers) {
     for (const SnapshotEvent& se : b.events) {
-      AppendEventJson(se, offset_ns, &first, &out);
+      AppendEventJson(se, &first, &out);
     }
   }
   return out;
@@ -316,8 +294,6 @@ void SetTraceEnabled(bool enabled) {
   internal_trace::g_trace_enabled.store(enabled, std::memory_order_relaxed);
 }
 
-std::uint64_t TraceNowNs() { return internal_trace::NowNanos(); }
-
 void SetTraceBufferCapacity(std::size_t events) {
   if (events == 0) events = 1;
   internal_trace::g_buffer_capacity.store(
@@ -350,20 +326,6 @@ void SetTraceRankForCurrentThread(int rank) {
   internal_trace::CurrentThreadBuffer()->set_rank(rank);
 }
 
-void SetTraceDefaultRank(int rank) {
-  internal_trace::g_default_rank.store(rank, std::memory_order_relaxed);
-}
-
-void ResetTraceForChildProcess(int rank) {
-  internal_trace::g_default_rank.store(rank, std::memory_order_relaxed);
-  auto& reg = internal_trace::Registry();
-  std::lock_guard<std::mutex> lock(reg.mutex);
-  for (const auto& buf : reg.buffers) {
-    buf->Clear();
-    buf->set_rank(rank);
-  }
-}
-
 void SetTraceRunId(std::uint64_t run_id) {
   internal_trace::g_run_id.store(run_id, std::memory_order_relaxed);
 }
@@ -372,18 +334,9 @@ std::uint64_t TraceRunId() {
   return internal_trace::g_run_id.load(std::memory_order_relaxed);
 }
 
-void SetTraceClockOffsetNs(std::int64_t offset_ns) {
-  internal_trace::g_clock_offset_ns.store(offset_ns,
-                                          std::memory_order_relaxed);
-}
-
-std::int64_t TraceClockOffsetNs() {
-  return internal_trace::g_clock_offset_ns.load(std::memory_order_relaxed);
-}
-
 void ExportChromeTrace(std::ostream& os) {
   const std::vector<internal_trace::BufferSnapshot> buffers =
-      internal_trace::SnapshotBuffers(-1);
+      internal_trace::SnapshotBuffers();
   std::uint64_t dropped_total = 0;
   for (const auto& b : buffers) dropped_total += b.dropped;
   char buf[128];
@@ -394,7 +347,7 @@ void ExportChromeTrace(std::ostream& os) {
                 TraceRunId(), dropped_total);
   out += buf;
   out += "\"traceEvents\":[";
-  out += internal_trace::SerializeFragment(buffers, -1);
+  out += internal_trace::SerializeEvents(buffers);
   out += "]}\n";
   os << out;
 }
@@ -410,35 +363,6 @@ Status WriteChromeTrace(const std::string& path) {
     return Status::IoError("failed writing trace output '" + path + "'");
   }
   return Status::OK();
-}
-
-std::string SerializeChromeTraceEventsForRank(int rank) {
-  return internal_trace::SerializeFragment(
-      internal_trace::SnapshotBuffers(rank), rank);
-}
-
-std::string BuildMergedChromeTrace(const std::vector<std::string>& fragments,
-                                   std::uint64_t run_id) {
-  std::string out;
-  std::size_t total = 256;
-  for (const std::string& f : fragments) total += f.size() + 2;
-  out.reserve(total);
-  char buf[128];
-  out += "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"tool\":\"dtucker\",";
-  std::snprintf(buf, sizeof(buf),
-                "\"run_id\":\"%" PRIu64 "\",\"world_size\":%zu},",
-                run_id, fragments.size());
-  out += buf;
-  out += "\"traceEvents\":[";
-  bool first = true;
-  for (const std::string& f : fragments) {
-    if (f.empty()) continue;
-    if (!first) out += ",\n";
-    first = false;
-    out += f;
-  }
-  out += "]}\n";
-  return out;
 }
 
 }  // namespace dtucker

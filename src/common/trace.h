@@ -18,13 +18,8 @@
 // phase ('s' start / 't' step / 'f' finish) — collectives use a sequence
 // number agreed by construction across ranks, and the exporter emits
 // matching Perfetto flow events that draw one arrow through the rank-local
-// spans of the same collective call. SetTraceClockOffsetNs() shifts this
-// process's timestamps at export time so traces from independently started
-// rank processes align on rank 0's clock (the offset is estimated with a
-// symmetric ping-pong against rank 0 at communicator setup; see
-// comm/telemetry_gather.h). SerializeChromeTraceEventsForRank() +
-// BuildMergedChromeTrace() let rank 0 stitch per-rank fragments into one
-// Perfetto-loadable file.
+// spans of the same collective call. All ranks are threads of one
+// process, so they share one clock and one export.
 //
 // Span names must be string literals (or otherwise outlive the export):
 // only the pointer is stored, which is what keeps the record path
@@ -92,11 +87,6 @@ inline bool TraceEnabled() {
 // Turns recording on/off. The first enable fixes the trace epoch.
 void SetTraceEnabled(bool enabled);
 
-// Nanoseconds since the trace epoch (fixing the epoch if it is not fixed
-// yet). This is the clock spans record with; the clock-offset estimator
-// exchanges these values across ranks.
-std::uint64_t TraceNowNs();
-
 // Per-thread ring capacity (events) for buffers created *after* this call;
 // rounded up to a power of two. Default 32768 (~1.5 MiB per thread, taken
 // only once the thread records its first span). Also
@@ -116,35 +106,17 @@ std::uint64_t TraceDroppedEventCount();
 // --- Rank / run identity ----------------------------------------------------
 
 // Tags the calling thread's trace buffer with a rank: its events export
-// under Chrome-trace pid == rank. Threads never tagged use the process
-// default (below). Safe to call at any time from the owning thread. The
+// under Chrome-trace pid == rank. Threads never tagged (the shared
+// BLAS-pool workers, which serve whichever rank scheduled the task) export
+// on rank 0's lane. Safe to call at any time from the owning thread. The
 // first call on a thread registers its buffer at the current capacity, but
 // storage is allocated only when the thread records its first span.
 void SetTraceRankForCurrentThread(int rank);
 
-// Rank assigned to buffers that were never explicitly tagged (default 0).
-// Covers shared BLAS-pool workers, which serve whichever rank scheduled
-// the task: in thread mode they stay on the driver's rank-0 lane; in fork
-// mode each child process sets its own default so its workers land on the
-// child's lane.
-void SetTraceDefaultRank(int rank);
-
-// Post-fork(2) reset for a child rank process: drops every event inherited
-// from the parent (they belong to the parent's lanes), retags all existing
-// buffers, and sets the default rank. The trace epoch is inherited from
-// the parent, so parent and child timestamps stay on one axis.
-void ResetTraceForChildProcess(int rank);
-
 // Identifies this run in exported traces (otherData.run_id and the lane
-// names). Drivers set one id on every rank of a run.
+// names).
 void SetTraceRunId(std::uint64_t run_id);
 std::uint64_t TraceRunId();
-
-// Export-time shift (ns, may be negative) added to every timestamp of this
-// process, mapping the local trace epoch onto rank 0's. Estimated at
-// communicator setup; identity (0) for single-process runs.
-void SetTraceClockOffsetNs(std::int64_t offset_ns);
-std::int64_t TraceClockOffsetNs();
 
 // --- Export -----------------------------------------------------------------
 
@@ -156,17 +128,6 @@ std::int64_t TraceClockOffsetNs();
 // in Perfetto (ui.perfetto.dev) or chrome://tracing.
 void ExportChromeTrace(std::ostream& os);
 Status WriteChromeTrace(const std::string& path);
-
-// Fragment of Chrome trace JSON (comma-joined event objects, no enclosing
-// array) holding only the buffers tagged with `rank`: lane metadata,
-// X events, flow events, and drop accounting, with the clock offset
-// applied. Each rank produces its own fragment and ships it to rank 0.
-std::string SerializeChromeTraceEventsForRank(int rank);
-
-// Joins per-rank fragments (index == rank; empty fragments allowed) into
-// one complete Chrome trace document.
-std::string BuildMergedChromeTrace(const std::vector<std::string>& fragments,
-                                   std::uint64_t run_id);
 
 // RAII span. Construction samples the clock only when tracing is enabled;
 // destruction records the event into the calling thread's ring buffer.

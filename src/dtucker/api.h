@@ -12,10 +12,11 @@
 //                                (in-process ranks, one per thread).
 //   - dtucker/online_dtucker.h   D-TuckerO streaming updates.
 //   - dtucker/out_of_core.h      File-streaming approximation and solve.
-//   - dtucker/sharded_dtucker.h  The rank-parallel core's SPMD entry
-//                                points, one call per rank (and, via it,
-//                                comm/communicator.h + comm/sharding.h —
-//                                the rank collectives and shard plans).
+//   - dtucker/sharded_dtucker.h  The rank-parallel core's per-rank entry
+//                                points, one call per rank thread (and,
+//                                via it, comm/communicator.h +
+//                                comm/sharding.h — the rank collectives
+//                                and shard plans).
 //   - dtucker/slice_approximation.h  The compressed slice form.
 //   - serve/server.h             Multi-tenant DecompositionServer (job
 //                                scheduler, model cache, factor-space

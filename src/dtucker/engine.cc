@@ -1,12 +1,8 @@
 #include "dtucker/engine.h"
 
-#include <cstdint>
-#include <memory>
 #include <utility>
 
-#include "common/trace.h"
 #include "data/tensor_file.h"
-#include "dtucker/sharded_dtucker.h"
 #include "linalg/blas.h"
 
 namespace dtucker {
@@ -31,19 +27,6 @@ Status EngineOptions::Validate(const std::vector<Index>& shape) const {
           "num_ranks (" + std::to_string(num_ranks) +
           ") exceeds the slice count L=" + std::to_string(l) +
           "; reduce --ranks to at most the trailing-mode volume");
-    }
-  }
-  if (spmd_rank >= 0) {
-    if (num_ranks < 1) {
-      return Status::InvalidArgument(
-          "spmd_rank mode requires num_ranks >= 1");
-    }
-    if (spmd_rank >= num_ranks) {
-      return Status::InvalidArgument("spmd_rank must be < num_ranks");
-    }
-    if (comm_scratch.empty()) {
-      return Status::InvalidArgument(
-          "spmd_rank mode requires comm_scratch (shared rendezvous name)");
     }
   }
   return Status::OK();
@@ -92,68 +75,19 @@ void Engine::FinishRun(EngineRun* run) const {
   RecordSweepMetrics(run->stats);
 }
 
-namespace {
-
-// Deterministic across processes and builds (unlike std::hash), so every
-// rank process of one run derives the same trace flow group from the
-// shared rendezvous name.
-std::uint64_t Fnv1aHash(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-}  // namespace
-
-Result<std::unique_ptr<Communicator>> Engine::MakeSpmdCommunicator(
-    const RunContext* ctx) {
-  DT_ASSIGN_OR_RETURN(std::unique_ptr<Communicator> comm,
-                      CreateShmCommunicator(options_.comm_scratch,
-                                            options_.spmd_rank,
-                                            options_.num_ranks));
-  comm->set_run_context(ctx);
-  // Flow group from the shared rendezvous name: identical on every rank,
-  // distinct across runs (scratch names embed pid + run counters).
-  comm->set_trace_flow_group(Fnv1aHash(options_.comm_scratch) & 0xFFFFFFFFull);
-  SetTraceRankForCurrentThread(options_.spmd_rank);
-  SetTraceDefaultRank(options_.spmd_rank);
-  return comm;
-}
-
 Result<EngineRun> Engine::Solve(const Tensor& x, const RunContext* ctx) {
   const RunContext* effective = EffectiveContext(ctx);
   DT_RETURN_NOT_OK(options_.Validate(x.shape()));
   ApplyBlasThreads();
+  DT_ASSIGN_OR_RETURN(MethodRun method_run,
+                      RunTuckerMethod(options_.method, x,
+                                      RunMethodOptions(effective),
+                                      options_.measure_error));
   EngineRun run;
-  if (options_.spmd_rank >= 0) {
-    // SPMD mode: this process is one rank of an externally launched
-    // group; run the rank entry point on its own communicator instead of
-    // spawning rank threads.
-    DT_ASSIGN_OR_RETURN(std::unique_ptr<Communicator> comm,
-                        MakeSpmdCommunicator(effective));
-    DT_ASSIGN_OR_RETURN(
-        run.decomposition,
-        ShardedDTuckerRank(x, DTuckerOptionsFromMethod(effective), comm.get(),
-                           &run.stats));
-    run.stored_bytes = run.decomposition.ByteSize();
-    if (options_.measure_error) {
-      run.relative_error = run.decomposition.RelativeErrorAgainst(x);
-    } else if (!run.stats.error_history.empty()) {
-      run.relative_error = run.stats.error_history.back();
-    }
-  } else {
-    DT_ASSIGN_OR_RETURN(MethodRun method_run,
-                        RunTuckerMethod(options_.method, x,
-                                        RunMethodOptions(effective),
-                                        options_.measure_error));
-    run.decomposition = std::move(method_run.decomposition);
-    run.stats = std::move(method_run.stats);
-    run.relative_error = method_run.relative_error;
-    run.stored_bytes = method_run.stored_bytes;
-  }
+  run.decomposition = std::move(method_run.decomposition);
+  run.stats = std::move(method_run.stats);
+  run.relative_error = method_run.relative_error;
+  run.stored_bytes = method_run.stored_bytes;
   // RunTuckerMethod already published the sweep metrics; FinishRun folds
   // the completion code (re-publishing gauges is idempotent).
   FinishRun(&run);
@@ -174,16 +108,8 @@ Result<EngineRun> Engine::SolveFile(const std::string& path,
   DT_RETURN_NOT_OK(options_.Validate(shape));
   const DTuckerOptions opt = DTuckerOptionsFromMethod(effective);
   EngineRun run;
-  if (options_.spmd_rank >= 0) {
-    DT_ASSIGN_OR_RETURN(std::unique_ptr<Communicator> comm,
-                        MakeSpmdCommunicator(effective));
-    DT_ASSIGN_OR_RETURN(
-        run.decomposition,
-        ShardedDTuckerRankFromFile(path, opt, comm.get(), &run.stats));
-  } else {
-    DT_ASSIGN_OR_RETURN(run.decomposition,
-                        DTuckerFromFile(path, opt, &run.stats));
-  }
+  DT_ASSIGN_OR_RETURN(run.decomposition,
+                      DTuckerFromFile(path, opt, &run.stats));
   run.stored_bytes = run.stats.working_bytes;
   if (!run.stats.error_history.empty()) {
     run.relative_error = run.stats.error_history.back();
@@ -200,16 +126,8 @@ Result<EngineRun> Engine::SolveApproximation(const SliceApproximation& approx,
   DT_RETURN_NOT_OK(options_.Validate(approx.shape));
   const DTuckerOptions opt = DTuckerOptionsFromMethod(effective);
   EngineRun run;
-  if (options_.spmd_rank >= 0) {
-    DT_ASSIGN_OR_RETURN(std::unique_ptr<Communicator> comm,
-                        MakeSpmdCommunicator(effective));
-    DT_ASSIGN_OR_RETURN(run.decomposition,
-                        ShardedDTuckerRankFromApproximation(
-                            approx, opt, comm.get(), &run.stats));
-  } else {
-    DT_ASSIGN_OR_RETURN(run.decomposition,
-                        DTuckerFromApproximation(approx, opt, &run.stats));
-  }
+  DT_ASSIGN_OR_RETURN(run.decomposition,
+                      DTuckerFromApproximation(approx, opt, &run.stats));
   run.stored_bytes = approx.ByteSize();
   if (!run.stats.error_history.empty()) {
     run.relative_error = run.stats.error_history.back();

@@ -27,7 +27,6 @@
 #include "common/status.h"
 #include "dtucker/dtucker.h"
 #include "dtucker/out_of_core.h"
-#include "dtucker/sharded_dtucker.h"
 #include "tucker/tucker.h"
 
 namespace dtucker {
@@ -46,20 +45,10 @@ struct EngineOptions {
   int blas_threads = 0;
   // Explicit rank count for D-Tucker (dtucker/sharded_dtucker.h). 0
   // (default) runs method_options.num_threads in-process ranks; a value
-  // >= 1 runs the same in-process path with num_threads = num_ranks (so at
-  // most C = min(8, L) ranks start). Either way the result bits are the
-  // same; requires method == kDTucker and num_ranks <= L.
+  // >= 1 runs num_ranks in-process ranks instead (rank threads of this
+  // process; at most C = min(8, L) start). Either way the result bits are
+  // the same; requires method == kDTucker and num_ranks <= L.
   int num_ranks = 0;
-  // SPMD rank mode: when >= 0, this process *is* rank `spmd_rank` of an
-  // externally launched group of num_ranks processes (the CLI's
-  // --rank-procs fork mode). Solve/SolveFile/SolveApproximation then build
-  // one shm communicator rendezvousing at comm_scratch and run the rank
-  // entry point directly instead of spawning rank threads. -1 (default):
-  // the engine drives all ranks itself.
-  int spmd_rank = -1;
-  // The shm segment name the SPMD rank group meets at (a shm_open name,
-  // "/name"). Required in spmd_rank mode; unused otherwise.
-  std::string comm_scratch;
   // Measure the true reconstruction error after Solve() (O(volume); turn
   // off for pure-timing runs). File/approximation paths always report the
   // compressed-form error from the sweep telemetry instead.
@@ -139,15 +128,9 @@ class Engine {
     return override_ctx != nullptr ? override_ctx : &ctx_;
   }
   // The method options a solve runs with: the effective context, and
-  // num_threads = num_ranks when that is set (the SPMD entry points ignore
-  // num_threads).
+  // num_threads = num_ranks when that is set.
   MethodOptions RunMethodOptions(const RunContext* ctx) const;
   DTuckerOptions DTuckerOptionsFromMethod(const RunContext* ctx) const;
-  // Builds this process's shm communicator for spmd_rank mode at
-  // comm_scratch, wires the run context, and tags the calling thread +
-  // communicator for cross-rank tracing.
-  Result<std::unique_ptr<Communicator>> MakeSpmdCommunicator(
-      const RunContext* ctx);
   Status RequireDTucker(const char* entry) const;
   void ApplyBlasThreads() const;
 

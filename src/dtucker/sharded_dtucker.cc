@@ -10,11 +10,8 @@
 #include <utility>
 #include <vector>
 
-#include "comm/telemetry_gather.h"
-#include "common/logging.h"
 #include "common/memory.h"
 #include "common/metrics.h"
-#include "common/telemetry.h"
 #include "common/timer.h"
 #include "common/trace.h"
 #include "data/tensor_file.h"
@@ -640,15 +637,6 @@ Result<TuckerDecomposition> SolveRank(std::span<const SliceSvd> owned,
                                       const ShardPlan& plan,
                                       const DTuckerOptions& options,
                                       Communicator* comm, TuckerStats* stats) {
-  // Clock alignment before the first traced collective, so every exported
-  // span of this run already sits on rank 0's time axis. Gated on flags
-  // that are derived identically on every rank (collective discipline).
-  if (TelemetryGatherEnabled() && TraceEnabled()) {
-    Status align = AlignTraceClockWithRoot(comm);
-    if (!align.ok()) {
-      DT_LOG(WARNING) << "trace clock alignment failed: " << align.message();
-    }
-  }
   const bool lead = comm->rank() == 0;
 
   ShardContext sc;
@@ -778,20 +766,6 @@ Result<TuckerDecomposition> SolveRank(std::span<const SliceSvd> owned,
     }
   }
 
-  // Run-end telemetry gather. Cancelled/rolled-back runs reach this point
-  // too (graceful degradation returns the best-so-far decomposition), so
-  // aborted runs still produce one merged trace. Collective, gated on
-  // conditions that are uniform across ranks; a one-rank group has nothing
-  // to merge, so its process writes its own telemetry as usual. A failed
-  // gather degrades to the per-rank fallback files, never fails the solve.
-  if (TelemetryGatherEnabled() && comm->size() > 1) {
-    Status gathered = GatherRankTelemetry(comm);
-    if (!gathered.ok()) {
-      DT_LOG(WARNING) << "cross-rank telemetry gather failed: "
-                      << gathered.message();
-    }
-  }
-
   TuckerDecomposition dec;
   dec.factors = std::move(state.factors);
   dec.core = std::move(state.core);
@@ -872,8 +846,8 @@ Result<TuckerDecomposition> RunInProcessRanks(
 
   // All rank threads of one run share a flow-id namespace: collective
   // call k on every rank carries the same flow id, which is what binds
-  // the rank-local spans into one cross-rank flow arrow in the merged
-  // trace. The counter keeps concurrent/successive runs in one process
+  // the rank-local spans into one cross-rank flow arrow in the trace. The
+  // counter keeps concurrent/successive runs in one process
   // from colliding.
   static std::atomic<std::uint64_t> run_counter{0};
   const std::uint64_t flow_group = run_counter.fetch_add(1) + 1;

@@ -3,12 +3,11 @@
 // Every D-Tucker entry point runs here, on one of two layers:
 //
 //   DTucker, DTuckerFromFile, DTuckerFromApproximation (dtucker.h,
-//     out_of_core.h) — in-process: one launcher runs
-//     R = RanksForThreads(num_threads, L) rank threads over an
-//     InProcessGroup.
-//   ShardedDTuckerRank* (below) — SPMD: one call per rank on a
-//     communicator the caller built (shm when the ranks are separate
-//     processes, as in the CLI's --rank-procs).
+//     out_of_core.h) — one launcher runs R = RanksForThreads(num_threads,
+//     L) rank threads of this process over an InProcessGroup.
+//   ShardedDTuckerRank* (below) — the per-rank body that each of those
+//     threads runs: one call per rank on that rank's communicator. Tests
+//     drive it directly to run rank counts and slice splits of their own.
 //
 // D-Tucker's three phases decompose naturally over the L frontal slices:
 //
@@ -59,12 +58,11 @@
 
 namespace dtucker {
 
-// SPMD entry points: one call per rank, `comm` fixes the rank/group (e.g.
-// a shm communicator when ranks are separate processes — the no-MPI
-// multi-process transport). Every rank must call with identical `options`
-// and tensor/path/approximation; each returns the full (identical)
-// decomposition. The caller owns the BLAS-pool split when ranks share one
-// process.
+// Per-rank entry points: one call per rank, `comm` fixes the rank/group
+// (one communicator of an InProcessGroup, each on its own thread). Every
+// rank must call with identical `options` and tensor/path/approximation;
+// each returns the full (identical) decomposition. The caller owns the
+// BLAS-pool split between the rank threads.
 Result<TuckerDecomposition> ShardedDTuckerRank(const Tensor& x,
                                                const DTuckerOptions& options,
                                                Communicator* comm,

@@ -101,11 +101,6 @@ Status ServerOptions::Validate() const {
         "ServerOptions::queue_capacity must be >= 1");
   }
   DT_RETURN_NOT_OK(cache.Validate());
-  if (engine.spmd_rank >= 0) {
-    return Status::InvalidArgument(
-        "the server drives whole solves; engine.spmd_rank mode (one rank of "
-        "an external group) cannot be served");
-  }
   return Status::OK();
 }
 

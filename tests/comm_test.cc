@@ -1,12 +1,8 @@
 #include "comm/communicator.h"
 
 #include <gtest/gtest.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <string>
 #include <thread>
@@ -18,40 +14,6 @@
 
 namespace dtucker {
 namespace {
-
-// Fresh shm segment name per call: tests in one binary (and one test
-// re-run racing a crashed predecessor's unlink) must not collide.
-std::string FreshShmName() {
-  static int counter = 0;
-  return "/dtucker-test-" + std::to_string(::getpid()) + "-" +
-         std::to_string(counter++);
-}
-
-// Runs `body(comm)` on every rank of a shm-transport group, each rank on
-// its own thread. Rank 0's communicator is created first (it owns the
-// segment); peers are created serially after it, so setup failures are
-// synchronous.
-std::vector<Status> RunShmRanks(
-    int size, const std::function<Status(Communicator*)>& body) {
-  const std::string name = FreshShmName();
-  std::vector<std::unique_ptr<Communicator>> comms;
-  for (int r = 0; r < size; ++r) {
-    Result<std::unique_ptr<Communicator>> c =
-        CreateShmCommunicator(name, r, size);
-    if (!c.ok()) {
-      return std::vector<Status>(static_cast<std::size_t>(size), c.status());
-    }
-    comms.push_back(std::move(c).ValueOrDie());
-  }
-  std::vector<Status> statuses(static_cast<std::size_t>(size), Status::OK());
-  std::vector<std::thread> threads;
-  for (int r = 1; r < size; ++r) {
-    threads.emplace_back([&, r] { statuses[r] = body(comms[r].get()); });
-  }
-  statuses[0] = body(comms[0].get());
-  for (auto& t : threads) t.join();
-  return statuses;
-}
 
 // Runs `body(comm)` on every rank of an in-process group, each rank on its
 // own thread, and returns the per-rank statuses.
@@ -72,15 +34,6 @@ void ExpectAllOk(const std::vector<Status>& statuses) {
   for (std::size_t r = 0; r < statuses.size(); ++r) {
     EXPECT_TRUE(statuses[r].ok()) << "rank " << r << ": "
                                   << statuses[r].ToString();
-  }
-}
-
-TEST(CommTest, BarrierAllSizes) {
-  for (int size : {1, 2, 3, 4}) {
-    ExpectAllOk(RunRanks(size, [](Communicator* comm) {
-      for (int i = 0; i < 3; ++i) DT_RETURN_NOT_OK(comm->Barrier());
-      return Status::OK();
-    }));
   }
 }
 
@@ -216,7 +169,7 @@ TEST(CommTest, MissingPeerTimesOutAsUnavailable) {
   Communicator* comm = group->comm(0);
   comm->set_timeout_seconds(0.2);
   double v = 1.0;
-  Status st = comm->AllReduceSum(&v, 1);
+  Status st = comm->AllReduceMax(&v, 1);
   EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st.ToString();
 }
 
@@ -226,145 +179,9 @@ TEST(CommTest, RunContextCancelsBlockedCollective) {
   ctx.RequestCancel();
   Communicator* comm = group->comm(0);
   comm->set_run_context(&ctx);
-  Status st = comm->Barrier();
+  double v = 1.0;
+  Status st = comm->AllReduceMax(&v, 1);
   EXPECT_EQ(st.code(), StatusCode::kCancelled) << st.ToString();
-}
-
-TEST(ShmCommTest, RejectsBadArguments) {
-  EXPECT_FALSE(CreateShmCommunicator("no-leading-slash", 0, 2).ok());
-  EXPECT_FALSE(CreateShmCommunicator("/a/b", 0, 2).ok());
-  EXPECT_FALSE(CreateShmCommunicator("/ok", 2, 2).ok());   // rank range.
-  EXPECT_FALSE(CreateShmCommunicator("/ok", -1, 2).ok());
-  EXPECT_FALSE(CreateShmCommunicator("/ok", 0, 0).ok());
-}
-
-TEST(ShmCommTest, MissingRankZeroTimesOutAsUnavailable) {
-  // A peer with no creator to meet: the bounded setup poll must surface
-  // kUnavailable instead of hanging.
-  Result<std::unique_ptr<Communicator>> c = CreateShmCommunicator(
-      FreshShmName(), /*rank=*/1, /*size=*/2, /*setup_timeout_seconds=*/0.2);
-  ASSERT_FALSE(c.ok());
-  EXPECT_EQ(c.status().code(), StatusCode::kUnavailable)
-      << c.status().ToString();
-}
-
-TEST(ShmCommTest, CollectivesAcrossThreads) {
-  for (int size : {1, 2, 3, 4}) {
-    std::vector<double> reduced(static_cast<std::size_t>(size), 0.0);
-    ExpectAllOk(RunShmRanks(size, [&](Communicator* comm) {
-      DT_RETURN_NOT_OK(comm->Barrier());
-      double v = 1.0 + comm->rank();
-      DT_RETURN_NOT_OK(comm->AllReduceSum(&v, 1));
-      reduced[static_cast<std::size_t>(comm->rank())] = v;
-      double b = comm->rank() == 0 ? 42.0 : 0.0;
-      DT_RETURN_NOT_OK(comm->Broadcast(&b, 1, 0));
-      if (b != 42.0) return Status::InvalidArgument("bad broadcast value");
-      return comm->Barrier();
-    }));
-    const double expected = size * (size + 1) / 2.0;
-    for (int r = 0; r < size; ++r) {
-      EXPECT_EQ(reduced[static_cast<std::size_t>(r)], expected)
-          << "size " << size << " rank " << r;
-    }
-  }
-}
-
-TEST(ShmCommTest, ChunkedPayloadLargerThanOneMailbox) {
-  // 3 * 8192 + 1234 doubles forces the chunked streaming path (a mailbox
-  // carries at most 8192 doubles per generation).
-  const std::size_t n = 3 * 8192 + 1234;
-  std::vector<std::vector<double>> got(2);
-  ExpectAllOk(RunShmRanks(2, [&](Communicator* comm) {
-    std::vector<double> buf(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      buf[i] = (comm->rank() + 1) * 1e-3 * static_cast<double>(i % 97);
-    }
-    DT_RETURN_NOT_OK(comm->AllReduceSum(buf.data(), n));
-    got[static_cast<std::size_t>(comm->rank())] = std::move(buf);
-    return Status::OK();
-  }));
-  ASSERT_EQ(got[0].size(), n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double expected = 3e-3 * static_cast<double>(i % 97);
-    ASSERT_DOUBLE_EQ(got[0][i], expected) << "i=" << i;
-    ASSERT_EQ(got[0][i], got[1][i]) << "i=" << i;
-  }
-}
-
-TEST(ShmCommTest, BitwiseIdenticalToInProcessAndFileTransports) {
-  // The transport contract: identical collective algorithms on both
-  // transports, so an awkward non-associative sum reduces to the same bits.
-  // (The name predates the file transport's removal.)
-  const int size = 4;
-  auto body = [&](Communicator* comm, std::vector<double>* out) -> Status {
-    std::vector<double> buf(257);
-    for (std::size_t i = 0; i < buf.size(); ++i) {
-      buf[i] = 1.0 / (3 + comm->rank()) + 1e-7 * static_cast<double>(i);
-    }
-    DT_RETURN_NOT_OK(comm->AllReduceSum(buf.data(), buf.size()));
-    if (comm->rank() == 0) *out = buf;
-    return Status::OK();
-  };
-  std::vector<double> inproc, shm;
-  ExpectAllOk(RunRanks(
-      size, [&](Communicator* c) { return body(c, &inproc); }));
-  ExpectAllOk(RunShmRanks(size, [&](Communicator* c) { return body(c, &shm); }));
-  ASSERT_EQ(inproc.size(), shm.size());
-  for (std::size_t i = 0; i < inproc.size(); ++i) {
-    EXPECT_EQ(inproc[i], shm[i]) << "i=" << i;  // Bitwise.
-  }
-}
-
-TEST(ShmCommTest, RunContextCancelsBlockedCollective) {
-  const std::string name = FreshShmName();
-  Result<std::unique_ptr<Communicator>> c0 = CreateShmCommunicator(name, 0, 2);
-  ASSERT_TRUE(c0.ok()) << c0.status().ToString();
-  RunContext ctx;
-  ctx.RequestCancel();
-  c0.value()->set_run_context(&ctx);
-  Status st = c0.value()->Barrier();
-  EXPECT_EQ(st.code(), StatusCode::kCancelled) << st.ToString();
-}
-
-TEST(ShmCommTest, AcrossForkedProcesses) {
-  // The real multi-process case: children fork *before* creating their
-  // communicators and meet rank 0 purely through the named segment.
-  const std::string name = FreshShmName();
-  const int size = 4;
-
-  auto run_rank = [&](int rank) -> Status {
-    Result<std::unique_ptr<Communicator>> comm =
-        CreateShmCommunicator(name, rank, size);
-    DT_RETURN_NOT_OK(comm.status());
-    comm.value()->set_timeout_seconds(30.0);
-    double v = 1.0 + rank;  // 1 + 2 + 3 + 4 = 10.
-    DT_RETURN_NOT_OK(comm.value()->AllReduceSum(&v, 1));
-    if (v != 10.0) return Status::InvalidArgument("bad reduce value");
-    double b = rank == 1 ? 42.0 : 0.0;
-    DT_RETURN_NOT_OK(comm.value()->Broadcast(&b, 1, 1));
-    if (b != 42.0) return Status::InvalidArgument("bad broadcast value");
-    std::vector<double> big(20000, static_cast<double>(rank));
-    DT_RETURN_NOT_OK(comm.value()->AllReduceSum(big.data(), big.size()));
-    if (big[123] != 6.0) return Status::InvalidArgument("bad big reduce");
-    return comm.value()->Barrier();
-  };
-
-  std::vector<pid_t> children;
-  for (int rank = 1; rank < size; ++rank) {
-    pid_t pid = ::fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-      ::_exit(run_rank(rank).ok() ? 0 : 1);
-    }
-    children.push_back(pid);
-  }
-  Status st = run_rank(0);
-  EXPECT_TRUE(st.ok()) << st.ToString();
-  for (pid_t pid : children) {
-    int wstatus = 0;
-    ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
-    EXPECT_TRUE(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0);
-  }
 }
 
 TEST(CommMetricsTest, CollectivesRecordWaitAndOpCounts) {
@@ -375,16 +192,17 @@ TEST(CommMetricsTest, CollectivesRecordWaitAndOpCounts) {
       MetricCounter("comm.ops.allreduce_sum").Value();
   const std::uint64_t bcasts_before =
       MetricCounter("comm.ops.broadcast").Value();
-  const std::uint64_t barriers_before =
-      MetricCounter("comm.ops.barrier").Value();
+  const std::uint64_t maxes_before =
+      MetricCounter("comm.ops.allreduce_max").Value();
   ExpectAllOk(RunRanks(2, [](Communicator* comm) {
     double v = 1.0;
     DT_RETURN_NOT_OK(comm->AllReduceSum(&v, 1));
-    return comm->Barrier();
+    return comm->AllReduceMax(&v, 1);
   }));
   EXPECT_EQ(MetricCounter("comm.ops.allreduce_sum").Value() - sums_before, 2u);
   EXPECT_EQ(MetricCounter("comm.ops.broadcast").Value() - bcasts_before, 0u);
-  EXPECT_EQ(MetricCounter("comm.ops.barrier").Value() - barriers_before, 2u);
+  EXPECT_EQ(MetricCounter("comm.ops.allreduce_max").Value() - maxes_before,
+            2u);
   // Wait gauges exist (>= 0; actual magnitude is timing-dependent).
   EXPECT_GE(MetricGauge("comm.wait_ns.allreduce_sum").Value(), 0.0);
 }

@@ -242,52 +242,6 @@ TEST(MetricsRegistryTest, SnapshotJsonContainsHistogramSection) {
   ASSERT_TRUE(entry.at("buckets").IsArray());
 }
 
-TEST(MetricsRegistryTest, MergeRankMetricsJsonBuildsSectionsAndRollups) {
-  // Two synthetic rank dumps exercising every record type.
-  MetricCounter("test.merge_counter").Add(5);
-  MetricGauge("test.merge_gauge").Set(2.0);
-  Histogram& h = MetricHistogram("test.merge_histogram");
-  h.Reset();
-  h.Record(100);
-  h.Record(200);
-  const std::string dump0 = MetricsRegistry::Global().SerializeForMerge();
-  MetricCounter("test.merge_counter").Add(2);
-  MetricGauge("test.merge_gauge").Set(6.0);
-  h.Record(400);
-  const std::string dump1 = MetricsRegistry::Global().SerializeForMerge();
-
-  const std::string merged = MergeRankMetricsJson({dump0, dump1});
-  json_test::JsonValue root;
-  ASSERT_TRUE(json_test::JsonParser::Parse(merged, &root)) << merged;
-  EXPECT_EQ(root.at("world_size").number_value, 2.0);
-  ASSERT_TRUE(root.Has("ranks"));
-  ASSERT_TRUE(root.at("ranks").Has("0"));
-  ASSERT_TRUE(root.at("ranks").Has("1"));
-  EXPECT_GE(root.at("ranks")
-                .at("0")
-                .at("counters")
-                .at("test.merge_counter")
-                .number_value,
-            5.0);
-  EXPECT_DOUBLE_EQ(
-      root.at("ranks").at("1").at("gauges").at("test.merge_gauge").number_value,
-      6.0);
-
-  ASSERT_TRUE(root.Has("rollup"));
-  const auto& gauge_rollup =
-      root.at("rollup").at("gauges").at("test.merge_gauge");
-  EXPECT_DOUBLE_EQ(gauge_rollup.at("min").number_value, 2.0);
-  EXPECT_DOUBLE_EQ(gauge_rollup.at("max").number_value, 6.0);
-  EXPECT_DOUBLE_EQ(gauge_rollup.at("sum").number_value, 8.0);
-  // Histogram rollup merges raw buckets: 2 + 3 samples, max 400.
-  const auto& hist_rollup =
-      root.at("rollup").at("histograms").at("test.merge_histogram");
-  EXPECT_EQ(hist_rollup.at("count").number_value, 5.0);
-  EXPECT_EQ(hist_rollup.at("max").number_value, 400.0);
-  EXPECT_LE(hist_rollup.at("p50").number_value,
-            hist_rollup.at("p99").number_value);
-}
-
 TEST(MemoryTest, PeakRssAtLeastCurrentRss) {
   const std::size_t current = CurrentRssBytes();
   const std::size_t peak = PeakRssBytes();

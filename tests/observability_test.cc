@@ -17,12 +17,14 @@
 #include <utility>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/metrics.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
 #include "data/generators.h"
 #include "data/tensor_io.h"
 #include "dtucker/dtucker.h"
+#include "dtucker/engine.h"
 #include "json_test_util.h"
 
 namespace dtucker {
@@ -131,11 +133,14 @@ TEST(ObservabilityTest, MetricsSnapshotReportsFlopsAndPerSweepFit) {
   EXPECT_GT(root.at("process").at("peak_rss_bytes").number_value, 0.0);
 }
 
-// Schema checks for a merged multi-rank Chrome trace: one pid lane per
-// rank, clock-aligned collective spans, and every flow hop bound to an
+// Schema checks for a multi-rank Chrome trace: one pid lane per rank, the
+// run's outermost span and drop count, and every flow hop bound to an
 // existing span on its own (pid, tid) lane.
-void CheckMergedTraceDocument(const JsonValue& root, int world_size) {
+void CheckMultiRankTraceDocument(const JsonValue& root, int world_size) {
   ASSERT_TRUE(root.Has("traceEvents"));
+  EXPECT_TRUE(root.at("otherData").Has("dropped_events"));
+  EXPECT_TRUE(IndexTrace(root).names.count("method.run"))
+      << "the solve's enclosing span must be in the trace";
   std::set<int> lane_pids;
   std::map<std::pair<int, int>, std::vector<std::pair<double, double>>> spans;
   struct Flow {
@@ -188,90 +193,35 @@ void CheckMergedTraceDocument(const JsonValue& root, int world_size) {
   }
 }
 
-// Schema checks for the merged metrics document: every rank section
-// present, per-op comm-wait histograms with monotone quantiles, and
-// cross-rank rollups over the same names.
-void CheckMergedMetricsDocument(const JsonValue& root, int world_size) {
-  EXPECT_EQ(root.at("world_size").number_value,
-            static_cast<double>(world_size));
-  ASSERT_TRUE(root.Has("ranks"));
-  auto check_histograms = [](const JsonValue& hists, int* comm_wait_ops) {
-    for (const auto& [name, h] : hists.object) {
-      const double p50 = h.at("p50").number_value;
-      const double p90 = h.at("p90").number_value;
-      const double p99 = h.at("p99").number_value;
-      const double max = h.at("max").number_value;
-      EXPECT_LE(p50, p90) << name;
-      EXPECT_LE(p90, p99) << name;
-      EXPECT_LE(p99, max) << name;
-      if (name.rfind("comm.wait_ns.", 0) == 0 && h.at("count").number_value > 0)
-        ++*comm_wait_ops;
-    }
-  };
-  for (int r = 0; r < world_size; ++r) {
-    ASSERT_TRUE(root.at("ranks").Has(std::to_string(r)))
-        << "missing rank section " << r;
-    const JsonValue& rank = root.at("ranks").at(std::to_string(r));
-    for (const char* section :
-         {"counters", "gauges", "histograms", "phases", "process"}) {
-      EXPECT_TRUE(rank.Has(section))
-          << "rank " << r << " missing section " << section;
-    }
-    int comm_wait_ops = 0;
-    check_histograms(rank.at("histograms"), &comm_wait_ops);
-    EXPECT_GE(comm_wait_ops, 2)
-        << "rank " << r << " must report per-op comm-wait quantiles";
+// Schema checks for a multi-rank metrics snapshot: one process-wide
+// section (no per-rank copies), the run's sweep gauges and method phase,
+// and per-op comm-wait histograms with monotone quantiles.
+void CheckMultiRankMetricsDocument(const JsonValue& root) {
+  for (const char* section :
+       {"counters", "gauges", "histograms", "phases", "process"}) {
+    EXPECT_TRUE(root.Has(section)) << "missing section " << section;
   }
-  ASSERT_TRUE(root.Has("rollup"));
-  for (const char* section : {"counters", "gauges", "phases", "histograms"}) {
-    EXPECT_TRUE(root.at("rollup").Has(section));
+  for (const char* per_rank : {"world_size", "ranks", "rollup"}) {
+    EXPECT_FALSE(root.Has(per_rank))
+        << "metrics must be reported once, not per rank: " << per_rank;
   }
-  int rollup_comm_wait_ops = 0;
-  check_histograms(root.at("rollup").at("histograms"), &rollup_comm_wait_ops);
-  EXPECT_GE(rollup_comm_wait_ops, 2);
+  EXPECT_GE(root.at("counters").at("gemm.flops").number_value, 1.0);
+  EXPECT_TRUE(root.at("gauges").Has("dtucker.sweep01.fit"));
+  EXPECT_TRUE(root.at("phases").Has("method.D-Tucker"));
+  int comm_wait_ops = 0;
+  for (const auto& [name, h] : root.at("histograms").object) {
+    const double p50 = h.at("p50").number_value;
+    const double p90 = h.at("p90").number_value;
+    const double p99 = h.at("p99").number_value;
+    const double max = h.at("max").number_value;
+    EXPECT_LE(p50, p90) << name;
+    EXPECT_LE(p90, p99) << name;
+    EXPECT_LE(p99, max) << name;
+    if (name.rfind("comm.wait_ns.", 0) == 0 && h.at("count").number_value > 0)
+      ++comm_wait_ops;
+  }
+  EXPECT_GE(comm_wait_ops, 2) << "per-op comm-wait quantiles";
 }
-
-TEST(ObservabilityGatherTest, InProcessFourRankRunDepositsMergedTelemetry) {
-  SetTraceEnabled(false);
-  ClearTrace();
-  SetTraceRunId(4242);
-  SetTelemetryGatherEnabled(true);
-  SetTraceEnabled(true);
-
-  Tensor x = MakeLowRankTensor({14, 12, 12}, {3, 3, 3}, 0.1, 7);
-  DTuckerOptions opt;
-  opt.tucker.ranks = {3, 3, 3};
-  opt.tucker.max_iterations = 3;
-  opt.tucker.tolerance = 0.0;
-  opt.num_threads = 4;
-  Result<TuckerDecomposition> dec = DTucker(x, opt);
-
-  SetTraceEnabled(false);
-  SetTelemetryGatherEnabled(false);
-  ASSERT_TRUE(dec.ok()) << dec.status().ToString();
-
-  const AggregatedTelemetry& agg = GetAggregatedTelemetry();
-  ASSERT_TRUE(agg.present) << "the run-end gather must deposit a bundle";
-  ASSERT_TRUE(agg.is_root);
-  EXPECT_EQ(agg.run_id, 4242u);
-
-  JsonValue trace;
-  ASSERT_TRUE(JsonParser::Parse(agg.merged_trace_json, &trace))
-      << agg.merged_trace_json.substr(0, 2000);
-  EXPECT_EQ(trace.at("otherData").at("run_id").string_value, "4242");
-  EXPECT_EQ(trace.at("otherData").at("world_size").number_value, 4.0);
-  CheckMergedTraceDocument(trace, 4);
-
-  JsonValue metrics;
-  ASSERT_TRUE(JsonParser::Parse(agg.merged_metrics_json, &metrics))
-      << agg.merged_metrics_json.substr(0, 2000);
-  CheckMergedMetricsDocument(metrics, 4);
-
-  SetTraceRunId(0);
-  ClearTrace();
-}
-
-#ifdef DTUCKER_CLI_PATH
 
 std::string ReadFileOrDie(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -280,6 +230,72 @@ std::string ReadFileOrDie(const std::string& path) {
   os << in.rdbuf();
   return os.str();
 }
+
+bool FileExists(const std::string& path) {
+  std::ifstream in(path);
+  return in.good();
+}
+
+// No "<path>.rank<r>" side files next to a multi-rank run's outputs.
+void ExpectNoPerRankFiles(const std::string& path, int world_size) {
+  for (int r = 0; r < world_size; ++r) {
+    EXPECT_FALSE(FileExists(path + ".rank" + std::to_string(r)))
+        << "per-rank file for rank " << r << " next to " << path;
+  }
+}
+
+TEST(ObservabilityTelemetryTest, FourRankEngineRunFlushesCompleteDocuments) {
+  // The plain --trace-out/--metrics-out flush after a 4-rank Engine solve:
+  // the rank threads' lanes, flows and the solve's own spans land in one
+  // trace, and the process-wide registry holds the whole run.
+  const std::string dir = ::testing::TempDir();
+  const std::string trace_path = dir + "obs_engine4_trace.json";
+  const std::string metrics_path = dir + "obs_engine4_metrics.json";
+  FlagParser flags;
+  AddTelemetryFlags(&flags);
+  std::string trace_arg = "--trace-out=" + trace_path;
+  std::string metrics_arg = "--metrics-out=" + metrics_path;
+  char prog[] = "observability_test";
+  char* argv[] = {prog, trace_arg.data(), metrics_arg.data()};
+  ASSERT_TRUE(flags.Parse(3, argv).ok());
+
+  SetTraceEnabled(false);
+  ClearTrace();
+  SetTraceRunId(4242);
+  InitTelemetryFromFlags(flags);
+  Tensor x = MakeLowRankTensor({14, 12, 12}, {3, 3, 3}, 0.1, 7);
+  EngineOptions eopt;
+  eopt.method_options.tucker.ranks = {3, 3, 3};
+  eopt.method_options.tucker.max_iterations = 3;
+  eopt.method_options.tucker.tolerance = 0.0;
+  eopt.num_ranks = 4;
+  Engine engine(std::move(eopt));
+  Result<EngineRun> run = engine.Solve(x);
+  const Status flushed = FlushTelemetryFromFlags(flags);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_TRUE(flushed.ok()) << flushed.ToString();
+  EXPECT_FALSE(TraceEnabled());
+
+  JsonValue trace;
+  const std::string trace_text = ReadFileOrDie(trace_path);
+  ASSERT_TRUE(JsonParser::Parse(trace_text, &trace))
+      << trace_text.substr(0, 2000);
+  EXPECT_EQ(trace.at("otherData").at("run_id").string_value, "4242");
+  CheckMultiRankTraceDocument(trace, 4);
+
+  JsonValue metrics;
+  ASSERT_TRUE(JsonParser::Parse(ReadFileOrDie(metrics_path), &metrics));
+  CheckMultiRankMetricsDocument(metrics);
+  ExpectNoPerRankFiles(trace_path, 4);
+  ExpectNoPerRankFiles(metrics_path, 4);
+
+  SetTraceRunId(0);
+  ClearTrace();
+  std::remove(trace_path.c_str());
+  std::remove(metrics_path.c_str());
+}
+
+#ifdef DTUCKER_CLI_PATH
 
 TEST(ObservabilityCliTest, TraceOutAndMetricsOutWriteValidJson) {
   const std::string dir = ::testing::TempDir();
@@ -327,68 +343,66 @@ TEST(ObservabilityCliTest, TraceOutAndMetricsOutWriteValidJson) {
   std::remove(metrics_path.c_str());
 }
 
-bool FileExists(const std::string& path) {
-  std::ifstream in(path);
-  return in.good();
-}
-
-// Runs the CLI over 4 ranks (in-process threads, or fork()ed processes
-// meeting in shm with --rank-procs) and schema-checks the single merged
-// trace + metrics documents rank 0 writes.
-void RunFourRankCliCase(const std::string& tag,
-                        const std::string& extra_args) {
+// Runs the CLI's decompose on a 14x12x12 tensor with --ranks=`ranks`,
+// writing its trace and metrics next to `tag`-named files; returns the
+// paths (trace, metrics).
+std::pair<std::string, std::string> RunCliDecompose(const std::string& tag,
+                                                    int ranks) {
   const std::string dir = ::testing::TempDir();
-  const std::string tensor_path = dir + "obs_cli4_" + tag + ".dtnsr";
-  const std::string trace_path = dir + "obs_cli4_" + tag + "_trace.json";
-  const std::string metrics_path = dir + "obs_cli4_" + tag + "_metrics.json";
-
+  const std::string tensor_path = dir + "obs_cli_" + tag + ".dtnsr";
+  const std::string trace_path = dir + "obs_cli_" + tag + "_trace.json";
+  const std::string metrics_path = dir + "obs_cli_" + tag + "_metrics.json";
   Tensor x = MakeLowRankTensor({14, 12, 12}, {3, 3, 3}, 0.1, 7);
-  ASSERT_TRUE(SaveTensor(x, tensor_path).ok());
-
+  EXPECT_TRUE(SaveTensor(x, tensor_path).ok());
   const std::string cmd = std::string(DTUCKER_CLI_PATH) +
                           " --op=decompose --tensor=" + tensor_path +
                           " --method=D-Tucker --rank=3 --iters=3" +
-                          " --ranks=4 " + extra_args +
+                          " --ranks=" + std::to_string(ranks) +
                           " --trace-out=" + trace_path +
                           " --metrics-out=" + metrics_path + " > /dev/null";
   const int rc = std::system(cmd.c_str());
-  ASSERT_EQ(rc, 0) << "command failed: " << cmd;
+  EXPECT_EQ(rc, 0) << "command failed: " << cmd;
+  std::remove(tensor_path.c_str());
+  return {trace_path, metrics_path};
+}
 
-  // One merged file each; the aggregation must suppress per-rank fallback
-  // files ("<path>.rank<r>").
-  for (int r = 1; r < 4; ++r) {
-    EXPECT_FALSE(FileExists(trace_path + ".rank" + std::to_string(r)))
-        << "rank " << r << " wrote a fallback trace despite the gather";
-    EXPECT_FALSE(FileExists(metrics_path + ".rank" + std::to_string(r)));
-  }
+TEST(ObservabilityCliTest, FourRankRunWritesOneCompleteTraceAndMetricsFile) {
+  const auto [trace_path, metrics_path] = RunCliDecompose("ranks4", 4);
+  ExpectNoPerRankFiles(trace_path, 4);
+  ExpectNoPerRankFiles(metrics_path, 4);
 
   JsonValue trace;
   ASSERT_TRUE(JsonParser::Parse(ReadFileOrDie(trace_path), &trace));
-  EXPECT_EQ(trace.at("otherData").at("world_size").number_value, 4.0);
-  CheckMergedTraceDocument(trace, 4);
-
+  CheckMultiRankTraceDocument(trace, 4);
   JsonValue metrics;
   ASSERT_TRUE(JsonParser::Parse(ReadFileOrDie(metrics_path), &metrics));
-  CheckMergedMetricsDocument(metrics, 4);
+  CheckMultiRankMetricsDocument(metrics);
 
-  std::remove(tensor_path.c_str());
-  std::remove(trace_path.c_str());
-  std::remove(metrics_path.c_str());
-}
+  // The counters are the process's own, counted once. The 4 rank threads
+  // split the slice work and each repeats only the small trailing update
+  // and core, so the run's GEMM flops sit between 1x and 2x those of a
+  // 1-rank run of the same solve (four stacked copies would read >= 4x).
+  const auto [trace1_path, metrics1_path] = RunCliDecompose("ranks1", 1);
+  JsonValue metrics1;
+  ASSERT_TRUE(JsonParser::Parse(ReadFileOrDie(metrics1_path), &metrics1));
+  const double flops4 = metrics.at("counters").at("gemm.flops").number_value;
+  const double flops1 = metrics1.at("counters").at("gemm.flops").number_value;
+  EXPECT_GE(flops4, flops1);
+  EXPECT_LT(flops4, 2 * flops1);
 
-TEST(ObservabilityCliTest, FourRankShmThreadsProduceMergedDocuments) {
-  RunFourRankCliCase("threads", "");
-}
-
-TEST(ObservabilityCliTest, FourRankShmForkedProcessesProduceMergedDocuments) {
-  RunFourRankCliCase("procs", "--rank-procs");
+  for (const std::string& path :
+       {trace_path, metrics_path, trace1_path, metrics1_path}) {
+    std::remove(path.c_str());
+  }
 }
 
 TEST(ObservabilityCliTest, BadFlagValuesExitNonzero) {
-  // A malformed value and the retired --transport flag (now unknown) are
-  // both rejected with a nonzero exit, before any work starts.
+  // A malformed value and the retired --transport and --rank-procs flags
+  // (now unknown) are all rejected with a nonzero exit, before any work
+  // starts.
   for (const char* args :
-       {"--threads=abc", "--op=decompose --ranks=2 --transport=file"}) {
+       {"--threads=abc", "--op=decompose --ranks=2 --transport=file",
+        "--op=decompose --ranks=2 --rank-procs"}) {
     const std::string cmd = std::string(DTUCKER_CLI_PATH) + " " + args +
                             " > /dev/null 2>&1";
     const int rc = std::system(cmd.c_str());

@@ -1,7 +1,6 @@
 #include "dtucker/sharded_dtucker.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
@@ -34,7 +33,7 @@ DTuckerOptions MakeOptions(std::vector<Index> ranks, int num_threads,
   return opt;
 }
 
-// Drives the SPMD entry points the way a multi-process launcher would:
+// Drives the per-rank entry points the way DTucker's launcher does:
 // rank_fn(comms[r]) for every rank, each on its own test thread (rank 0 on
 // the calling one). Returns the per-rank results.
 std::vector<Result<TuckerDecomposition>> RunSpmdRanks(
@@ -107,18 +106,23 @@ TEST(ShardedDTuckerTest, ExactRecoveryOfLowRankTensor) {
 }
 
 TEST(ShardedDTuckerTest, BitwiseIdenticalAcrossPowerOfTwoRankCounts) {
+  // Both the rank threads DTucker launches and the per-rank entry point on
+  // test threads reproduce the 1-rank run.
   Tensor x = MakeLowRankTensor({15, 13, 9}, {4, 4, 4}, 0.2, 3);
-  Result<TuckerDecomposition> one =
-      DTucker(x, MakeOptions({4, 3, 3}, 1));
+  const DTuckerOptions opt = MakeOptions({4, 3, 3}, 1);
+  Result<TuckerDecomposition> one = DTucker(x, opt);
   ASSERT_TRUE(one.ok()) << one.status().ToString();
+  auto solve = [&](Communicator* c) { return ShardedDTuckerRank(x, opt, c); };
   for (int num_ranks : {2, 4, 8}) {
+    const std::string what = "ranks=" + std::to_string(num_ranks);
     TuckerStats stats;
     Result<TuckerDecomposition> many =
         DTucker(x, MakeOptions({4, 3, 3}, num_ranks), &stats);
     ASSERT_TRUE(many.ok()) << many.status().ToString();
-    ExpectBitwiseEqual(many.value(), one.value(),
-                       ("ranks=" + std::to_string(num_ranks)).c_str());
+    ExpectBitwiseEqual(many.value(), one.value(), what.c_str());
     EXPECT_EQ(stats.completion, StatusCode::kOk);
+    ExpectRanksMatch(RunInProcessSpmdRanks(num_ranks, solve), one.value(),
+                     what + " per-rank entry");
   }
 }
 
@@ -475,7 +479,7 @@ TEST(ShardedDTuckerTest, FromFileMatchesInMemoryBitwise) {
 
 TEST(ShardedDTuckerTest, SpmdEntryMatchesDriver) {
   // Drive the SPMD surface directly: one ShardedDTuckerRank call per rank
-  // thread over an explicit group, as a multi-process launcher would.
+  // thread over an explicit group.
   Tensor x = MakeLowRankTensor({13, 11, 8}, {3, 3, 3}, 0.15, 9);
   const DTuckerOptions opt = MakeOptions({3, 3, 2}, 2);
   Result<TuckerDecomposition> driver = DTucker(x, opt);
@@ -538,43 +542,6 @@ TEST(ShardedDTuckerTest, AutoReorderAtFourThreadsMatchesOneThread) {
   auto solve = [&](Communicator* c) { return ShardedDTuckerRank(x, opt, c); };
   ExpectRanksMatch(RunInProcessSpmdRanks(4, solve), one.value(),
                    "auto_reorder spmd ranks=4");
-}
-
-TEST(ShardedDTuckerTest, BitwiseIdenticalAcrossAllThreeTransports) {
-  // The transport contract end-to-end: a full sharded solve produces the
-  // same bits whether the ranks exchange buffers through in-process
-  // mailboxes (DTucker's rank threads) or a shm segment (SPMD ranks, here
-  // on test threads) — and each reproduces the 1-rank run. (The name
-  // predates the file transport's removal.)
-  Tensor x = MakeLowRankTensor({15, 13, 9}, {4, 4, 4}, 0.2, 3);
-  const DTuckerOptions opt = MakeOptions({4, 3, 3}, 1);
-  Result<TuckerDecomposition> one = DTucker(x, opt);
-  ASSERT_TRUE(one.ok()) << one.status().ToString();
-  auto solve = [&](Communicator* c) { return ShardedDTuckerRank(x, opt, c); };
-  for (int num_ranks : {2, 4}) {
-    Result<TuckerDecomposition> inproc =
-        DTucker(x, MakeOptions({4, 3, 3}, num_ranks));
-    ASSERT_TRUE(inproc.ok()) << inproc.status().ToString();
-    ExpectBitwiseEqual(inproc.value(), one.value(),
-                       ("inproc ranks=" + std::to_string(num_ranks)).c_str());
-
-    // Rank 0 creates the segment before its peers map it; its destructor
-    // unlinks it.
-    const std::string name = "/dtucker-sharded-test-" +
-                             std::to_string(::getpid()) + "-" +
-                             std::to_string(num_ranks);
-    std::vector<std::unique_ptr<Communicator>> owned;
-    std::vector<Communicator*> comms;
-    for (int r = 0; r < num_ranks; ++r) {
-      Result<std::unique_ptr<Communicator>> c =
-          CreateShmCommunicator(name, r, num_ranks);
-      ASSERT_TRUE(c.ok()) << c.status().ToString();
-      owned.push_back(std::move(c).ValueOrDie());
-      comms.push_back(owned.back().get());
-    }
-    ExpectRanksMatch(RunSpmdRanks(comms, solve), one.value(),
-                     "shm ranks=" + std::to_string(num_ranks));
-  }
 }
 
 TEST(ShardedDTuckerTest, NonPowerOfTwoRankCountsMatchFitTo4Digits) {

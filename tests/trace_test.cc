@@ -1,50 +1,20 @@
 // Tests for the span tracer: nesting, ring-buffer wrap, Chrome-trace JSON
 // round-trip, multi-thread recording, and the disabled-tracer
-// zero-allocation guarantee (via a global operator new probe, the
-// bench_dtucker pattern).
+// zero-allocation guarantee (via the global operator new probe of
+// bench/alloc_probe.cpp, shared with bench_dtucker).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "alloc_probe.h"
 #include "common/memory.h"
 #include "common/trace.h"
 #include "json_test_util.h"
-
-namespace {
-
-// Global allocation probe: counts every operator new in the binary.
-std::atomic<std::size_t> g_allocated_bytes{0};
-
-std::size_t AllocatedBytes() {
-  return g_allocated_bytes.load(std::memory_order_relaxed);
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace dtucker {
 namespace {
@@ -341,7 +311,7 @@ TEST_F(TraceTest, FlowTaggedSpansEmitBoundFlowEvents) {
   EXPECT_EQ(finishes, 1);
 }
 
-TEST_F(TraceTest, RankTagsBecomePidLanesAndOffsetShiftsTimestamps) {
+TEST_F(TraceTest, RankTagsBecomePidLanes) {
   SetTraceEnabled(true);
   std::thread rank2([] {
     SetTraceRankForCurrentThread(2);
@@ -349,11 +319,9 @@ TEST_F(TraceTest, RankTagsBecomePidLanesAndOffsetShiftsTimestamps) {
   });
   rank2.join();
   SetTraceEnabled(false);
-  SetTraceClockOffsetNs(5'000'000);  // +5 ms onto rank 0's axis.
 
   std::ostringstream os;
   ExportChromeTrace(os);
-  SetTraceClockOffsetNs(0);
   json_test::JsonValue root;
   ASSERT_TRUE(json_test::JsonParser::Parse(os.str(), &root)) << os.str();
   bool span_found = false;
@@ -363,8 +331,6 @@ TEST_F(TraceTest, RankTagsBecomePidLanesAndOffsetShiftsTimestamps) {
         ev.at("name").string_value == "rank2.work") {
       span_found = true;
       EXPECT_EQ(ev.at("pid").number_value, 2.0);
-      EXPECT_GE(ev.at("ts").number_value, 5000.0)  // µs
-          << "the clock offset must be applied at export";
     }
     if (ev.at("ph").string_value == "M" &&
         ev.at("name").string_value == "process_name" &&
@@ -374,50 +340,6 @@ TEST_F(TraceTest, RankTagsBecomePidLanesAndOffsetShiftsTimestamps) {
   }
   EXPECT_TRUE(span_found);
   EXPECT_TRUE(lane_found);
-}
-
-TEST_F(TraceTest, PerRankFragmentsMergeIntoOneDocument) {
-  SetTraceRunId(77);
-  SetTraceEnabled(true);
-  SetTraceRankForCurrentThread(0);
-  {
-    TraceSpan span("rank0.work");
-  }
-  std::thread rank1([] {
-    SetTraceRankForCurrentThread(1);
-    TraceSpan span("rank1.work");
-  });
-  rank1.join();
-  SetTraceEnabled(false);
-
-  // Each rank serializes only its own buffers; the merge is pure pasting,
-  // exactly what the cross-rank gather ships to rank 0.
-  const std::string frag0 = SerializeChromeTraceEventsForRank(0);
-  const std::string frag1 = SerializeChromeTraceEventsForRank(1);
-  EXPECT_EQ(frag0.find("rank1.work"), std::string::npos);
-  EXPECT_EQ(frag1.find("rank0.work"), std::string::npos);
-  const std::string merged = BuildMergedChromeTrace({frag0, frag1}, 77);
-  SetTraceRunId(0);
-
-  json_test::JsonValue root;
-  ASSERT_TRUE(json_test::JsonParser::Parse(merged, &root)) << merged;
-  EXPECT_EQ(root.at("otherData").at("run_id").string_value, "77");
-  EXPECT_EQ(root.at("otherData").at("world_size").number_value, 2.0);
-  bool r0 = false;
-  bool r1 = false;
-  for (const auto& ev : root.at("traceEvents").array) {
-    if (ev.at("ph").string_value != "X") continue;
-    if (ev.at("name").string_value == "rank0.work") {
-      r0 = true;
-      EXPECT_EQ(ev.at("pid").number_value, 0.0);
-    }
-    if (ev.at("name").string_value == "rank1.work") {
-      r1 = true;
-      EXPECT_EQ(ev.at("pid").number_value, 1.0);
-    }
-  }
-  EXPECT_TRUE(r0);
-  EXPECT_TRUE(r1);
 }
 
 }  // namespace
