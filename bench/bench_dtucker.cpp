@@ -92,8 +92,9 @@ void BM_BuildCarrier(benchmark::State& state) {
                                                   &out);
         break;
       default:
+        out.ResizeTo({10, 10, approx.NumSlices()});
         internal_dtucker::BuildProjectedCoreInto(approx.slices, a1, a2, 1.0,
-                                                 &out);
+                                                 out.data());
         break;
     }
     benchmark::DoNotOptimize(out.data());

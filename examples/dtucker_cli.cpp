@@ -117,7 +117,6 @@ int RunOp(const FlagParser& flags) {
         static_cast<int>(flags.GetInt("iters"));
     eopt.method_options.num_threads = num_threads;
     eopt.blas_threads = num_threads;
-    eopt.num_ranks = static_cast<int>(flags.GetInt("ranks"));
     eopt.method_options.sweep_callback = [](const SweepTelemetry& t) {
       std::printf("sweep %2d: fit %.6f (delta %+0.2e) in %.3fs, "
                   "%llu subspace iterations\n",
@@ -254,13 +253,10 @@ int Run(int argc, char** argv) {
   flags.AddInt("rank", 10, "Tucker rank per mode (clamped to dims)");
   flags.AddDouble("energy", 0.9, "energy threshold for --op=ranks");
   flags.AddInt("iters", 20, "max ALS sweeps");
-  flags.AddInt("ranks", 0,
-               "explicit rank count for --method=D-Tucker (0 = --threads "
-               "in-process ranks; the result is the same either way)");
   flags.AddInt("threads", 1,
-               "threads for every phase; D-Tucker runs them as in-process "
-               "ranks of the slice grid (at most 8); default 1 = serial, "
-               "0 = all hardware threads");
+               "threads for every phase; D-Tucker's slice passes use at "
+               "most 8 (one per chunk of the slice grid); default 1 = "
+               "serial, 0 = all hardware threads");
   AddTelemetryFlags(&flags);
   Status st = flags.Parse(argc, argv);
   if (!st.ok()) {

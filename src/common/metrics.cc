@@ -121,12 +121,6 @@ double HistogramData::QuantileNs(double q) const {
   return static_cast<double>(max_ns);
 }
 
-void HistogramData::Merge(const HistogramData& other) {
-  for (unsigned b = 0; b < kBuckets; ++b) buckets[b] += other.buckets[b];
-  sum_ns += other.sum_ns;
-  if (other.max_ns > max_ns) max_ns = other.max_ns;
-}
-
 HistogramData Histogram::Snapshot() const {
   HistogramData out;
   for (const Shard& s : shards_) {

@@ -16,8 +16,8 @@
 //
 //   static Counter& calls = MetricCounter("gemm.calls");
 //   calls.Add(1);
-//   static Histogram& waits = MetricHistogram("comm.wait_ns.broadcast");
-//   waits.Record(elapsed_ns);
+//   static Histogram& sweeps = MetricHistogram("dtucker.sweep_ns");
+//   sweeps.Record(elapsed_ns);
 //
 // MetricsRegistry::SnapshotJson() serializes every counter, gauge, and
 // histogram, the global PhaseTimer buckets, and the process RSS, so every
@@ -33,8 +33,8 @@
 // "dtucker.sweeps.count" / ".total_seconds" / ".total_subspace_iterations"
 // gauges carry the whole-run totals alongside the window.
 //
-// The registry is process-wide: the rank threads of a multi-rank solve all
-// record into it, so one snapshot holds the whole run.
+// The registry is process-wide: every thread of a multi-thread solve
+// records into it, so one snapshot holds the whole run.
 #ifndef DTUCKER_COMMON_METRICS_H_
 #define DTUCKER_COMMON_METRICS_H_
 
@@ -130,8 +130,6 @@ struct HistogramData {
   // (0 <= q <= 1), clamped to the observed max; monotone in q. Returns 0
   // for an empty histogram.
   double QuantileNs(double q) const;
-
-  void Merge(const HistogramData& other);
 };
 
 // Log-scale latency histogram. Record() is wait-free: two relaxed

@@ -12,11 +12,11 @@ namespace dtucker {
 void AddTelemetryFlags(FlagParser* flags) {
   flags->AddString("trace-out", "",
                    "Write a Chrome-trace (Perfetto) JSON of the run here; "
-                   "also enables span recording. Multi-rank runs get one "
-                   "lane per rank, joined by the collectives' flow arrows");
+                   "also enables span recording. Multi-thread solves get "
+                   "one lane per solver thread");
   flags->AddString("metrics-out", "",
                    "Write a JSON snapshot of counters/gauges/histograms/"
-                   "phase timings here at exit, totalled over every rank "
+                   "phase timings here at exit, totalled over every thread "
                    "of the process");
 }
 

@@ -6,10 +6,10 @@
 // FlushTelemetryFromFlags() once the workload is done and worker threads
 // are quiescent (writes the Chrome-trace JSON and/or the metrics snapshot).
 //
-// Multi-rank runs need nothing extra: every rank is a thread of this
-// process, the trace export gives each rank its own lane (with the
-// collectives' flow arrows), and the metrics registry is process-wide, so
-// the one flush writes complete documents at every rank count. A driver
+// Multi-thread runs need nothing extra: the trace export gives each
+// tagged solver thread its own lane, and the metrics registry is
+// process-wide, so the one flush writes complete documents at every
+// thread count. A driver
 // may name its run in the trace with SetTraceRunId (common/trace.h,
 // included here for that purpose).
 #ifndef DTUCKER_COMMON_TELEMETRY_H_

@@ -35,8 +35,8 @@ void SetPoolPartitions(int partitions);
 int PoolPartitions();
 
 // RAII partition lease for callers that come and go concurrently (the
-// serving layer's jobs, the in-process ranks of a D-Tucker solve — see
-// RunRankThreads in comm/sharding.h): each concurrently *running* caller
+// serving layer's jobs, the chunk workers of a D-Tucker solve — see
+// RunChunks in comm/sharding.h): each concurrently *running* caller
 // holds one lease, and the effective partition count is
 // max(SetPoolPartitions value, active leases). Two jobs in flight thus
 // each claim ~half the pool's fan-out instead of both flooding it, and

@@ -176,7 +176,7 @@ void AppendLaneMetadata(int rank, std::uint64_t run_id, bool* first,
   out->append(buf);
 }
 
-// One "X" event, plus the matching flow event when the span is flow-tagged.
+// One "X" event.
 void AppendEventJson(const SnapshotEvent& se, bool* first, std::string* out) {
   const double ts_us = static_cast<double>(se.event.start_ns) * 1e-3;
   const double dur_us = static_cast<double>(se.event.dur_ns) * 1e-3;
@@ -189,20 +189,6 @@ void AppendEventJson(const SnapshotEvent& se, bool* first, std::string* out) {
                 "\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"depth\":%u}}",
                 se.rank, se.tid, ts_us, dur_us, se.event.depth);
   out->append(buf);
-  if (se.event.flow_phase != 0 && se.event.flow_id != 0) {
-    // Bind the flow hop to the middle of its span ("bp":"e" = enclosing
-    // slice), so Perfetto attaches the arrow to the collective's box.
-    AppendSep(first, out);
-    out->append("{\"name\":\"");
-    JsonEscapeTo(se.event.name, out);
-    std::snprintf(buf, sizeof(buf),
-                  "\",\"cat\":\"comm.flow\",\"ph\":\"%c\",\"bp\":\"e\","
-                  "\"id\":\"%" PRIu64
-                  "\",\"pid\":%d,\"tid\":%u,\"ts\":%.3f}",
-                  se.event.flow_phase, se.event.flow_id, se.rank, se.tid,
-                  ts_us + dur_us * 0.5);
-    out->append(buf);
-  }
 }
 
 // Serializes a buffer set as comma-joined event objects: lane metadata for
@@ -258,20 +244,6 @@ void SpanEnd(const char* name, std::uint64_t start_ns) {
   ev.start_ns = start_ns;
   ev.dur_ns = end_ns >= start_ns ? end_ns - start_ns : 0;
   ev.depth = tls_depth;
-  CurrentThreadBuffer()->Push(ev);
-}
-
-void SpanEndFlow(const char* name, std::uint64_t start_ns,
-                 std::uint64_t flow_id, char flow_phase) {
-  const std::uint64_t end_ns = NowNanos();
-  --tls_depth;
-  TraceEvent ev;
-  ev.name = name;
-  ev.start_ns = start_ns;
-  ev.dur_ns = end_ns >= start_ns ? end_ns - start_ns : 0;
-  ev.depth = tls_depth;
-  ev.flow_id = flow_id;
-  ev.flow_phase = flow_phase;
   CurrentThreadBuffer()->Push(ev);
 }
 

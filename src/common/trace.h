@@ -12,14 +12,11 @@
 // "X" (complete) events; Perfetto reconstructs the nesting from the
 // timestamps within each tid.
 //
-// Multi-rank runs: each recording thread can be tagged with a rank
+// Lanes: each recording thread can be tagged with a rank
 // (SetTraceRankForCurrentThread); the rank becomes the Chrome-trace `pid`,
-// so every rank gets its own lane in Perfetto. Spans may carry a flow id +
-// phase ('s' start / 't' step / 'f' finish) — collectives use a sequence
-// number agreed by construction across ranks, and the exporter emits
-// matching Perfetto flow events that draw one arrow through the rank-local
-// spans of the same collective call. All ranks are threads of one
-// process, so they share one clock and one export.
+// so every tag gets its own lane in Perfetto (D-Tucker's chunk workers tag
+// themselves 1, 2, ...). All lanes are threads of one process, so they
+// share one clock and one export.
 //
 // Span names must be string literals (or otherwise outlive the export):
 // only the pointer is stored, which is what keeps the record path
@@ -53,8 +50,6 @@ struct TraceEvent {
   std::uint64_t start_ns = 0;
   std::uint64_t dur_ns = 0;
   std::uint32_t depth = 0;  // Nesting depth on the recording thread; 0 = root.
-  std::uint64_t flow_id = 0;  // Nonzero: this span is one hop of a flow.
-  char flow_phase = 0;        // 's' (start), 't' (step), or 'f' (finish).
 };
 
 // A TraceEvent paired with the stable id of the thread that recorded it
@@ -70,8 +65,6 @@ struct SnapshotEvent {
 // SpanEnd pops the depth and pushes the completed event.
 std::uint64_t SpanBegin();
 void SpanEnd(const char* name, std::uint64_t start_ns);
-void SpanEndFlow(const char* name, std::uint64_t start_ns,
-                 std::uint64_t flow_id, char flow_phase);
 
 // All currently buffered events, oldest-first per thread. For tests and
 // the JSON exporter; same quiescence requirement as the exporter.
@@ -107,10 +100,11 @@ std::uint64_t TraceDroppedEventCount();
 
 // Tags the calling thread's trace buffer with a rank: its events export
 // under Chrome-trace pid == rank. Threads never tagged (the shared
-// BLAS-pool workers, which serve whichever rank scheduled the task) export
-// on rank 0's lane. Safe to call at any time from the owning thread. The
-// first call on a thread registers its buffer at the current capacity, but
-// storage is allocated only when the thread records its first span.
+// BLAS-pool workers, which serve whichever thread scheduled the task)
+// export on rank 0's lane. Safe to call at any time from the owning
+// thread. The first call on a thread registers its buffer at the current
+// capacity, but storage is allocated only when the thread records its
+// first span.
 void SetTraceRankForCurrentThread(int rank);
 
 // Identifies this run in exported traces (otherData.run_id and the lane
@@ -121,9 +115,9 @@ std::uint64_t TraceRunId();
 // --- Export -----------------------------------------------------------------
 
 // Serializes the buffered events in Chrome trace_event JSON ("X" complete
-// events, ts/dur in microseconds; flow events for flow-tagged spans; one
-// pid lane per rank seen). otherData carries run_id and the exact total of
-// ring-overflow drops; each overflowing thread additionally gets a
+// events, ts/dur in microseconds; one pid lane per rank seen). otherData
+// carries run_id and the exact total of ring-overflow drops; each
+// overflowing thread additionally gets a
 // per-tid "trace_buffer_dropped" metadata event. The output loads directly
 // in Perfetto (ui.perfetto.dev) or chrome://tracing.
 void ExportChromeTrace(std::ostream& os);
@@ -140,25 +134,8 @@ class TraceSpan {
     }
   }
 
-  // Flow-tagged span: one hop of the cross-rank flow `flow_id`, with
-  // phase 's' on the first rank, 't' in the middle, 'f' on the last.
-  TraceSpan(const char* name, std::uint64_t flow_id, char flow_phase) {
-    if (TraceEnabled()) {
-      name_ = name;
-      flow_id_ = flow_id;
-      flow_phase_ = flow_phase;
-      start_ns_ = internal_trace::SpanBegin();
-    }
-  }
-
   ~TraceSpan() {
-    if (name_ != nullptr) {
-      if (flow_phase_ != 0) {
-        internal_trace::SpanEndFlow(name_, start_ns_, flow_id_, flow_phase_);
-      } else {
-        internal_trace::SpanEnd(name_, start_ns_);
-      }
-    }
+    if (name_ != nullptr) internal_trace::SpanEnd(name_, start_ns_);
   }
 
   TraceSpan(const TraceSpan&) = delete;
@@ -167,8 +144,6 @@ class TraceSpan {
  private:
   const char* name_ = nullptr;  // Null when the span started disabled.
   std::uint64_t start_ns_ = 0;
-  std::uint64_t flow_id_ = 0;
-  char flow_phase_ = 0;
 };
 
 #define DT_TRACE_CONCAT_INNER(a, b) a##b

@@ -8,15 +8,9 @@
 //   - dtucker/engine.h           Engine facade (solver selection, run
 //                                control, telemetry) — the recommended
 //                                entry point.
-//   - dtucker/dtucker.h          Direct D-Tucker entry points + options
-//                                (in-process ranks, one per thread).
+//   - dtucker/dtucker.h          Direct D-Tucker entry points + options.
 //   - dtucker/online_dtucker.h   D-TuckerO streaming updates.
 //   - dtucker/out_of_core.h      File-streaming approximation and solve.
-//   - dtucker/sharded_dtucker.h  The rank-parallel core's per-rank entry
-//                                points, one call per rank thread (and,
-//                                via it, comm/communicator.h +
-//                                comm/sharding.h — the rank collectives
-//                                and shard plans).
 //   - dtucker/slice_approximation.h  The compressed slice form.
 //   - serve/server.h             Multi-tenant DecompositionServer (job
 //                                scheduler, model cache, factor-space
@@ -47,7 +41,6 @@
 #include "dtucker/engine.h"
 #include "dtucker/online_dtucker.h"
 #include "dtucker/out_of_core.h"
-#include "dtucker/sharded_dtucker.h"
 #include "dtucker/slice_approximation.h"
 #include "serve/server.h"
 #include "tucker/hosvd.h"

@@ -2,22 +2,38 @@
 // tensors (Jang & Kang, ICDE 2020) — the primary contribution of this
 // repository.
 //
-// Three phases:
+// Three phases, each over the L frontal slices:
 //   1. Approximation  — rank-Js randomized SVD of every I1 x I2 frontal
 //                       slice (src/dtucker/slice_approximation.h). The only
-//                       pass over the raw tensor.
-//   2. Initialization — factor matrices computed from the slice factors:
-//                       A(1) and A(2) by randomized SVDs of the stacked
-//                       U<l>S<l> and V<l>S<l>, modes >= 3 from the
+//                       pass over the raw tensor; a file input is streamed,
+//                       one reader per chunk of slices.
+//   2. Initialization — A(1) and A(2) from a randomized range finder over
+//                       the stacked scaled slice factors U<l>S<l> and
+//                       V<l>S<l>, whose n x s sketch products sum
+//                       per-slice contributions; modes >= 3 from the
 //                       projected small tensor Z(:,:,l) = A(1)^T X<l> A(2).
-//   3. Iteration      — HOOI sweeps whose contractions are decoupled slice
-//                       by slice so each update costs O((I1+I2) L Js J)
-//                       instead of O(J prod I_n).
+//   3. Iteration      — HOOI sweeps whose mode-1/2 contractions are
+//                       decoupled slice by slice so each update costs
+//                       O((I1+I2) L Js J) instead of O(J prod I_n); the
+//                       trailing factors and the core come from Z.
 //
-// Every entry point runs one core (dtucker/sharded_dtucker.h): the slices
-// are split into ranks that each own a contiguous slice range, and every
-// sum over slices reduces through one fixed chunk tree, so the result bits
-// do not depend on the thread or rank count.
+// Threading: every slice pass is one fork-join over the fixed chunk grid
+// of comm/sharding.h (RunChunks), on min(num_threads, C) threads that
+// split the shared BLAS pool. The small dense work between passes — the
+// eigensolves, the trailing contractions, the core — runs once, on the
+// calling thread, with the whole pool.
+//
+// Determinism: every floating-point sum over slices follows the chunk
+// grid — fixed chunks, serial accumulation within a chunk, one fixed
+// pairwise tree over the chunk partials (ReduceOverChunks).
+// Everything else is per-slice work written to its own place, or
+// deterministic compute on the calling thread, so plain calls, Engine and
+// every thread count give one bitwise result.
+//
+// Execution control: the run context (options.tucker.run_context) is
+// checked at fixed sweep and mode boundaries. An interruption after the
+// initialization returns the last completed sweep, rolled back if it came
+// mid-sweep; one before it is an error.
 #ifndef DTUCKER_DTUCKER_DTUCKER_H_
 #define DTUCKER_DTUCKER_DTUCKER_H_
 
@@ -48,15 +64,15 @@ struct DTuckerOptions {
   // (sketch width min(I_n, J_n + p) for modes 1 and 2).
   Index oversampling = 5;
   int power_iterations = 1;
-  // If true, the tensor entry points (DTucker and ShardedDTuckerRank)
-  // permute the modes so the two largest lead (the layout the slice
-  // compression wants) before the ranks start, and permute the result
-  // back. Compressed and file inputs keep their stored mode order.
+  // If true, DTucker permutes the modes so the two largest lead (the
+  // layout the slice compression wants) before the solve starts, and
+  // permutes the result back. Compressed and file inputs keep their
+  // stored mode order.
   bool auto_reorder = false;
-  // Threads for every phase: the solve runs as min(num_threads, C)
-  // in-process ranks (C = min(8, L) fixed slice chunks), each owning one
-  // slice range and one share of the BLAS pool (comm/sharding.h). The
-  // result is bitwise identical for every value.
+  // Threads for every slice pass: min(num_threads, C) threads work
+  // through the C = min(8, L) fixed slice chunks, each with one share of
+  // the BLAS pool (comm/sharding.h). The result is bitwise identical for
+  // every value.
   int num_threads = 1;
 
   // Invoked after each HOOI sweep with that sweep's convergence telemetry
@@ -84,8 +100,8 @@ Result<TuckerDecomposition> DTucker(const Tensor& x,
 
 // Initialization + iteration on an already-compressed tensor. This is the
 // "query" entry point when the approximation is computed once and reused
-// (e.g. for several target ranks, or by the online variant). Each rank
-// reads its slice range of `approx` in place.
+// (e.g. for several target ranks, or by the online variant). The slices
+// of `approx` are read in place.
 Result<TuckerDecomposition> DTuckerFromApproximation(
     const SliceApproximation& approx, const DTuckerOptions& options,
     TuckerStats* stats = nullptr);
@@ -107,14 +123,12 @@ Result<RankSuggestion> SuggestRanksFromApproximation(
 
 namespace internal_dtucker {
 
-// Reusable buffers threaded through a rank's sweeps so steady-state
-// iterations stop churning the allocator: the carrier and projected-core
-// builders resize these in place (vector capacity is retained across
-// iterations) and the trailing TTM chain ping-pongs between ttm_a and
-// ttm_b.
+// Reusable buffers threaded through a solve's sweeps so steady-state
+// iterations stop churning the allocator: Z is resized in place (vector
+// capacity is retained across iterations) and the trailing TTM chain
+// ping-pongs between ttm_a and ttm_b.
 struct SweepWorkspace {
-  Tensor carrier;  // Mode-1/2 carrier target (T1, then T2).
-  Tensor z;        // Projected tensor Z, gathered over every slice.
+  Tensor z;        // Projected tensor Z over every slice.
   Tensor ttm_a;    // Trailing-contraction ping-pong buffers.
   Tensor ttm_b;
   // Per-mode warm-start bases for the factor updates' subspace iterations
@@ -125,15 +139,16 @@ struct SweepWorkspace {
 };
 
 // Slice kernels of the initialization and iteration phases. Each runs
-// serially over `slices` (a rank's slice range, read in place) and writes
+// serially over `slices` (one chunk's slices, read in place) and writes
 // slice l's result into frontal slab l of its order-3 output; per-slice
 // temporaries live in thread-local grow-only scratch, and `s_inv` rescales
 // the singular values on the fly (1.0 for unscaled).
 //
-// Z (J1 x J2 x n): slabs (A1^T U<l> S<l>) (V<l>^T A2).
+// Z (J1 x J2 x n, written to z[0, J1 * J2 * n)): slabs
+// (A1^T U<l> S<l>) (V<l>^T A2).
 void BuildProjectedCoreInto(std::span<const SliceSvd> slices,
                             const Matrix& a1, const Matrix& a2, double s_inv,
-                            Tensor* z);
+                            double* z);
 // T1 (I1 x J2 x n): slabs (U<l> S<l>) (V<l>^T A2), I1 = the slices' rows.
 void BuildModeOneCarrierInto(std::span<const SliceSvd> slices, Index i1,
                              const Matrix& a2, double s_inv, Tensor* t);
@@ -158,7 +173,7 @@ void PackScaledFactors(std::span<const SliceSvd> slices, int m, double s_inv,
 // their transposes side by side (width x summed slice ranks, column-major),
 // matching PackScaledFactors' columns. Omega<l> is drawn by
 // FillSketchGaussian from a seed that depends only on (seed, m, l), so it
-// is the same whichever rank, chunk or thread draws it.
+// is the same whichever chunk or thread draws it.
 void FillInitSketch(std::span<const SliceSvd> slices, Index first_slice,
                     int m, std::uint64_t seed, Index width, double* omega_t);
 

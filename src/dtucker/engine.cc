@@ -17,7 +17,7 @@ Status EngineOptions::Validate(const std::vector<Index>& shape) const {
   }
   if (num_ranks > 0 && method != TuckerMethod::kDTucker) {
     return Status::InvalidArgument(
-        "num_ranks (sharded execution) requires method == dtucker");
+        "num_ranks requires method == dtucker");
   }
   if (num_ranks > 0) {
     Index l = 1;
@@ -26,7 +26,7 @@ Status EngineOptions::Validate(const std::vector<Index>& shape) const {
       return Status::InvalidArgument(
           "num_ranks (" + std::to_string(num_ranks) +
           ") exceeds the slice count L=" + std::to_string(l) +
-          "; reduce --ranks to at most the trailing-mode volume");
+          "; reduce num_ranks to at most the trailing-mode volume");
     }
   }
   return Status::OK();

@@ -43,11 +43,10 @@ struct EngineOptions {
   // When > 0, the process-wide BLAS pool is sized to this before solving
   // (linalg/blas.h SetBlasThreads). 0 leaves the current setting alone.
   int blas_threads = 0;
-  // Explicit rank count for D-Tucker (dtucker/sharded_dtucker.h). 0
-  // (default) runs method_options.num_threads in-process ranks; a value
-  // >= 1 runs num_ranks in-process ranks instead (rank threads of this
-  // process; at most C = min(8, L) start). Either way the result bits are
-  // the same; requires method == kDTucker and num_ranks <= L.
+  // When >= 1, D-Tucker runs with num_threads = num_ranks (dtucker.h) in
+  // place of method_options.num_threads; 0 (default) leaves num_threads
+  // alone. Either way the result bits are the same; requires
+  // method == kDTucker and num_ranks <= L.
   int num_ranks = 0;
   // Measure the true reconstruction error after Solve() (O(volume); turn
   // off for pure-timing runs). File/approximation paths always report the

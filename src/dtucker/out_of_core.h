@@ -21,19 +21,18 @@ namespace dtucker {
 // order >= 3) one at a time and compresses them — the out-of-core
 // counterpart of ApproximateSliceRange, through the same per-slice
 // compressor (seed schedule, rescale, adaptive truncation), so the result
-// is bit-identical to the in-memory path's. Each rank of the solver
-// (dtucker/sharded_dtucker.h) streams exactly its shard, so no process
-// ever touches tensor data it does not own. Peak resident tensor data: one
-// slice. count == 0 is legal (degenerate shard) and returns an empty
-// vector after validating the header.
+// is bit-identical to the in-memory path's. DTuckerFromFile calls it once
+// per chunk of the slice grid, each call with a reader of its own. Peak
+// resident tensor data: one slice per call. count == 0 is legal and
+// returns an empty vector after validating the header.
 Result<std::vector<SliceSvd>> ApproximateSliceRangeFromFile(
     const std::string& path, Index first, Index count,
     const SliceApproximationOptions& options);
 
-// Full out-of-core D-Tucker: RanksForThreads(num_threads, L) in-process
-// ranks each stream-compress their own slice range, then run the
-// initialization and iteration phases on it. The raw tensor never resides
-// in memory.
+// Full out-of-core D-Tucker: min(num_threads, C) threads stream-compress
+// the file one chunk of slices at a time (dtucker.h), then the
+// initialization and iteration phases run on the compressed slices. The
+// raw tensor never resides in memory.
 Result<TuckerDecomposition> DTuckerFromFile(const std::string& path,
                                             const DTuckerOptions& options,
                                             TuckerStats* stats = nullptr);

@@ -207,6 +207,21 @@ Status CompressSliceRange(const SliceSource& read, Index rows, Index cols,
   return Status::OK();
 }
 
+Status CompressChunks(
+    Index num_slices, int num_threads,
+    const std::function<Status(Index, Index, SliceSvd*)>& compress,
+    SliceSvd* out) {
+  DT_ASSIGN_OR_RETURN(const ShardPlan plan, MakeShardPlan(num_slices));
+  std::vector<Status> status(static_cast<std::size_t>(plan.num_chunks));
+  RunChunks(plan.num_chunks, num_threads, [&](Index c, int) {
+    const Index first = plan.ChunkSliceBegin(c);
+    status[static_cast<std::size_t>(c)] =
+        compress(first, plan.ChunkSliceEnd(c) - first, out + first);
+  });
+  for (const Status& st : status) DT_RETURN_NOT_OK(st);
+  return Status::OK();
+}
+
 }  // namespace internal_dtucker
 
 namespace {
@@ -261,18 +276,12 @@ Result<SliceApproximation> ApproximateSlices(
   approx.slice_rank = options.slice_rank;
   approx.slices.resize(static_cast<std::size_t>(num_slices));
   if (num_slices == 0) return approx;
-  // Threads compress the slice ranges the solver's ranks own (the seeds
-  // are per slice, so the result does not depend on the split).
-  const int num_ranks = RanksForThreads(options.num_threads, num_slices);
-  std::vector<Status> status(static_cast<std::size_t>(num_ranks));
-  RunRankThreads(num_ranks, [&](int r) {
-    const ShardPlan plan =
-        MakeShardPlan(num_slices, num_ranks, r).ValueOrDie();
-    status[static_cast<std::size_t>(r)] = CompressTensorSlices(
-        x, plan.slice_begin, plan.NumLocalSlices(), options,
-        approx.slices.data() + plan.slice_begin);
-  });
-  for (const Status& st : status) DT_RETURN_NOT_OK(st);
+  DT_RETURN_NOT_OK(internal_dtucker::CompressChunks(
+      num_slices, options.num_threads,
+      [&](Index first, Index count, SliceSvd* out) {
+        return CompressTensorSlices(x, first, count, options, out);
+      },
+      approx.slices.data()));
   return approx;
 }
 

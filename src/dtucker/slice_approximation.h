@@ -50,11 +50,10 @@ struct SliceApproximationOptions {
   // slice_rank, floor 1). Smooth scenes store fewer numbers than busy
   // ones; every consumer of SliceApproximation handles per-slice ranks.
   double adaptive_tolerance = 0.0;
-  // Threads for ApproximateSlices: each compresses the slice range one
-  // rank of a num_threads-thread solve owns (comm/sharding.h). Slices are
-  // independent and each draws from its own seeded stream, so the result
-  // is bit-identical to the single-threaded run. Default 1 matches the
-  // paper's protocol.
+  // Threads for ApproximateSlices: they compress one chunk of the slice
+  // grid (comm/sharding.h) at a time. Slices are independent and each
+  // draws from its own seeded stream, so the result is bit-identical to
+  // the single-threaded run. Default 1 matches the paper's protocol.
   int num_threads = 1;
   // Optional execution control, polled once per slice. The approximation
   // phase has no usable partial state, so an interruption here surfaces as
@@ -98,9 +97,8 @@ Result<SliceApproximation> ApproximateSlices(
     const Tensor& x, const SliceApproximationOptions& options);
 
 // Compresses only slices [first, first+count) of `x`, serially on the
-// calling thread — a rank's share of the approximation phase, and the
-// online variant's append, which compresses new slices without touching
-// old ones.
+// calling thread — the online variant's append, which compresses new
+// slices without touching old ones.
 Result<std::vector<SliceSvd>> ApproximateSliceRange(
     const Tensor& x, Index first, Index count,
     const SliceApproximationOptions& options);
@@ -129,6 +127,17 @@ Status CompressSliceRange(const SliceSource& read, Index rows, Index cols,
                           Index first, Index count,
                           const SliceApproximationOptions& options,
                           SliceSvd* out);
+
+// The approximation phase's one fork-join: compresses slices
+// [0, num_slices) one chunk of the grid (comm/sharding.h) per task on
+// RunChunks' num_threads threads, where compress(first, count, dst) fills
+// dst[0, count) with slices [first, first + count), writing out[first,
+// first + count). When several chunks fail, returns the status of the
+// lowest-numbered one.
+Status CompressChunks(
+    Index num_slices, int num_threads,
+    const std::function<Status(Index, Index, SliceSvd*)>& compress,
+    SliceSvd* out);
 
 }  // namespace internal_dtucker
 

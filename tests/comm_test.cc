@@ -1,7 +1,11 @@
+// Tests for the chunk grid, its fork-join and canonical reduction
+// (comm/sharding.h), and the in-process all-reduce (comm/communicator.h).
 #include "comm/communicator.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <functional>
 #include <string>
@@ -9,8 +13,7 @@
 #include <vector>
 
 #include "comm/sharding.h"
-#include "common/metrics.h"
-#include "common/run_context.h"
+#include "common/thread_pool.h"
 
 namespace dtucker {
 namespace {
@@ -35,33 +38,6 @@ void ExpectAllOk(const std::vector<Status>& statuses) {
     EXPECT_TRUE(statuses[r].ok()) << "rank " << r << ": "
                                   << statuses[r].ToString();
   }
-}
-
-TEST(CommTest, BroadcastReplicatesRoot) {
-  for (int size : {1, 2, 4}) {
-    std::vector<std::vector<double>> got(static_cast<std::size_t>(size));
-    ExpectAllOk(RunRanks(size, [&](Communicator* comm) {
-      std::vector<double> buf = {0, 0, 0};
-      if (comm->rank() == 0) buf = {1.5, -2.0, 3.25};
-      DT_RETURN_NOT_OK(comm->Broadcast(buf.data(), buf.size(), 0));
-      got[comm->rank()] = buf;
-      return Status::OK();
-    }));
-    for (int r = 0; r < size; ++r) {
-      EXPECT_EQ(got[r], (std::vector<double>{1.5, -2.0, 3.25})) << "rank " << r;
-    }
-  }
-}
-
-TEST(CommTest, BroadcastNonZeroRoot) {
-  std::vector<double> got(3, 0.0);
-  ExpectAllOk(RunRanks(3, [&](Communicator* comm) {
-    double v = comm->rank() == 2 ? 7.0 : 0.0;
-    DT_RETURN_NOT_OK(comm->Broadcast(&v, 1, 2));
-    got[comm->rank()] = v;
-    return Status::OK();
-  }));
-  EXPECT_EQ(got, (std::vector<double>{7.0, 7.0, 7.0}));
 }
 
 TEST(CommTest, AllReduceSumMatchesBinomialTree) {
@@ -116,52 +92,6 @@ TEST(CommTest, AllReduceSumMatrixAndRepeatability) {
   }
 }
 
-TEST(CommTest, AllReduceMax) {
-  std::vector<double> got(4, 0.0);
-  ExpectAllOk(RunRanks(4, [&](Communicator* comm) {
-    double v[2] = {static_cast<double>(comm->rank()),
-                   -static_cast<double>(comm->rank())};
-    DT_RETURN_NOT_OK(comm->AllReduceMax(v, 2));
-    EXPECT_EQ(v[1], 0.0);
-    got[comm->rank()] = v[0];
-    return Status::OK();
-  }));
-  EXPECT_EQ(got, (std::vector<double>{3, 3, 3, 3}));
-}
-
-TEST(CommTest, GatherConcatenatesInRankOrder) {
-  std::vector<double> recv(4 * 2, -1.0);
-  ExpectAllOk(RunRanks(4, [&](Communicator* comm) {
-    double send[2] = {10.0 + comm->rank(), 20.0 + comm->rank()};
-    DT_RETURN_NOT_OK(
-        comm->Gather(send, std::vector<std::size_t>(4, 2),
-                     comm->rank() == 0 ? recv.data() : nullptr, 0));
-    return Status::OK();
-  }));
-  EXPECT_EQ(recv, (std::vector<double>{10, 20, 11, 21, 12, 22, 13, 23}));
-}
-
-TEST(CommTest, AllGatherVWithZeroCounts) {
-  // Rank 1 contributes nothing (a degenerate shard); everyone still exits
-  // with the identical concatenation.
-  const std::vector<std::size_t> counts = {2, 0, 3};
-  std::vector<std::vector<double>> got(3);
-  ExpectAllOk(RunRanks(3, [&](Communicator* comm) {
-    std::vector<double> send;
-    for (std::size_t i = 0; i < counts[comm->rank()]; ++i) {
-      send.push_back(100.0 * comm->rank() + i);
-    }
-    std::vector<double> recv(5, -1.0);
-    DT_RETURN_NOT_OK(comm->AllGatherV(send.data(), counts, recv.data()));
-    got[comm->rank()] = recv;
-    return Status::OK();
-  }));
-  for (int r = 0; r < 3; ++r) {
-    EXPECT_EQ(got[r], (std::vector<double>{0, 1, 200, 201, 202})) << "rank "
-                                                                  << r;
-  }
-}
-
 TEST(CommTest, MissingPeerTimesOutAsUnavailable) {
   // Only rank 0 enters the collective; the wait must end in kUnavailable
   // after the (short) timeout instead of deadlocking.
@@ -169,92 +99,31 @@ TEST(CommTest, MissingPeerTimesOutAsUnavailable) {
   Communicator* comm = group->comm(0);
   comm->set_timeout_seconds(0.2);
   double v = 1.0;
-  Status st = comm->AllReduceMax(&v, 1);
+  Status st = comm->AllReduceSum(&v, 1);
   EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st.ToString();
 }
 
-TEST(CommTest, RunContextCancelsBlockedCollective) {
-  auto group = InProcessGroup::Create(2);
-  RunContext ctx;
-  ctx.RequestCancel();
-  Communicator* comm = group->comm(0);
-  comm->set_run_context(&ctx);
-  double v = 1.0;
-  Status st = comm->AllReduceMax(&v, 1);
-  EXPECT_EQ(st.code(), StatusCode::kCancelled) << st.ToString();
-}
-
-TEST(CommMetricsTest, CollectivesRecordWaitAndOpCounts) {
-  // Satellite contract for comm.wait_ns.* / comm.ops.*: every outermost
-  // collective bumps its op counter exactly once (the broadcast nested in
-  // AllReduceSum folds into allreduce_sum, not broadcast).
-  const std::uint64_t sums_before =
-      MetricCounter("comm.ops.allreduce_sum").Value();
-  const std::uint64_t bcasts_before =
-      MetricCounter("comm.ops.broadcast").Value();
-  const std::uint64_t maxes_before =
-      MetricCounter("comm.ops.allreduce_max").Value();
-  ExpectAllOk(RunRanks(2, [](Communicator* comm) {
-    double v = 1.0;
-    DT_RETURN_NOT_OK(comm->AllReduceSum(&v, 1));
-    return comm->AllReduceMax(&v, 1);
-  }));
-  EXPECT_EQ(MetricCounter("comm.ops.allreduce_sum").Value() - sums_before, 2u);
-  EXPECT_EQ(MetricCounter("comm.ops.broadcast").Value() - bcasts_before, 0u);
-  EXPECT_EQ(MetricCounter("comm.ops.allreduce_max").Value() - maxes_before,
-            2u);
-  // Wait gauges exist (>= 0; actual magnitude is timing-dependent).
-  EXPECT_GE(MetricGauge("comm.wait_ns.allreduce_sum").Value(), 0.0);
-}
-
 TEST(ShardPlanTest, RejectsBadArguments) {
-  EXPECT_FALSE(MakeShardPlan(0, 1, 0).ok());
-  EXPECT_FALSE(MakeShardPlan(10, 0, 0).ok());
-  EXPECT_FALSE(MakeShardPlan(10, 2, 2).ok());   // rank out of range.
-  EXPECT_FALSE(MakeShardPlan(10, 2, -1).ok());
-  // More ranks than slices: InvalidArgument, never a crash.
-  Result<ShardPlan> plan = MakeShardPlan(3, 4, 0);
-  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(MakeShardPlan(0).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(MakeShardPlan(-3).status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ShardPlanTest, ShardsPartitionTheSliceRange) {
-  for (Index L : {1, 5, 8, 9, 64}) {
-    for (int R : {1, 2, 3, 4, 8}) {
-      if (R > L) continue;
-      Index covered = 0;
-      Index prev_end = 0;
-      for (int r = 0; r < R; ++r) {
-        Result<ShardPlan> plan = MakeShardPlan(L, R, r);
-        ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-        const ShardPlan& p = plan.value();
-        EXPECT_EQ(p.slice_begin, prev_end);
-        EXPECT_LE(p.slice_begin, p.slice_end);
-        // Shard boundaries are chunk boundaries.
-        EXPECT_EQ(p.slice_begin, p.ChunkSliceBegin(p.chunk_begin));
-        EXPECT_EQ(p.slice_end,
-                  p.chunk_end == 0 ? Index{0} : p.ChunkSliceEnd(p.chunk_end - 1));
-        covered += p.NumLocalSlices();
-        prev_end = p.slice_end;
-      }
-      EXPECT_EQ(covered, L) << "L=" << L << " R=" << R;
-      EXPECT_EQ(prev_end, L);
+  // The grid is a function of L alone: C = min(8, L) nonempty, contiguous
+  // chunks covering [0, L) in order.
+  for (Index L : {1, 5, 8, 9, 64, 97}) {
+    Result<ShardPlan> plan = MakeShardPlan(L);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    const ShardPlan& p = plan.value();
+    EXPECT_EQ(p.num_chunks, std::min(kShardChunkCount, L));
+    Index prev_end = 0;
+    for (Index c = 0; c < p.num_chunks; ++c) {
+      EXPECT_EQ(p.ChunkSliceBegin(c), prev_end) << "L=" << L << " c=" << c;
+      EXPECT_LT(p.ChunkSliceBegin(c), p.ChunkSliceEnd(c));
+      prev_end = p.ChunkSliceEnd(c);
     }
+    EXPECT_EQ(prev_end, L);
   }
-}
-
-TEST(ShardPlanTest, DegenerateShardsBeyondChunkGrid) {
-  // L = 9 slices, 9 ranks, but only kShardChunkCount = 8 chunks: at least
-  // one rank owns zero chunks yet the union still covers every slice.
-  int degenerate = 0;
-  Index covered = 0;
-  for (int r = 0; r < 9; ++r) {
-    Result<ShardPlan> plan = MakeShardPlan(9, 9, r);
-    ASSERT_TRUE(plan.ok());
-    if (plan.value().Degenerate()) ++degenerate;
-    covered += plan.value().NumLocalSlices();
-  }
-  EXPECT_GE(degenerate, 1);
-  EXPECT_EQ(covered, 9);
 }
 
 TEST(TreeCombineTest, GroupingIsAFixedBinaryTree) {
@@ -275,10 +144,9 @@ TEST(TreeCombineTest, GroupingIsAFixedBinaryTree) {
 }
 
 TEST(TreeCombineTest, PowerOfTwoShardsComposeToTheGlobalTree) {
-  // The cross-count bitwise contract in one picture: reducing 8 chunk
-  // partials locally on R ranks (each owning a contiguous power-of-two
-  // aligned range) and then combining rank results through the binomial
-  // tree yields the same grouping for R = 1, 2, 4, 8.
+  // The tree is closed under aligned splits: reducing 8 chunk partials as
+  // R contiguous power-of-two aligned groups and then combining the group
+  // sums yields the same grouping for R = 1, 2, 4, 8.
   auto combine = [](std::string* dst, const std::string& src) {
     *dst = "(" + *dst + "+" + src + ")";
   };
@@ -293,8 +161,6 @@ TEST(TreeCombineTest, PowerOfTwoShardsComposeToTheGlobalTree) {
       TreeCombine(&chunks, combine);
       rank_partials.push_back(chunks[0]);
     }
-    // The binomial cross-rank reduce visits senders in the same pairwise
-    // order as TreeCombine for power-of-two counts.
     TreeCombine(&rank_partials, combine);
     if (R == 1) {
       reference.push_back(rank_partials[0]);
@@ -304,12 +170,14 @@ TEST(TreeCombineTest, PowerOfTwoShardsComposeToTheGlobalTree) {
   }
 }
 
-TEST(ChunkTreeAllReduceTest, EveryRankCountGivesTheCanonicalTreeBits) {
+TEST(ReduceOverChunksTest, EveryThreadCountGivesTheCanonicalTreeBits) {
   // Chunk partials whose sum depends on the grouping: the result must be
-  // TreeCombine over all C chunks, bit for bit, for every rank count —
-  // powers of two or not, and with degenerate shards past the chunk grid.
-  // Magnitudes spread over 2^-20..2^19: over 64 entries, a binomial
-  // reduce of per-rank sums differs from the tree in a third of them.
+  // TreeCombine over all C chunks, bit for bit, for every thread count —
+  // powers of two or not, and past the chunk grid. Magnitudes spread over
+  // 2^-20..2^19: over 64 entries, a left-to-right sum differs from the
+  // tree in a third of them. Every chunk runs once, on one of the
+  // min(threads, C) workers, each holding a pool lease while more than
+  // one runs.
   const std::size_t n = 64;
   auto chunk_value = [](Index c, std::size_t k) {
     const Index kk = static_cast<Index>(k);
@@ -319,9 +187,10 @@ TEST(ChunkTreeAllReduceTest, EveryRankCountGivesTheCanonicalTreeBits) {
            std::ldexp(1.0, exponent);
   };
   for (Index num_slices : {1, 3, 5, 6, 7, 8, 12}) {
-    const Index chunks = std::min(kShardChunkCount, num_slices);
-    std::vector<std::vector<double>> parts(static_cast<std::size_t>(chunks));
-    for (Index c = 0; c < chunks; ++c) {
+    const ShardPlan plan = MakeShardPlan(num_slices).ValueOrDie();
+    std::vector<std::vector<double>> parts(
+        static_cast<std::size_t>(plan.num_chunks));
+    for (Index c = 0; c < plan.num_chunks; ++c) {
       for (std::size_t k = 0; k < n; ++k) {
         parts[static_cast<std::size_t>(c)].push_back(chunk_value(c, k));
       }
@@ -330,29 +199,30 @@ TEST(ChunkTreeAllReduceTest, EveryRankCountGivesTheCanonicalTreeBits) {
                            const std::vector<double>& src) {
       for (std::size_t k = 0; k < dst->size(); ++k) (*dst)[k] += src[k];
     });
-    const int max_ranks = static_cast<int>(std::min<Index>(num_slices, 9));
-    for (int size = 1; size <= max_ranks; ++size) {
-      std::vector<std::vector<double>> out(static_cast<std::size_t>(size));
-      ExpectAllOk(RunRanks(size, [&](Communicator* comm) {
-        DT_ASSIGN_OR_RETURN(ShardPlan plan,
-                            MakeShardPlan(num_slices, size, comm->rank()));
-        std::vector<double> sum(n), scratch;
-        Index next = plan.chunk_begin;  // Chunks must arrive in order.
-        DT_RETURN_NOT_OK(ChunkTreeAllReduce(
-            comm, plan, n,
-            [&](Index c, double* block) {
-              EXPECT_EQ(c, next++);
-              for (std::size_t k = 0; k < n; ++k) block[k] = chunk_value(c, k);
-            },
-            sum.data(), &scratch));
-        EXPECT_EQ(next, plan.chunk_end);
-        out[static_cast<std::size_t>(comm->rank())] = sum;
-        return Status::OK();
-      }));
-      for (int r = 0; r < size; ++r) {
-        EXPECT_EQ(out[static_cast<std::size_t>(r)], parts[0])
-            << "L=" << num_slices << " R=" << size << " rank " << r;
-      }
+    for (int threads = 1; threads <= 9; ++threads) {
+      const int width =
+          static_cast<int>(std::min<Index>(threads, plan.num_chunks));
+      std::vector<std::atomic<int>> runs(
+          static_cast<std::size_t>(plan.num_chunks));
+      std::atomic<bool> worker_ok{true};
+      std::atomic<bool> leases_ok{true};
+      std::vector<double> sum(n), scratch;
+      ReduceOverChunks(
+          plan, threads, n,
+          [&](Index c, int worker, double* block) {
+            ++runs[static_cast<std::size_t>(c)];
+            if (worker < 0 || worker >= width) worker_ok = false;
+            if (width > 1 && ActivePoolLeases() < width) leases_ok = false;
+            for (std::size_t k = 0; k < n; ++k) block[k] = chunk_value(c, k);
+          },
+          sum.data(), &scratch);
+      const std::string what =
+          "L=" + std::to_string(num_slices) + " threads=" +
+          std::to_string(threads);
+      EXPECT_EQ(sum, parts[0]) << what;
+      for (const std::atomic<int>& r : runs) EXPECT_EQ(r.load(), 1) << what;
+      EXPECT_TRUE(worker_ok) << what;
+      EXPECT_TRUE(leases_ok) << what;
     }
   }
 }

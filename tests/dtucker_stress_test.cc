@@ -135,7 +135,9 @@ TEST_F(DTuckerStressTest, CarrierBuildersBitwiseDeterministicAcrossThreads) {
   Tensor t1, t2, z;
   internal_dtucker::BuildModeOneCarrierInto(approx.slices, 14, a2, 1.0, &t1);
   internal_dtucker::BuildModeTwoCarrierInto(approx.slices, 12, a1, 1.0, &t2);
-  internal_dtucker::BuildProjectedCoreInto(approx.slices, a1, a2, 1.0, &z);
+  z.ResizeTo({3, 3, approx.NumSlices()});
+  internal_dtucker::BuildProjectedCoreInto(approx.slices, a1, a2, 1.0,
+                                           z.data());
   // The kernels run their slices serially; with more BLAS threads the
   // per-slice GEMMs thread internally (16: more workers than columns).
   for (int threads : {2, 8, 16}) {
@@ -145,7 +147,9 @@ TEST_F(DTuckerStressTest, CarrierBuildersBitwiseDeterministicAcrossThreads) {
                                               &u1);
     internal_dtucker::BuildModeTwoCarrierInto(approx.slices, 12, a1, 1.0,
                                               &u2);
-    internal_dtucker::BuildProjectedCoreInto(approx.slices, a1, a2, 1.0, &w);
+    w.ResizeTo(z.shape());
+    internal_dtucker::BuildProjectedCoreInto(approx.slices, a1, a2, 1.0,
+                                             w.data());
     EXPECT_TRUE(BitwiseEqualTensor(t1, u1)) << "threads " << threads;
     EXPECT_TRUE(BitwiseEqualTensor(t2, u2)) << "threads " << threads;
     EXPECT_TRUE(BitwiseEqualTensor(z, w)) << "threads " << threads;
@@ -157,7 +161,7 @@ TEST_F(DTuckerStressTest, SweepBitwiseDeterministicAcrossThreads) {
   const std::vector<Index> ranks = {5, 4, 3, 2};
   SliceApproximation approx = MakeApprox(shape, 6, 23);
 
-  // Initialization plus one sweep, at `threads` threads (ranks) and BLAS
+  // Initialization plus one sweep, at `threads` solver threads and BLAS
   // threads.
   auto run = [&](int threads) {
     SetBlasThreads(threads);

@@ -208,19 +208,6 @@ TEST(HistogramTest, ConcurrentRecordsMergeAcrossShards) {
                              (kRecords + 1) / 2);
 }
 
-TEST(HistogramTest, MergeSumsBucketsAndKeepsMax) {
-  Histogram a;
-  Histogram b;
-  a.Record(10);
-  a.Record(20);
-  b.Record(1000);
-  HistogramData merged = a.Snapshot();
-  merged.Merge(b.Snapshot());
-  EXPECT_EQ(merged.Count(), 3u);
-  EXPECT_EQ(merged.sum_ns, 1030u);
-  EXPECT_EQ(merged.max_ns, 1000u);
-}
-
 TEST(MetricsRegistryTest, SnapshotJsonContainsHistogramSection) {
   Histogram& h = MetricHistogram("test.snapshot_histogram");
   h.Reset();

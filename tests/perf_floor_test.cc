@@ -240,11 +240,12 @@ TEST(PerfFloorTest, CacheHitQuerySpeedupAtLeast100x) {
   EXPECT_GE(speedup, 100.0);
 }
 
-// Splitting the approximation phase over ranks must keep at least 85% of
-// the speedup recorded when the split was introduced (1.727x at 2 ranks,
-// 3.364x at 4). Each rank compresses its MakeShardPlan range of a
-// 384 x 256 x 96 file at rank 10 with one BLAS thread; the ranks run one
-// after another here, and the phase costs its busiest rank's CPU time.
+// Splitting the approximation phase over threads must keep at least 85% of
+// the speedup recorded when the split was introduced (1.727x at 2 threads,
+// 3.364x at 4). Each thread compresses a contiguous range of the chunk
+// grid of a 384 x 256 x 96 file at rank 10 with one BLAS thread; the
+// ranges run one after another here, and the phase costs its busiest
+// range's CPU time.
 TEST(PerfFloorTest, ShardSplitApproximationSpeedup) {
   constexpr Index kSlices = 96;
   const std::string path = ::testing::TempDir() + "perf_floor_shard_" +
@@ -257,19 +258,22 @@ TEST(PerfFloorTest, ShardSplitApproximationSpeedup) {
   SliceApproximationOptions aopt;
   aopt.slice_rank = 10;
 
-  // One round times every range of every rank count back to back, and
+  // One round times every range of every thread count back to back, and
   // yields the two speedups from its own timings; the verdict takes the
   // median round. Host speed on a shared machine drifts between rounds,
   // not within one, so each ratio compares like with like.
-  auto busiest_rank_s = [&](int num_ranks) {
+  const ShardPlan plan = MakeShardPlan(kSlices).ValueOrDie();
+  auto busiest_range_s = [&](int threads) {
     double busiest = 0;
-    for (int r = 0; r < num_ranks; ++r) {
-      Result<ShardPlan> plan = MakeShardPlan(kSlices, num_ranks, r);
-      EXPECT_TRUE(plan.ok()) << plan.status().ToString();
-      if (!plan.ok()) return 0.0;
+    for (int r = 0; r < threads; ++r) {
+      // Thread r's share: chunks [C*r/threads, C*(r+1)/threads).
+      const Index first =
+          plan.ChunkSliceBegin(plan.num_chunks * r / threads);
+      const Index end =
+          plan.ChunkSliceBegin(plan.num_chunks * (r + 1) / threads);
       const double t0 = ThreadCpuSeconds();
-      Result<std::vector<SliceSvd>> slices = ApproximateSliceRangeFromFile(
-          path, plan.value().slice_begin, plan.value().NumLocalSlices(), aopt);
+      Result<std::vector<SliceSvd>> slices =
+          ApproximateSliceRangeFromFile(path, first, end - first, aopt);
       busiest = std::max(busiest, ThreadCpuSeconds() - t0);
       EXPECT_TRUE(slices.ok()) << slices.status().ToString();
     }
@@ -277,16 +281,17 @@ TEST(PerfFloorTest, ShardSplitApproximationSpeedup) {
   };
   std::vector<double> ones, twos, fours;
   for (int round = 0; round < 7; ++round) {
-    const double one = busiest_rank_s(1);
+    const double one = busiest_range_s(1);
     ones.push_back(one);
-    twos.push_back(one / busiest_rank_s(2));
-    fours.push_back(one / busiest_rank_s(4));
+    twos.push_back(one / busiest_range_s(2));
+    fours.push_back(one / busiest_range_s(4));
   }
   const double one = Percentile(ones, 0.5);
   const double two = Percentile(twos, 0.5);
   const double four = Percentile(fours, 0.5);
   std::remove(path.c_str());
-  std::printf("approximation: 1 rank %.3f s, 2 ranks %.2fx, 4 ranks %.2fx\n",
+  std::printf("approximation: 1 thread %.3f s, 2 threads %.2fx, "
+              "4 threads %.2fx\n",
               one, two, four);
   EXPECT_GE(two, 0.85 * 1.727);
   EXPECT_GE(four, 0.85 * 3.364);

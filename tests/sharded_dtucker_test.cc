@@ -1,5 +1,5 @@
-#include "dtucker/sharded_dtucker.h"
-
+// D-Tucker's fork-join over the chunk grid: every entry point, thread
+// count and Engine configuration gives the 1-thread bits.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,6 +15,7 @@
 #include "common/timer.h"
 #include "data/generators.h"
 #include "data/tensor_io.h"
+#include "dtucker/dtucker.h"
 #include "dtucker/engine.h"
 #include "dtucker/out_of_core.h"
 #include "linalg/blas.h"
@@ -23,7 +24,7 @@
 namespace dtucker {
 namespace {
 
-// In-process options: DTucker runs `num_threads` ranks (at most 8).
+// Options for a solve on `num_threads` threads (at most 8 work at once).
 DTuckerOptions MakeOptions(std::vector<Index> ranks, int num_threads,
                            int iters = 8) {
   DTuckerOptions opt;
@@ -31,40 +32,6 @@ DTuckerOptions MakeOptions(std::vector<Index> ranks, int num_threads,
   opt.tucker.max_iterations = iters;
   opt.num_threads = num_threads;
   return opt;
-}
-
-// Drives the per-rank entry points the way DTucker's launcher does:
-// rank_fn(comms[r]) for every rank, each on its own test thread (rank 0 on
-// the calling one). Returns the per-rank results.
-std::vector<Result<TuckerDecomposition>> RunSpmdRanks(
-    const std::vector<Communicator*>& comms,
-    const std::function<Result<TuckerDecomposition>(Communicator*)>&
-        rank_fn) {
-  std::vector<Result<TuckerDecomposition>> results;
-  for (std::size_t r = 0; r < comms.size(); ++r) {
-    results.emplace_back(Status::InvalidArgument("unset"));
-  }
-  std::vector<std::thread> threads;
-  for (std::size_t r = 1; r < comms.size(); ++r) {
-    threads.emplace_back([&, r] { results[r] = rank_fn(comms[r]); });
-  }
-  results[0] = rank_fn(comms[0]);
-  for (std::thread& t : threads) t.join();
-  return results;
-}
-
-// RunSpmdRanks on a fresh `size`-rank InProcessGroup whose waits time out
-// after 10 s, so a lockstep bug fails instead of hanging.
-std::vector<Result<TuckerDecomposition>> RunInProcessSpmdRanks(
-    int size, const std::function<Result<TuckerDecomposition>(Communicator*)>&
-                  rank_fn) {
-  auto group = InProcessGroup::Create(size);
-  std::vector<Communicator*> comms;
-  for (int r = 0; r < size; ++r) {
-    comms.push_back(group->comm(r));
-    comms.back()->set_timeout_seconds(10);
-  }
-  return RunSpmdRanks(comms, rank_fn);
 }
 
 void ExpectBitwiseEqual(const TuckerDecomposition& a,
@@ -85,17 +52,6 @@ void ExpectBitwiseEqual(const TuckerDecomposition& a,
   }
 }
 
-// Every rank's result is OK and bitwise equal to `ref`.
-void ExpectRanksMatch(const std::vector<Result<TuckerDecomposition>>& results,
-                      const TuckerDecomposition& ref, const std::string& what) {
-  for (std::size_t r = 0; r < results.size(); ++r) {
-    const std::string rank = what + " rank " + std::to_string(r);
-    ASSERT_TRUE(results[r].ok())
-        << rank << ": " << results[r].status().ToString();
-    ExpectBitwiseEqual(results[r].value(), ref, rank.c_str());
-  }
-}
-
 TEST(ShardedDTuckerTest, ExactRecoveryOfLowRankTensor) {
   // L = 12 frontal slices >= kShardChunkCount: every chunk is nonempty.
   Tensor x = MakeLowRankTensor({16, 14, 12}, {3, 3, 3}, 0.0, 2);
@@ -106,23 +62,28 @@ TEST(ShardedDTuckerTest, ExactRecoveryOfLowRankTensor) {
 }
 
 TEST(ShardedDTuckerTest, BitwiseIdenticalAcrossPowerOfTwoRankCounts) {
-  // Both the rank threads DTucker launches and the per-rank entry point on
-  // test threads reproduce the 1-rank run.
+  // DTucker at 2, 4 and 8 threads, and Engine at num_ranks 2, 4 and 8,
+  // reproduce the 1-thread run.
   Tensor x = MakeLowRankTensor({15, 13, 9}, {4, 4, 4}, 0.2, 3);
   const DTuckerOptions opt = MakeOptions({4, 3, 3}, 1);
   Result<TuckerDecomposition> one = DTucker(x, opt);
   ASSERT_TRUE(one.ok()) << one.status().ToString();
-  auto solve = [&](Communicator* c) { return ShardedDTuckerRank(x, opt, c); };
-  for (int num_ranks : {2, 4, 8}) {
-    const std::string what = "ranks=" + std::to_string(num_ranks);
+  for (int count : {2, 4, 8}) {
+    const std::string what = "count=" + std::to_string(count);
     TuckerStats stats;
     Result<TuckerDecomposition> many =
-        DTucker(x, MakeOptions({4, 3, 3}, num_ranks), &stats);
+        DTucker(x, MakeOptions({4, 3, 3}, count), &stats);
     ASSERT_TRUE(many.ok()) << many.status().ToString();
     ExpectBitwiseEqual(many.value(), one.value(), what.c_str());
     EXPECT_EQ(stats.completion, StatusCode::kOk);
-    ExpectRanksMatch(RunInProcessSpmdRanks(num_ranks, solve), one.value(),
-                     what + " per-rank entry");
+    EngineOptions eopt;
+    eopt.num_ranks = count;
+    eopt.method_options.tucker = opt.tucker;
+    Engine engine(std::move(eopt));
+    Result<EngineRun> run = engine.Solve(x);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ExpectBitwiseEqual(run.value().decomposition, one.value(),
+                       (what + " Engine num_ranks").c_str());
   }
 }
 
@@ -135,18 +96,20 @@ TEST(ShardedDTuckerTest, FourOrderTensorBitwiseAcrossRankCounts) {
   Result<TuckerDecomposition> four =
       DTucker(x, MakeOptions({3, 3, 2, 2}, 4));
   ASSERT_TRUE(four.ok()) << four.status().ToString();
-  ExpectBitwiseEqual(four.value(), one.value(), "order-4 ranks=4");
+  ExpectBitwiseEqual(four.value(), one.value(), "order-4 threads=4");
   EXPECT_LT(four.value().RelativeErrorAgainst(x), 0.2);
 }
 
-TEST(ShardedDTuckerTest, EveryWayOfRunningIsBitwiseIdentical) {
-  // Plain calls and Engine, on a tensor, a file or an approximation, at any
-  // thread count and any in-process rank count: one core, one result.
-  Tensor x = MakeLowRankTensor({18, 16, 10}, {4, 4, 4}, 0.3, 5);
-  const std::string path = ::testing::TempDir() + "/every_way.dtnsr";
+// Plain calls and Engine, on a tensor, a file or an approximation, at every
+// thread count 1..8 and at Engine num_ranks 1, 2, 4, 8: one core, one
+// result, bitwise equal to DTucker at one thread.
+void ExpectEveryWayBitwise(const Tensor& x, const std::vector<Index>& ranks,
+                           const std::string& tag) {
+  const std::string path = ::testing::TempDir() + "/every_way_" + tag +
+                           ".dtnsr";
   ASSERT_TRUE(SaveTensor(x, path).ok());
   DTuckerOptions opt;
-  opt.tucker.ranks = {4, 4, 4};
+  opt.tucker.ranks = ranks;
   opt.tucker.max_iterations = 6;
   SliceApproximationOptions aopt;
   aopt.slice_rank = opt.EffectiveSliceRank();
@@ -161,7 +124,7 @@ TEST(ShardedDTuckerTest, EveryWayOfRunningIsBitwiseIdentical) {
   auto expect_ref = [&](const Result<TuckerDecomposition>& got,
                         const std::string& what) {
     ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
-    ExpectBitwiseEqual(got.value(), ref.value(), what.c_str());
+    ExpectBitwiseEqual(got.value(), ref.value(), (tag + " " + what).c_str());
   };
   auto engine_runs = [&](EngineOptions eopt, const std::string& what) {
     eopt.method_options.tucker = opt.tucker;
@@ -176,7 +139,7 @@ TEST(ShardedDTuckerTest, EveryWayOfRunningIsBitwiseIdentical) {
                  what + " entry " + std::to_string(entry));
     }
   };
-  for (int threads : {1, 2, 3, 4, 8}) {
+  for (int threads = 1; threads <= 8; ++threads) {
     const std::string what = "threads=" + std::to_string(threads);
     DTuckerOptions topt = opt;
     topt.num_threads = threads;
@@ -191,24 +154,21 @@ TEST(ShardedDTuckerTest, EveryWayOfRunningIsBitwiseIdentical) {
   }
   SetBlasThreads(1);
   for (int num_ranks : {1, 2, 4, 8}) {
-    const std::string what = "ranks=" + std::to_string(num_ranks);
-    for (int entry = 0; entry < 3; ++entry) {
-      ExpectRanksMatch(
-          RunInProcessSpmdRanks(
-              num_ranks,
-              [&](Communicator* c) {
-                return entry == 0   ? ShardedDTuckerRank(x, opt, c)
-                       : entry == 1 ? ShardedDTuckerRankFromFile(path, opt, c)
-                                    : ShardedDTuckerRankFromApproximation(
-                                          approx.value(), opt, c);
-              }),
-          ref.value(), what + " SPMD entry " + std::to_string(entry));
-    }
     EngineOptions eopt;
     eopt.num_ranks = num_ranks;
-    engine_runs(eopt, what + " Engine");
+    engine_runs(eopt, "num_ranks=" + std::to_string(num_ranks) + " Engine");
   }
   std::remove(path.c_str());
+}
+
+TEST(ShardedDTuckerTest, EveryWayOfRunningIsBitwiseIdentical) {
+  ExpectEveryWayBitwise(MakeLowRankTensor({18, 16, 10}, {4, 4, 4}, 0.3, 5),
+                        {4, 4, 4}, "order3");
+  // Order 4: L = 3 * 4 = 12 slices, and the trailing contraction runs
+  // through the outer weights.
+  ExpectEveryWayBitwise(MakeLowRankTensor({12, 10, 3, 4}, {3, 3, 2, 2}, 0.2,
+                                          6),
+                        {3, 3, 2, 2}, "order4");
 }
 
 TEST(ShardedDTuckerTest, RepeatedSolvesAreBitwiseIdentical) {
@@ -347,7 +307,8 @@ TEST(ShardedDTuckerTest, InitRangeFinderEdgeCases) {
 }
 
 TEST(ShardedDTuckerTest, FewerSlicesThanThreadsRunsOneRankPerSlice) {
-  // L = 3 slices at 4 threads: three ranks, one slice (and chunk) each.
+  // L = 3 slices at 4 threads: three chunks of one slice each, so three
+  // threads work.
   Tensor x = MakeLowRankTensor({10, 9, 3}, {3, 3, 2}, 0.1, 22);
   DTuckerOptions opt;
   opt.tucker.ranks = {3, 3, 2};
@@ -360,10 +321,11 @@ TEST(ShardedDTuckerTest, FewerSlicesThanThreadsRunsOneRankPerSlice) {
   ExpectBitwiseEqual(four.value(), one.value(), "L=3 threads=4");
 }
 
-TEST(ShardedDTuckerTest, RankThreadsShareOneApproximation) {
-  // Two concurrent 4-thread query solves over one shared, read-only
-  // approximation: eight rank threads read their slice ranges of it in
-  // place (the data-race check runs under ctest -L tsan).
+TEST(ShardedDTuckerTest, ConcurrentFourThreadSolvesMatchTheSerialSolve) {
+  // Two threads each solve at num_threads = 4 at once, while the BLAS pool
+  // is 4 wide: two fork-joins share the pool with the callers' own BLAS
+  // fan-out, and read one approximation in place. Every result is bitwise
+  // equal to a serial solve (the data-race check runs under ctest -L tsan).
   Tensor x = MakeLowRankTensor({14, 12, 16}, {3, 3, 3}, 0.2, 23);
   SliceApproximationOptions aopt;
   aopt.slice_rank = 3;
@@ -372,25 +334,41 @@ TEST(ShardedDTuckerTest, RankThreadsShareOneApproximation) {
   DTuckerOptions opt;
   opt.tucker.ranks = {3, 3, 3};
   opt.tucker.max_iterations = 4;
-  Result<TuckerDecomposition> ref =
+  opt.slice_rank = 3;
+  SetBlasThreads(1);
+  Result<TuckerDecomposition> ref_x = DTucker(x, opt);
+  ASSERT_TRUE(ref_x.ok()) << ref_x.status().ToString();
+  Result<TuckerDecomposition> ref_a =
       DTuckerFromApproximation(approx.value(), opt);
-  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  ASSERT_TRUE(ref_a.ok()) << ref_a.status().ToString();
+
+  SetBlasThreads(4);
   opt.num_threads = 4;
-  Result<TuckerDecomposition> other = Status::InvalidArgument("unset");
-  std::thread peer(
-      [&] { other = DTuckerFromApproximation(approx.value(), opt); });
-  Result<TuckerDecomposition> mine =
-      DTuckerFromApproximation(approx.value(), opt);
+  Result<TuckerDecomposition> got[2][2] = {
+      {Status::InvalidArgument("unset"), Status::InvalidArgument("unset")},
+      {Status::InvalidArgument("unset"), Status::InvalidArgument("unset")}};
+  auto solve = [&](int t) {
+    got[t][0] = DTucker(x, opt);
+    got[t][1] = DTuckerFromApproximation(approx.value(), opt);
+  };
+  std::thread peer(solve, 1);
+  solve(0);
   peer.join();
-  ASSERT_TRUE(mine.ok()) << mine.status().ToString();
-  ASSERT_TRUE(other.ok()) << other.status().ToString();
-  ExpectBitwiseEqual(mine.value(), ref.value(), "shared approx, solve 1");
-  ExpectBitwiseEqual(other.value(), ref.value(), "shared approx, solve 2");
+  SetBlasThreads(1);
+  for (int t = 0; t < 2; ++t) {
+    const std::string what = "solver thread " + std::to_string(t);
+    ASSERT_TRUE(got[t][0].ok()) << got[t][0].status().ToString();
+    ASSERT_TRUE(got[t][1].ok()) << got[t][1].status().ToString();
+    ExpectBitwiseEqual(got[t][0].value(), ref_x.value(),
+                       (what + " DTucker").c_str());
+    ExpectBitwiseEqual(got[t][1].value(), ref_a.value(),
+                       (what + " shared approximation").c_str());
+  }
 }
 
 TEST(ShardedDTuckerTest, PhaseTimesAddUpToWallTimeAtFourThreads) {
-  // Only rank 0 records phase times, so a 4-thread solve's phases sum to
-  // its wall time instead of four times it.
+  // Phase times are recorded by the calling thread only, so a 4-thread
+  // solve's phases sum to its wall time instead of four times it.
   Tensor x = MakeLowRankTensor({64, 60, 48}, {6, 6, 6}, 0.1, 24);
   DTuckerOptions opt;
   opt.tucker.ranks = {6, 6, 6};
@@ -400,7 +378,7 @@ TEST(ShardedDTuckerTest, PhaseTimesAddUpToWallTimeAtFourThreads) {
   ASSERT_TRUE(DTucker(x, opt).ok());  // Warm-up.
   // The ratio closest to 1 of a few solves, so a solve descheduled between
   // phases on a loaded machine does not decide the test (summing the four
-  // ranks would read ~4 every time).
+  // threads would read ~4 every time).
   double closest = 0.0;
   for (int attempt = 0; attempt < 5; ++attempt) {
     const double phases0 = GlobalPhaseTimer().GrandTotal();
@@ -412,25 +390,6 @@ TEST(ShardedDTuckerTest, PhaseTimesAddUpToWallTimeAtFourThreads) {
   }
   EXPECT_GT(closest, 0.9);
   EXPECT_LT(closest, 1.1);
-}
-
-TEST(ShardedDTuckerTest, DegenerateShardsStayInLockstep) {
-  // 9 ranks over 9 slices with an 8-chunk grid: at least one rank owns
-  // zero slices and must still complete every collective.
-  // In-process solves never start such ranks (RanksForThreads caps them
-  // at the chunk count), so the SPMD entry is driven directly.
-  Tensor x = MakeLowRankTensor({12, 11, 9}, {3, 3, 3}, 0.1, 6);
-  const DTuckerOptions opt = MakeOptions({3, 3, 3}, 1);
-  TuckerStats stats;
-  const std::vector<Result<TuckerDecomposition>> results =
-      RunInProcessSpmdRanks(9, [&](Communicator* c) {
-        return ShardedDTuckerRank(x, opt, c, c->rank() == 0 ? &stats : nullptr);
-      });
-  Result<TuckerDecomposition> ref = DTucker(x, opt);
-  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
-  ExpectRanksMatch(results, ref.value(), "9 ranks");
-  EXPECT_EQ(stats.completion, StatusCode::kOk);
-  EXPECT_LT(ref.value().RelativeErrorAgainst(x), 0.1);
 }
 
 // An Engine solve with an explicit rank count, or its error.
@@ -477,19 +436,6 @@ TEST(ShardedDTuckerTest, FromFileMatchesInMemoryBitwise) {
   std::remove(path.c_str());
 }
 
-TEST(ShardedDTuckerTest, SpmdEntryMatchesDriver) {
-  // Drive the SPMD surface directly: one ShardedDTuckerRank call per rank
-  // thread over an explicit group.
-  Tensor x = MakeLowRankTensor({13, 11, 8}, {3, 3, 3}, 0.15, 9);
-  const DTuckerOptions opt = MakeOptions({3, 3, 2}, 2);
-  Result<TuckerDecomposition> driver = DTucker(x, opt);
-  ASSERT_TRUE(driver.ok()) << driver.status().ToString();
-
-  // Every rank exits with the full, identical decomposition.
-  auto solve = [&](Communicator* c) { return ShardedDTuckerRank(x, opt, c); };
-  ExpectRanksMatch(RunInProcessSpmdRanks(2, solve), driver.value(), "spmd");
-}
-
 TEST(ShardedDTuckerTest, CancelBeforeStartFailsCleanly) {
   Tensor x = MakeLowRankTensor({12, 10, 8}, {3, 3, 3}, 0.1, 10);
   RunContext ctx;
@@ -525,8 +471,8 @@ TEST(ShardedDTuckerTest, MidRunCancelReturnsLastCompletedSweep) {
 }
 
 TEST(ShardedDTuckerTest, AutoReorderAtFourThreadsMatchesOneThread) {
-  // The tensor is permuted once, before the ranks start (the two largest
-  // modes lead, so L = 6 afterwards), at every thread and rank count.
+  // The tensor is permuted once, before the solve starts (the two largest
+  // modes lead, so L = 6 afterwards), at every thread count.
   Tensor x = MakeLowRankTensor({6, 14, 12}, {3, 3, 3}, 0.1, 12);
   DTuckerOptions opt;
   opt.tucker.ranks = {2, 3, 3};
@@ -539,15 +485,12 @@ TEST(ShardedDTuckerTest, AutoReorderAtFourThreadsMatchesOneThread) {
   Result<TuckerDecomposition> four = DTucker(x, opt);
   ASSERT_TRUE(four.ok()) << four.status().ToString();
   ExpectBitwiseEqual(four.value(), one.value(), "auto_reorder threads=4");
-  auto solve = [&](Communicator* c) { return ShardedDTuckerRank(x, opt, c); };
-  ExpectRanksMatch(RunInProcessSpmdRanks(4, solve), one.value(),
-                   "auto_reorder spmd ranks=4");
 }
 
 TEST(ShardedDTuckerTest, NonPowerOfTwoRankCountsMatchFitTo4Digits) {
-  // Every rank count reduces through the same chunk tree (the ranks' own
-  // subtrees, finished on rank 0), so 3, 5, 6 and 7 ranks reproduce the
-  // 1-rank run bit for bit — and so its fit, to every digit.
+  // Every thread count reduces through the same chunk tree, so 3, 5, 6
+  // and 7 threads reproduce the 1-thread run bit for bit — and so its fit,
+  // to every digit.
   Tensor x = MakeLowRankTensor({18, 16, 12}, {4, 4, 4}, 0.25, 21);
   Result<TuckerDecomposition> one =
       DTucker(x, MakeOptions({4, 4, 4}, 1));
@@ -564,8 +507,8 @@ TEST(ShardedDTuckerTest, NonPowerOfTwoRankCountsMatchFitTo4Digits) {
 TEST(ShardedDTuckerTest, ReplicatedTrailingFallbackStaysBitwise) {
   // The trailing update eigensolves the small side of the contracted Z's
   // last-mode unfolding only when J3 <= J1*J2 < L. Here J1*J2 = 12 > L = 9,
-  // so every rank takes the L x L mode Gram of the gathered Z in lockstep;
-  // the cross-rank-count bitwise identity must hold on that Gram side too.
+  // so the update takes the L x L mode Gram of Z; the cross-thread-count
+  // bitwise identity must hold on that Gram side too.
   Tensor x = MakeLowRankTensor({15, 13, 9}, {4, 4, 4}, 0.2, 3);
   Result<TuckerDecomposition> one =
       DTucker(x, MakeOptions({4, 3, 3}, 1));
@@ -575,7 +518,7 @@ TEST(ShardedDTuckerTest, ReplicatedTrailingFallbackStaysBitwise) {
         DTucker(x, MakeOptions({4, 3, 3}, num_ranks));
     ASSERT_TRUE(many.ok()) << many.status().ToString();
     ExpectBitwiseEqual(many.value(), one.value(),
-                       ("gathered trailing ranks=" +
+                       ("mode-Gram trailing threads=" +
                         std::to_string(num_ranks))
                            .c_str());
   }
@@ -631,8 +574,8 @@ TEST(ShardedDTuckerTest, ShardedAndReplicatedTrailingAgreeOnAccuracy) {
 TEST(ShardedDTuckerTest, OversizedTrailingRankFallsBackAndStaysBitwise) {
   // ranks[2] > ranks[0] * ranks[1] leaves the small-side Gram (J1*J2 = 4)
   // unable to deliver J3 vectors even though J1*J2 < L = 12; the update
-  // must take the L x L mode Gram on every rank in lockstep and keep the
-  // 1-rank bits at any rank count.
+  // must take the L x L mode Gram and keep the 1-thread bits at any thread
+  // count.
   Tensor x = MakeLowRankTensor({16, 14, 12}, {2, 2, 5}, 0.15, 17);
   Result<TuckerDecomposition> one =
       DTucker(x, MakeOptions({2, 2, 5}, 1));
@@ -643,7 +586,7 @@ TEST(ShardedDTuckerTest, OversizedTrailingRankFallsBackAndStaysBitwise) {
         DTucker(x, MakeOptions({2, 2, 5}, num_ranks));
     ASSERT_TRUE(many.ok()) << many.status().ToString();
     ExpectBitwiseEqual(many.value(), one.value(),
-                       ("oversized trailing ranks=" +
+                       ("oversized trailing threads=" +
                         std::to_string(num_ranks))
                            .c_str());
   }
@@ -651,8 +594,8 @@ TEST(ShardedDTuckerTest, OversizedTrailingRankFallsBackAndStaysBitwise) {
 
 TEST(ShardedEngineTest, SolveRoutesThroughShardedPath) {
   Tensor x = MakeLowRankTensor({14, 12, 9}, {3, 3, 3}, 0.2, 13);
-  // Runs 0 and 1 set num_ranks 1 and 4; run 2 sets num_threads 4, the
-  // same in-process path, which must report the same numbers.
+  // Runs 0 and 1 set num_ranks 1 and 4; run 2 sets num_threads 4, which
+  // num_ranks 4 stands for, and must report the same numbers.
   EngineRun runs[3];
   const int num_ranks[3] = {1, 4, 0};
   for (int i = 0; i < 3; ++i) {

@@ -184,7 +184,7 @@ TEST_F(TraceTest, EnabledSpanRecordPathDoesNotAllocateAfterRegistration) {
 }
 
 TEST_F(TraceTest, RankTagWithoutSpansTakesNoRingStorage) {
-  // Rank threads tag themselves before any span runs, and with tracing off
+  // Chunk workers tag themselves before any span runs, and with tracing off
   // they never record one: at the default 32768-event capacity, eagerly
   // allocated rings would cost ~1.5 MiB per thread (~384 MiB here).
   ASSERT_FALSE(TraceEnabled());
@@ -280,35 +280,6 @@ TEST_F(TraceTest, ExportReportsExactDropCountsAfterThreadExit) {
   EXPECT_TRUE(drop_metadata_found)
       << "per-buffer drop accounting must reach the export";
   SetTraceBufferCapacity(1u << 15);
-}
-
-TEST_F(TraceTest, FlowTaggedSpansEmitBoundFlowEvents) {
-  SetTraceEnabled(true);
-  const std::uint64_t flow_id = (42ull << 32) | 7u;
-  {
-    TraceSpan span("comm.allreduce", flow_id, 's');
-  }
-  {
-    TraceSpan span("comm.allreduce", flow_id, 'f');
-  }
-  SetTraceEnabled(false);
-
-  std::ostringstream os;
-  ExportChromeTrace(os);
-  json_test::JsonValue root;
-  ASSERT_TRUE(json_test::JsonParser::Parse(os.str(), &root)) << os.str();
-  int starts = 0;
-  int finishes = 0;
-  for (const auto& ev : root.at("traceEvents").array) {
-    const std::string& ph = ev.at("ph").string_value;
-    if (ph != "s" && ph != "f") continue;
-    EXPECT_EQ(ev.at("cat").string_value, "comm.flow");
-    EXPECT_EQ(ev.at("bp").string_value, "e");
-    EXPECT_EQ(ev.at("id").string_value, std::to_string(flow_id));
-    ph == "s" ? ++starts : ++finishes;
-  }
-  EXPECT_EQ(starts, 1);
-  EXPECT_EQ(finishes, 1);
 }
 
 TEST_F(TraceTest, RankTagsBecomePidLanes) {
