@@ -119,6 +119,46 @@ void BM_GemmSlice(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmSlice)->Args({256, 0})->Args({256, 1});
 
+// The n x n Gram A A^T of an n x k panel (the mode-0 ModeGram and factor
+// update shape), threads per the third argument: SyrkRaw's lower tiles
+// against the full GemmRaw product it replaces.
+template <bool kSyrk>
+void GramProduct(benchmark::State& state) {
+  const Index n = state.range(0);
+  const Index k = state.range(1);
+  SetBlasThreads(static_cast<int>(state.range(2)));
+  Rng rng(4);
+  Matrix a = Matrix::GaussianRandom(n, k, rng);
+  Matrix c(n, n);
+  for (auto _ : state) {
+    if (kSyrk) {
+      SyrkRaw(Trans::kNo, n, k, a.data(), n, c.data(), n);
+    } else {
+      GemmRaw(Trans::kNo, Trans::kYes, n, n, k, 1.0, a.data(), n, a.data(), n,
+              0.0, c.data(), n);
+    }
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  SetGemmCounters(state, n, n, k);  // Full-product flops for both.
+  SetBlasThreads(1);
+}
+
+void BM_GramGemm(benchmark::State& state) { GramProduct<false>(state); }
+void BM_GramSyrk(benchmark::State& state) { GramProduct<true>(state); }
+
+void GramShapes(benchmark::internal::Benchmark* b) {
+  for (int threads : {1, 4}) {
+    b->Args({100, 300, threads});
+    b->Args({128, 400, threads});
+    b->Args({256, 400, threads});
+    b->Args({300, 400, threads});
+  }
+  b->UseRealTime();
+}
+BENCHMARK(BM_GramGemm)->Apply(GramShapes);
+BENCHMARK(BM_GramSyrk)->Apply(GramShapes);
+
 // Householder QR flop model (LAPACK working notes): factoring an m x n
 // matrix costs 2n^2(m - n/3), and forming the thin Q costs the same again.
 // The GFLOP/s counter makes QR runs comparable across shapes the same way
@@ -295,7 +335,29 @@ void BM_EigenSymQl(benchmark::State& state) {
     benchmark::DoNotOptimize(eig.ok());
   }
 }
-BENCHMARK(BM_EigenSymQl)->Arg(30)->Arg(60)->Arg(120)->Arg(240);
+BENCHMARK(BM_EigenSymQl)->Arg(20)->Arg(64)->Arg(128)->Arg(240);
+
+// A graded PSD spectrum: the Gram A A^T of n x 300 Gaussian columns scaled
+// by 0.9^j, whose eigenvalues fall below eps * ||A A^T|| past j ~ 170.
+Matrix GradedGram(Index n) {
+  Rng rng(12);
+  Matrix a = Matrix::GaussianRandom(n, 300, rng);
+  double scale = 1.0;
+  for (Index j = 0; j < a.cols(); ++j, scale *= 0.9) {
+    Scal(scale, a.col_data(j), n);
+  }
+  return MultiplyNT(a, a);
+}
+
+void BM_EigenSymQlGraded(benchmark::State& state) {
+  Matrix a = GradedGram(state.range(0));
+  for (auto _ : state) {
+    auto eig = EigenSymQr(a);
+    if (!eig.ok()) state.SkipWithError("QL did not converge");
+    benchmark::DoNotOptimize(eig.ok());
+  }
+}
+BENCHMARK(BM_EigenSymQlGraded)->Arg(200);
 
 void BM_TopEigSubspace(benchmark::State& state) {
   Matrix a = BenchSymmetric(state.range(0));

@@ -183,7 +183,7 @@ void ReduceOverChunks(const ShardPlan& plan, int num_threads, std::size_t n,
   auto block = [&](Index c) {
     return c == 0 ? out : scratch->data() + static_cast<std::size_t>(c - 1) * n;
   };
-  // TreeCombine's tree: node i of level k covers chunks [i 2^k, (i+1) 2^k)
+  // The tree: node i of level k covers chunks [i 2^k, (i+1) 2^k)
   // and its sum lives in the block of its first chunk. Whoever finishes
   // the second child of a node adds the right child into the left one, so
   // the combine runs on the workers as the chunks finish, in the tree's

@@ -12,7 +12,9 @@
 //   2. Within a chunk, contributions accumulate serially in ascending
 //      slice order.
 //   3. Chunk partials combine through a fixed pairwise binary tree over
-//      the chunk indices (TreeCombine below).
+//      the chunk indices: level 0 adds 1 into 0, 3 into 2, ...; an odd
+//      last node rises unchanged to the first level that pairs it
+//      (ReduceOverChunks below).
 //
 // RunChunks computes each chunk whole on one thread, and which thread that
 // is never enters the arithmetic, so plain calls, Engine and every thread
@@ -49,29 +51,6 @@ struct ShardPlan {
 // The grid of `num_slices` >= 1 slices; InvalidArgument otherwise.
 Result<ShardPlan> MakeShardPlan(Index num_slices);
 
-// Fixed pairwise binary-tree combine of `partials` (all same shape) with
-// combine(dst, src) applied bottom-up: level 0 pairs (0,1), (2,3), ...; an
-// odd trailing element is carried upward unchanged and combined at the
-// first level that pairs it. The shape depends only on partials.size().
-// Result lands in partials[0].
-template <typename T, typename CombineFn>
-void TreeCombine(std::vector<T>* partials, const CombineFn& combine) {
-  if (partials->empty()) return;
-  // Indices of the live nodes at the current level.
-  std::vector<std::size_t> live(partials->size());
-  for (std::size_t i = 0; i < live.size(); ++i) live[i] = i;
-  while (live.size() > 1) {
-    std::vector<std::size_t> next;
-    next.reserve((live.size() + 1) / 2);
-    for (std::size_t i = 0; i + 1 < live.size(); i += 2) {
-      combine(&(*partials)[live[i]], (*partials)[live[i + 1]]);
-      next.push_back(live[i]);
-    }
-    if (live.size() % 2 == 1) next.push_back(live.back());
-    live = std::move(next);
-  }
-}
-
 // Runs fn(c, worker) once for every chunk c in [0, num_chunks) on
 // w = min(num_threads, num_chunks) threads (at least 1): the caller, which
 // is worker 0, and w - 1 parked, reused threads. The threads claim chunks
@@ -86,9 +65,10 @@ void RunChunks(Index num_chunks, int num_threads,
 
 // The canonical slice reduction. fill(c, worker, block) writes chunk c's
 // partial (n doubles) into `block`; the C calls run through RunChunks. On
-// return out[0, n) holds TreeCombine's sum of the C partials, dst += src at
-// every node: each node is added by whichever worker finishes its second
-// child, so the tree's order is fixed while its adds overlap the fills.
+// return out[0, n) holds the tree sum of the C partials (step 3 above),
+// dst += src at every node: each node is added by whichever worker
+// finishes its second child, so the tree's order is fixed while its adds
+// overlap the fills.
 // `out` holds chunk 0's partial while the others sit in the grow-only
 // `scratch`.
 void ReduceOverChunks(const ShardPlan& plan, int num_threads, std::size_t n,

@@ -1,6 +1,7 @@
 #include "data/generators.h"
 
 #include <cmath>
+#include <vector>
 
 #include "common/rng.h"
 #include "linalg/qr.h"
@@ -63,30 +64,47 @@ Tensor MakeVideoAnalog(Index height, Index width, Index frames,
     b.intensity = rng.Uniform(0.5, 2.0);
   }
 
+  // The background of every pixel and the blob centres of every frame,
+  // computed once with the same expressions (the same bits) the
+  // per-element loop would use; only the noise draws remain per element,
+  // in their original order.
+  std::vector<double> background(static_cast<std::size_t>(height * width));
+  for (Index j = 0; j < width; ++j) {
+    for (Index i = 0; i < height; ++i) {
+      double v = 0.0;
+      for (int m = 0; m < bg_modes; ++m) {
+        v += amp[m] *
+             std::sin((m + 1) * M_PI * i / static_cast<double>(height) +
+                      phase_h[m]) *
+             std::cos((m + 1) * M_PI * j / static_cast<double>(width) +
+                      phase_w[m]);
+      }
+      background[static_cast<std::size_t>(i + height * j)] = v;
+    }
+  }
+  std::vector<double> bx(blobs.size()), by(blobs.size());
   for (Index t = 0; t < frames; ++t) {
     const double tt = static_cast<double>(t) / static_cast<double>(frames);
+    const double pulse = 0.75 + 0.25 * std::sin(2 * M_PI * tt * 3.0);
+    for (std::size_t o = 0; o < blobs.size(); ++o) {
+      // Positions wrap around so blobs stay in frame.
+      const Blob& b = blobs[o];
+      bx[o] = std::fmod(b.x0 + b.vx * t, static_cast<double>(width));
+      by[o] = std::fmod(b.y0 + b.vy * t, static_cast<double>(height));
+      if (bx[o] < 0) bx[o] += width;
+      if (by[o] < 0) by[o] += height;
+    }
     for (Index j = 0; j < width; ++j) {
       for (Index i = 0; i < height; ++i) {
-        double v = 0.0;
-        for (int m = 0; m < bg_modes; ++m) {
-          v += amp[m] *
-               std::sin((m + 1) * M_PI * i / static_cast<double>(height) +
-                        phase_h[m]) *
-               std::cos((m + 1) * M_PI * j / static_cast<double>(width) +
-                        phase_w[m]);
-        }
-        for (const Blob& b : blobs) {
-          // Positions wrap around so blobs stay in frame.
-          double bx = std::fmod(b.x0 + b.vx * t, static_cast<double>(width));
-          double by = std::fmod(b.y0 + b.vy * t, static_cast<double>(height));
-          if (bx < 0) bx += width;
-          if (by < 0) by += height;
-          const double dx = static_cast<double>(j) - bx;
-          const double dy = static_cast<double>(i) - by;
+        double v = background[static_cast<std::size_t>(i + height * j)];
+        for (std::size_t o = 0; o < blobs.size(); ++o) {
+          const Blob& b = blobs[o];
+          const double dx = static_cast<double>(j) - bx[o];
+          const double dy = static_cast<double>(i) - by[o];
           const double d2 = dx * dx + dy * dy;
           if (d2 < 25.0 * b.sigma * b.sigma) {
             v += b.intensity * std::exp(-d2 / (2 * b.sigma * b.sigma)) *
-                 (0.75 + 0.25 * std::sin(2 * M_PI * tt * 3.0));
+                 pulse;
           }
         }
         x(i, j, t) = v + noise * rng.Gaussian();
@@ -149,23 +167,31 @@ Tensor MakeTrafficAnalog(Index sensors, Index bins, Index timesteps,
                                        2));
   }
 
+  // The rush-hour curve of every sensor, once per timestep instead of
+  // once per bin (same expressions, same bits; the noise draws keep their
+  // order).
+  std::vector<double> curve(static_cast<std::size_t>(sensors));
   Tensor x({sensors, bins, timesteps});
   for (Index t = 0; t < timesteps; ++t) {
+    const double weekly =
+        1.0 -
+        0.35 * (std::fmod(static_cast<double>(t), 7.0 * day) > 5.0 * day);
+    for (Index s = 0; s < sensors; ++s) {
+      const double tod = std::fmod(
+          static_cast<double>(t) + offset[static_cast<std::size_t>(s)],
+          static_cast<double>(day));
+      // Two rush-hour peaks per day.
+      const double morning =
+          std::exp(-0.5 * std::pow((tod - 0.33 * day) / (0.06 * day), 2));
+      const double evening =
+          std::exp(-0.5 * std::pow((tod - 0.72 * day) / (0.08 * day), 2));
+      curve[static_cast<std::size_t>(s)] = scale[static_cast<std::size_t>(s)] *
+                                           weekly *
+                                           (0.2 + morning + 0.8 * evening);
+    }
     for (Index b = 0; b < bins; ++b) {
       for (Index s = 0; s < sensors; ++s) {
-        const double tod = std::fmod(
-            static_cast<double>(t) + offset[static_cast<std::size_t>(s)],
-            static_cast<double>(day));
-        // Two rush-hour peaks per day.
-        const double morning =
-            std::exp(-0.5 * std::pow((tod - 0.33 * day) / (0.06 * day), 2));
-        const double evening =
-            std::exp(-0.5 * std::pow((tod - 0.72 * day) / (0.08 * day), 2));
-        const double weekly =
-            1.0 - 0.35 * (std::fmod(static_cast<double>(t), 7.0 * day) >
-                          5.0 * day);
-        double v = scale[static_cast<std::size_t>(s)] * weekly *
-                   (0.2 + morning + 0.8 * evening) *
+        double v = curve[static_cast<std::size_t>(s)] *
                    response[static_cast<std::size_t>(b)];
         x(s, b, t) = v + noise * rng.Gaussian();
       }
@@ -179,26 +205,33 @@ Tensor MakeMusicAnalog(Index songs, Index bins, Index frames, double noise,
   Rng rng(seed);
   Tensor x({songs, bins, frames});
   const int harmonics = 6;
+  std::vector<double> profile(static_cast<std::size_t>(bins));
   for (Index s = 0; s < songs; ++s) {
     // Each song: a fundamental bin, harmonic decay, tempo of its envelope.
     const double f0 = rng.Uniform(2.0, static_cast<double>(bins) / 8.0);
     const double decay = rng.Uniform(0.4, 0.8);
     const double tempo = rng.Uniform(1.0, 6.0);
     const double loudness = rng.Uniform(0.5, 2.0);
+    // The song's harmonic profile over the bins, once instead of once per
+    // frame (same expressions, same bits).
+    for (Index b = 0; b < bins; ++b) {
+      double v = 0.0;
+      double a = loudness;
+      for (int h = 1; h <= harmonics; ++h) {
+        const double center = f0 * h;
+        if (center >= bins) break;
+        v += a * std::exp(-0.5 * std::pow((b - center) / 1.5, 2));
+        a *= decay;
+      }
+      profile[static_cast<std::size_t>(b)] = v;
+    }
     for (Index t = 0; t < frames; ++t) {
       const double env =
           0.5 + 0.5 * std::sin(2 * M_PI * tempo * t /
                                static_cast<double>(frames));
       for (Index b = 0; b < bins; ++b) {
-        double v = 0.0;
-        double a = loudness;
-        for (int h = 1; h <= harmonics; ++h) {
-          const double center = f0 * h;
-          if (center >= bins) break;
-          v += a * std::exp(-0.5 * std::pow((b - center) / 1.5, 2));
-          a *= decay;
-        }
-        x(s, b, t) = v * env + noise * rng.Gaussian();
+        x(s, b, t) = profile[static_cast<std::size_t>(b)] * env +
+                     noise * rng.Gaussian();
       }
     }
   }
@@ -217,6 +250,23 @@ Tensor MakeClimateAnalog(Index lon, Index lat, Index alt, Index timesteps,
   }
   const double season_len = std::max<double>(12.0, timesteps / 4.0);
 
+  // The horizontal pattern of every (lon, lat) column, once instead of
+  // once per altitude and timestep (same expressions, same bits).
+  std::vector<double> pattern(static_cast<std::size_t>(lon * lat));
+  for (Index j = 0; j < lat; ++j) {
+    for (Index i = 0; i < lon; ++i) {
+      double v = 0.0;
+      for (int m = 0; m < modes; ++m) {
+        v += amp[m] *
+             std::sin((m + 1) * 2 * M_PI * i / static_cast<double>(lon) +
+                      phase_lon[m]) *
+             std::cos((m + 1) * M_PI * j / static_cast<double>(lat) +
+                      phase_lat[m]);
+      }
+      pattern[static_cast<std::size_t>(i + lon * j)] = v;
+    }
+  }
+
   Tensor x({lon, lat, alt, timesteps});
   for (Index t = 0; t < timesteps; ++t) {
     const double season =
@@ -226,16 +276,10 @@ Tensor MakeClimateAnalog(Index lon, Index lat, Index alt, Index timesteps,
       const double alt_profile = std::exp(-2.0 * a / static_cast<double>(alt));
       for (Index j = 0; j < lat; ++j) {
         for (Index i = 0; i < lon; ++i) {
-          double v = 0.0;
-          for (int m = 0; m < modes; ++m) {
-            v += amp[m] *
-                 std::sin((m + 1) * 2 * M_PI * i / static_cast<double>(lon) +
-                          phase_lon[m]) *
-                 std::cos((m + 1) * M_PI * j / static_cast<double>(lat) +
-                          phase_lat[m]);
-          }
-          x(i, j, a, t) =
-              season * alt_profile * (1.5 + v) + noise * rng.Gaussian();
+          x(i, j, a, t) = season * alt_profile *
+                              (1.5 + pattern[static_cast<std::size_t>(
+                                         i + lon * j)]) +
+                          noise * rng.Gaussian();
         }
       }
     }

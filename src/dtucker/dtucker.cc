@@ -327,7 +327,7 @@ Index PackChunk(const SolveContext& sc, int m, Index begin, Index end,
 }
 
 // G = sum_l F_l diag(s_l * s_inv)^2 F_l^T over every slice (F = U for
-// m == 0, V for m == 1), one GEMM P P^T per chunk. Only
+// m == 0, V for m == 1), one SyrkRaw P P^T per chunk. Only
 // SuggestRanksFromApproximation forms it, for the full mode-1/2 spectra;
 // the solve's initialization takes the range finder below.
 void StackedFactorGram(const SolveContext& sc, int m, SolveWorkspace* sw,
@@ -343,8 +343,7 @@ void StackedFactorGram(const SolveContext& sc, int m, SolveWorkspace* sw,
           std::fill(block, block + gs, 0.0);
           return;
         }
-        GemmRaw(Trans::kNo, Trans::kYes, dim, dim, c, 1.0, cs->pack.data(),
-                dim, cs->pack.data(), dim, 0.0, block, dim);
+        SyrkRaw(Trans::kNo, dim, c, cs->pack.data(), dim, block, dim);
       },
       g->data(), sw);
 }
@@ -614,11 +613,7 @@ void RangeFinderFactor(const SolveContext& sc, int m, Index k,
       for (Index i = 0; i < s; ++i) vs(i, j) = w * he.vectors(i, j);
     }
     const Matrix km = Multiply(r, vs);
-    GemmRaw(Trans::kNo, Trans::kYes, s, s, keep, 1.0, km.data(), s,
-            km.data(), s, 0.0, kk.data(), s);
-    for (Index j = 0; j < s; ++j) {
-      for (Index i = 0; i < j; ++i) kk(i, j) = kk(j, i);
-    }
+    SyrkRaw(Trans::kNo, s, keep, km.data(), s, kk.data(), s);
   }
   const EigenSymResult nystrom = EigenSymFast(kk);
   *a = Matrix::Uninitialized(dim, k);

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <cstring>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/metrics.h"
 #include "common/thread_pool.h"
@@ -33,9 +36,8 @@ constexpr Index kTallTnMaxN = 64;
 constexpr Index kTallTnMinK = 256;
 constexpr Index kTallTnMaxAPanel = Index(1) << 18;  // m * k doubles.
 
-// Flop thresholds below which threading costs more than it saves.
-constexpr Index kGemmParallelVolume = 1 << 23;   // m*n*k (~2 x 512^2 x 16).
-constexpr Index kGemvParallelVolume = 1 << 20;   // m*n.
+// The GEMV counterpart of kGemmParallelVolume (gemm_kernel.h): m * n.
+constexpr Index kGemvParallelVolume = 1 << 20;
 
 // Native-width vectors (GCC/Clang vector extensions) for the unpacked
 // kernels below and Nrm2. Explicit vector accumulators, as in the packed
@@ -361,6 +363,120 @@ void GemmRaw(Trans trans_a, Trans trans_b, Index m, Index n, Index k,
                  /*overwrite_c=*/beta == 0.0);
 }
 
+namespace {
+
+// Tile edge of SyrkRaw's grid: a multiple of every micro-tile edge
+// (kGemmMR, kGemmNR), so tiles start on whole packed slivers and the
+// diagonal falls on micro-tile boundaries, and small enough that a
+// 300 x 300 Gram splits into 28 tiles.
+constexpr Index kSyrkTile = 48;
+static_assert(kSyrkTile % kGemmMR == 0 && kSyrkTile % kGemmNR == 0,
+              "SyrkRaw tiles must start on whole slivers");
+
+// Depth of SyrkRaw's kc blocks: deeper than GEMM's (kGemmKC), so the
+// common Grams of a few hundred columns take one pass over the tiles; a
+// kSyrkKC x kGemmNR B sliver (32 KiB) still fits in L1.
+constexpr Index kSyrkKC = 512;
+
+}  // namespace
+
+void SyrkRaw(Trans trans, Index n, Index k, const double* a, Index lda,
+             double* c, Index ldc) {
+  if (n == 0) return;
+  {
+    static Counter& calls = MetricCounter("gemm.calls");
+    static Counter& flops = MetricCounter("gemm.flops");
+    calls.Add(1);
+    flops.Add(static_cast<std::uint64_t>(n) *
+              static_cast<std::uint64_t>(n + 1) *
+              static_cast<std::uint64_t>(k));
+  }
+  if (k == 0) {
+    for (Index j = 0; j < n; ++j) {
+      std::memset(c + j * ldc, 0, static_cast<std::size_t>(n) * sizeof(double));
+    }
+    return;
+  }
+  // C = op(A) op(B) with op(B) = op(A)^T: GemmPackedPath's kc loop, in
+  // blocks of kSyrkKC, over a grid of kSyrkTile blocks. Each kc block is
+  // one RunBlasTiles pass over `side` pack tasks and then the lower tiles
+  // (ti >= tj, numbered row by row). Pack task r packs row block r of
+  // op(A) into the calling thread's pack buffers, as A slivers and as B
+  // slivers, and flags it; a tile waits for the flags of its two row
+  // blocks (claimed before it, so already running) and runs the macro
+  // kernel on its slices of the packs. A diagonal tile runs each column
+  // sliver only from the micro-tile row that holds its first diagonal
+  // entry down. The last kc block mirrors each tile into the upper
+  // triangle.
+  const Index side = (n + kSyrkTile - 1) / kSyrkTile;
+  const Index tiles = side * (side + 1) / 2;
+  std::vector<std::atomic<Index>> packed(static_cast<std::size_t>(side));
+  for (Index lc = 0, block = 1; lc < k; lc += kSyrkKC, ++block) {
+    const Index kb = std::min(kSyrkKC, k - lc);
+    const bool last = lc + kb == k;
+    double* apack = TlsPackBufferA(PackedASize(n, kb));
+    double* bpack = TlsPackBufferB(PackedBSize(kb, n));
+    auto pack = [&](Index r) {
+      const Index r0 = r * kSyrkTile;
+      const Index rb = std::min(kSyrkTile, n - r0);
+      if (trans == Trans::kNo) {
+        PackA(Trans::kNo, rb, kb, 1.0, a + r0 + lc * lda, lda,
+              apack + r0 * kb);
+        PackB(Trans::kYes, kb, rb, a + r0 + lc * lda, lda, bpack + r0 * kb);
+      } else {
+        PackA(Trans::kYes, rb, kb, 1.0, a + lc + r0 * lda, lda,
+              apack + r0 * kb);
+        PackB(Trans::kNo, kb, rb, a + lc + r0 * lda, lda, bpack + r0 * kb);
+      }
+      packed[static_cast<std::size_t>(r)].store(block,
+                                                std::memory_order_release);
+    };
+    auto tile = [&](Index t) {
+      Index ti = 0;
+      while ((ti + 1) * (ti + 2) / 2 <= t) ++ti;
+      const Index tj = t - ti * (ti + 1) / 2;
+      while (packed[static_cast<std::size_t>(ti)].load(
+                 std::memory_order_acquire) != block ||
+             packed[static_cast<std::size_t>(tj)].load(
+                 std::memory_order_acquire) != block) {
+        std::this_thread::yield();
+      }
+      const Index i0 = ti * kSyrkTile;
+      const Index j0 = tj * kSyrkTile;
+      const Index mb = std::min(kSyrkTile, n - i0);
+      const Index nb = std::min(kSyrkTile, n - j0);
+      double* ct = c + i0 + j0 * ldc;
+      if (ti != tj) {
+        GemmMacroKernel(mb, nb, kb, apack + i0 * kb, bpack + j0 * kb, ct, ldc,
+                        /*overwrite=*/lc == 0);
+      } else {
+        for (Index jr = 0; jr < nb; jr += kGemmNR) {
+          const Index r0 = jr / kGemmMR * kGemmMR;
+          GemmMacroKernel(mb - r0, std::min(kGemmNR, nb - jr), kb,
+                          apack + (i0 + r0) * kb, bpack + (j0 + jr) * kb,
+                          ct + r0 + jr * ldc, ldc, /*overwrite=*/lc == 0);
+        }
+      }
+      if (!last) return;
+      for (Index j = 0; j < nb; ++j) {
+        for (Index i = ti == tj ? j + 1 : 0; i < mb; ++i) {
+          c[(j0 + j) + (i0 + i) * ldc] = ct[i + j * ldc];
+        }
+      }
+    };
+    RunBlasTiles(side + tiles, n * (n + 1) / 2 * kb,
+                 [&](Index begin, Index end) {
+                   for (Index t = begin; t < end; ++t) {
+                     if (t < side) {
+                       pack(t);
+                     } else {
+                       tile(t - side);
+                     }
+                   }
+                 });
+  }
+}
+
 void GemvRaw(Trans trans_a, Index m, Index n, double alpha, const double* a,
              Index lda, const double* x, double beta, double* y) {
   {
@@ -608,29 +724,8 @@ Matrix MultiplyTT(const Matrix& a, const Matrix& b) {
 
 Matrix Gram(const Matrix& a) {
   const Index n = a.cols();
-  Matrix g(n, n);
-  if (n <= 32 && SharedBlasPool() == nullptr) {
-    // Small serial case: direct dot products exploit symmetry (half the
-    // flops) and beat any kernel setup cost.
-    for (Index j = 0; j < n; ++j) {
-      for (Index i = 0; i <= j; ++i) {
-        double s = Dot(a.col_data(i), a.col_data(j), a.rows());
-        g(i, j) = s;
-        g(j, i) = s;
-      }
-    }
-    return g;
-  }
-  GemmRaw(Trans::kYes, Trans::kNo, n, n, a.rows(), 1.0, a.data(), a.rows(),
-          a.data(), a.rows(), 0.0, g.data(), n);
-  // Enforce exact symmetry (the blocked kernel's rounding is orderless).
-  for (Index j = 0; j < n; ++j) {
-    for (Index i = 0; i < j; ++i) {
-      const double s = 0.5 * (g(i, j) + g(j, i));
-      g(i, j) = s;
-      g(j, i) = s;
-    }
-  }
+  Matrix g = Matrix::Uninitialized(n, n);
+  SyrkRaw(Trans::kYes, n, a.rows(), a.data(), a.rows(), g.data(), n);
   return g;
 }
 

@@ -17,7 +17,7 @@ enum class Trans { kNo, kYes };
 
 // Process-wide BLAS thread count. The default is 1 (serial, deterministic
 // scheduling). Values > 1 lazily build a shared worker pool that GemmRaw,
-// GemvRaw, Gram, and the tensor mode products use for their macro loops;
+// GemvRaw, SyrkRaw, and the tensor mode products use for their macro loops;
 // <= 0 means "use std::thread::hardware_concurrency()". Call this once at
 // startup (e.g. from a --threads flag): it must not race with in-flight
 // BLAS calls, because resizing joins and replaces the old pool.
@@ -30,6 +30,17 @@ int GetBlasThreads();
 void GemmRaw(Trans trans_a, Trans trans_b, Index m, Index n, Index k,
              double alpha, const double* a, Index lda, const double* b,
              Index ldb, double beta, double* c, Index ldc);
+
+// Symmetric rank-k product C = op(A) op(A)^T (n x n), where op(A) is n x
+// k: C = A A^T for trans = kNo (A is n x k), C = A^T A for kYes (A is
+// k x n). C is overwritten (it may hold garbage) and comes out exactly
+// symmetric. Only the lower-triangle tiles of a fixed grid are computed —
+// about half of GemmRaw's work, with the packed path's micro-kernel — and
+// each is mirrored into the upper triangle. The grid depends on n alone
+// and the tiles run on the BLAS pool (RunBlasTiles, gemm_kernel.h), so the
+// bits are the same at every thread count.
+void SyrkRaw(Trans trans, Index n, Index k, const double* a, Index lda,
+             double* c, Index ldc);
 
 // y = alpha * op(A) * x + beta * y.
 void GemvRaw(Trans trans_a, Index m, Index n, double alpha, const double* a,
@@ -66,7 +77,7 @@ Matrix MultiplyTT(const Matrix& a, const Matrix& b);  // A^T * B^T
 void Gemm(Trans trans_a, Trans trans_b, double alpha, const Matrix& a,
           const Matrix& b, double beta, Matrix* c);
 
-// Gram matrix A^T A (symmetric, computed directly).
+// Gram matrix A^T A (SyrkRaw: exactly symmetric).
 Matrix Gram(const Matrix& a);
 
 }  // namespace dtucker

@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "linalg/blas.h"
 #include "linalg/eigen_tridiag.h"
+#include "linalg/gemm_kernel.h"
 #include "linalg/qr.h"
 
 namespace dtucker {
@@ -87,6 +88,28 @@ namespace {
 
 thread_local std::uint64_t tls_subspace_sweeps = 0;
 
+// Target height of the row tiles of the subspace iteration's Z = A Q.
+constexpr Index kProductTileRows = 80;
+
+// z = a q (a n x n, q and z n x s) as round(n / kProductTileRows) row
+// tiles of near-equal height on the BLAS pool, or one GemmRaw call on a
+// single thread. The grid depends on n alone, and every tile is at least
+// 17 rows tall, so GemmRaw routes a tile down the same path as the whole
+// product; both paths give each element bits that do not depend on the
+// rows around it, so a tile reproduces the whole product's rows exactly.
+void TiledProduct(const Matrix& a, const Matrix& q, Matrix* z) {
+  const Index n = a.rows();
+  const Index s = q.cols();
+  const Index count =
+      std::max<Index>(1, (n + kProductTileRows / 2) / kProductTileRows);
+  RunBlasTiles(count, n * n * s, [&](Index begin, Index end) {
+    const Index r0 = n * begin / count;
+    const Index r1 = n * end / count;
+    GemmRaw(Trans::kNo, Trans::kNo, r1 - r0, s, n, 1.0, a.data() + r0, n,
+            q.data(), n, 0.0, z->data() + r0, n);
+  });
+}
+
 }  // namespace
 
 EigenSymResult EigenSymFast(const Matrix& a) {
@@ -139,7 +162,7 @@ Matrix TopEigenvectorsSym(const Matrix& a, Index k, Matrix* subspace,
   for (int sweep = 0; sweep < max_sweeps; ++sweep) {
     subspace_sweeps.Add(1);
     ++tls_subspace_sweeps;
-    Gemm(Trans::kNo, Trans::kNo, 1.0, a, q, 0.0, &z);
+    TiledProduct(a, q, &z);
     // Rayleigh quotient H = Q^T A Q for the convergence check.
     Gemm(Trans::kYes, Trans::kNo, 1.0, q, z, 0.0, &h);
     // Symmetrize against roundoff before reading Ritz values.
@@ -173,7 +196,7 @@ Matrix TopEigenvectorsSym(const Matrix& a, Index k, Matrix* subspace,
     CholeskyQr2Raw(z.data(), n, s, q.data(), nullptr);
   }
   // Fallback extraction after max_sweeps.
-  Gemm(Trans::kNo, Trans::kNo, 1.0, a, q, 0.0, &z);
+  TiledProduct(a, q, &z);
   Gemm(Trans::kYes, Trans::kNo, 1.0, q, z, 0.0, &h);
   EigenSymResult ritz = EigenSymFast(h);
   Matrix out = Multiply(q, ritz.vectors.LeftCols(k));

@@ -23,9 +23,9 @@ struct EigenSymResult {
 EigenSymResult EigenSym(const Matrix& a);
 
 // Same contract, for the sketch-sized problems of the randomized solvers:
-// the tridiagonal QL solver (linalg/eigen_tridiag.h), several times faster
-// than Jacobi at these sizes, with Jacobi as the fallback for
-// (pathological) QL non-convergence.
+// the tridiagonal QL solver (linalg/eigen_tridiag.h), many times faster
+// than Jacobi, with Jacobi as the fallback for (pathological) QL
+// non-convergence.
 EigenSymResult EigenSymFast(const Matrix& a);
 
 // Knobs for the randomized subspace iteration inside TopEigenvectorsSym.

@@ -273,6 +273,45 @@ ThreadPool* SharedBlasPool() {
 
 bool InBlasWorker() { return tls_in_blas_worker; }
 
+void RunBlasTiles(Index count, Index volume,
+                  const std::function<void(Index, Index)>& tiles) {
+  ThreadPool* pool =
+      count > 1 && volume >= kTileParallelVolume && !InBlasWorker()
+          ? SharedBlasPool()
+          : nullptr;
+  const Index helpers =
+      pool == nullptr
+          ? 0
+          : std::min<Index>(count,
+                            static_cast<Index>(pool->partition_width())) -
+                1;
+  if (helpers == 0) {
+    BlasWorkerScope scope;
+    tiles(0, count);
+    return;
+  }
+  std::atomic<Index> next{0};
+  std::atomic<Index> running{helpers};
+  auto claim = [&] {
+    BlasWorkerScope scope;
+    for (Index t = next.fetch_add(1); t < count; t = next.fetch_add(1)) {
+      tiles(t, t + 1);
+    }
+  };
+  for (Index h = 0; h < helpers; ++h) {
+    pool->Submit([&] {
+      claim();
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  claim();
+  // The helpers finish within about one tile's time of the caller; a
+  // blocking wait would add a wake-up on top.
+  while (running.load(std::memory_order_acquire) != 0) {
+    std::this_thread::yield();
+  }
+}
+
 BlasWorkerScope::BlasWorkerScope() : previous_(tls_in_blas_worker) {
   tls_in_blas_worker = true;
 }

@@ -23,6 +23,7 @@
 #define DTUCKER_LINALG_GEMM_KERNEL_H_
 
 #include <cstddef>
+#include <functional>
 
 #include "linalg/blas.h"
 
@@ -55,6 +56,11 @@ inline constexpr Index kGemmNC = 4096;
 
 static_assert(kGemmMC % kGemmMR == 0, "MC must be a multiple of MR");
 static_assert(kGemmNC % kGemmNR == 0, "NC must be a multiple of NR");
+
+// Flop volume (m * n * k) below which a product runs serially: threading
+// it costs more than it saves. The packed and unpacked GEMM paths, the
+// tensor mode products and ModeGram all apply it.
+inline constexpr Index kGemmParallelVolume = Index(1) << 23;
 
 // Byte alignment of the pack buffers (one cache line / one zmm vector).
 inline constexpr std::size_t kGemmPackAlignment = 64;
@@ -103,6 +109,24 @@ ThreadPool* SharedBlasPool();
 // entered a BlasWorkerScope). Threaded kernels fall back to their serial
 // paths when set, preventing nested use of the shared pool.
 bool InBlasWorker();
+
+// Multiply-adds below which RunBlasTiles keeps a pass on the calling
+// thread: a pass on the pool costs ~20 us of fork-join.
+inline constexpr Index kTileParallelVolume = Index(1) << 21;
+
+// Runs every tile t in [0, count), `volume` multiply-adds in all, through
+// tiles(begin, end), which runs the tiles [begin, end). When the volume
+// reaches kTileParallelVolume, a pool exists and the caller is not inside
+// a BLAS-parallel region, the calling thread and up to partition_width()
+// - 1 pool workers claim single tiles in ascending order from a shared
+// counter (so a D-Tucker chunk worker gets its partition share of the
+// pool, usually none); otherwise the caller runs tiles(0, count) once.
+// Every call runs inside a BlasWorkerScope, so its own GEMMs stay serial.
+// The result must not depend on how the range is cut — tiles that write
+// disjoint outputs with per-element arithmetic fixed by the grid — and
+// then it is the same at every thread count.
+void RunBlasTiles(Index count, Index volume,
+                  const std::function<void(Index, Index)>& tiles);
 
 // RAII marker for coarse-grained parallel regions (slice loops, tensor slab
 // loops): while alive on a thread, GEMM/GEMV calls from that thread run

@@ -92,11 +92,10 @@ Matrix ModeGram(const Tensor& x, Index mode) {
     return g;
   }
   if (mode == 0) {
-    // The flat buffer already is X_(1) (dim x back) column-major; one GEMM
-    // suffices and may thread internally (bitwise-deterministic by the
-    // packed-GEMM contract, DESIGN.md §6).
-    GemmRaw(Trans::kNo, Trans::kYes, s.dim, s.dim, s.back, 1.0, x.data(),
-            s.dim, x.data(), s.dim, 0.0, g.data(), s.dim);
+    // The flat buffer already is X_(1) (dim x back) column-major: one
+    // SyrkRaw, whose tiles may run on the pool (bitwise-deterministic by
+    // its fixed tile grid).
+    SyrkRaw(Trans::kNo, s.dim, s.back, x.data(), s.dim, g.data(), s.dim);
     return g;
   }
 
@@ -115,8 +114,8 @@ Matrix ModeGram(const Tensor& x, Index mode) {
     }
   };
   if (chunks == 1) {
-    // One slab: a single Gram GEMM that may thread internally.
-    run_chunk(0, g.data());
+    // One slab: a single SyrkRaw, whose tiles may run on the pool.
+    SyrkRaw(Trans::kYes, s.dim, s.front, src, s.front, g.data(), s.dim);
     return g;
   }
 
@@ -127,8 +126,12 @@ Matrix ModeGram(const Tensor& x, Index mode) {
   auto chunk_acc = [&](Index c) {
     return c == 0 ? g.data() : partials[static_cast<std::size_t>(c - 1)].data();
   };
+  // The chunks fan out only past GemmRaw's volume floor; below it the
+  // fork-join costs more than the chunks (the chunk arithmetic is the
+  // same either way).
   ThreadPool* pool = SharedBlasPool();
-  if (pool != nullptr && !InBlasWorker()) {
+  if (pool != nullptr && !InBlasWorker() &&
+      s.dim * s.dim * s.front * s.back >= kGemmParallelVolume) {
     pool->ParallelForRanges(static_cast<std::size_t>(chunks), /*min_grain=*/1,
                             [&](std::size_t begin, std::size_t end) {
                               BlasWorkerScope scope;
@@ -198,12 +201,15 @@ void ModeProductIntoUntraced(const Tensor& x, const Matrix& u, Index mode,
             u.data(), u.rows(), 0.0,
             out->data() + static_cast<std::size_t>(b) * dst_slab, s.front);
   };
-  // With enough independent slabs, parallelize across them (each writes a
-  // disjoint output slab) and keep the per-slab GEMMs serial; otherwise run
-  // the slab loop serially and let the big GEMMs thread internally.
+  // With enough independent slabs and flops past GemmRaw's volume floor,
+  // parallelize across slabs (each writes a disjoint output slab) and keep
+  // the per-slab GEMMs serial; otherwise run the slab loop serially and
+  // let big GEMMs thread internally. A slab's bits do not depend on the
+  // thread that computes it.
   ThreadPool* pool = SharedBlasPool();
   if (pool != nullptr && !InBlasWorker() &&
-      s.back >= static_cast<Index>(pool->num_threads())) {
+      s.back >= static_cast<Index>(pool->num_threads()) &&
+      s.front * j * s.dim * s.back >= kGemmParallelVolume) {
     pool->ParallelForRanges(static_cast<std::size_t>(s.back), /*min_grain=*/1,
                             [&](std::size_t begin, std::size_t end) {
                               BlasWorkerScope scope;

@@ -15,9 +15,9 @@ Matrix LeadingLeftSingularVectorsViaGram(const Matrix& m, Index k) {
   DT_CHECK_LE(k, m.rows()) << "rank exceeds row count";
   // G = M M^T, I x I symmetric PSD; its top-k eigenvectors are the top-k
   // left singular vectors of M.
-  Matrix g(m.rows(), m.rows());
-  GemmRaw(Trans::kNo, Trans::kYes, m.rows(), m.rows(), m.cols(), 1.0,
-          m.data(), m.rows(), m.data(), m.rows(), 0.0, g.data(), g.rows());
+  Matrix g = Matrix::Uninitialized(m.rows(), m.rows());
+  SyrkRaw(Trans::kNo, m.rows(), m.cols(), m.data(), m.rows(), g.data(),
+          g.rows());
   return TopEigenvectorsSym(g, k);
 }
 
@@ -45,8 +45,7 @@ Matrix LeadingModeVectorsViaGram(const Tensor& x, Index mode, Index k,
     const Trans tat = first ? Trans::kYes : Trans::kNo;
     const Index lda = first ? n : m;
     Matrix c = Matrix::Uninitialized(m, m);
-    GemmRaw(tat, ta, m, m, n, 1.0, x.data(), lda, x.data(), lda, 0.0,
-            c.data(), m);
+    SyrkRaw(tat, m, n, x.data(), lda, c.data(), m);
     Matrix w = TopEigenvectorsSym(c, k, subspace, eig_options);
     Matrix u = Matrix::Uninitialized(n, k);
     GemmRaw(ta, Trans::kNo, n, k, m, 1.0, x.data(), lda, w.data(), m, 0.0,

@@ -1,5 +1,6 @@
 // Tests for the chunk grid, its fork-join and canonical reduction
 // (comm/sharding.h), and the in-process all-reduce (comm/communicator.h).
+// TreeCombine below is the reference for ReduceOverChunks' tree.
 #include "comm/communicator.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "comm/sharding.h"
@@ -17,6 +19,29 @@
 
 namespace dtucker {
 namespace {
+
+// The canonical tree over chunk partials, written out plainly: combine
+// (dst, src) applied bottom-up, level 0 pairing (0,1), (2,3), ...; an odd
+// trailing element is carried upward unchanged and combined at the first
+// level that pairs it. The shape depends only on partials.size(); the
+// result lands in partials[0].
+template <typename T, typename CombineFn>
+void TreeCombine(std::vector<T>* partials, const CombineFn& combine) {
+  if (partials->empty()) return;
+  // Indices of the live nodes at the current level.
+  std::vector<std::size_t> live(partials->size());
+  for (std::size_t i = 0; i < live.size(); ++i) live[i] = i;
+  while (live.size() > 1) {
+    std::vector<std::size_t> next;
+    next.reserve((live.size() + 1) / 2);
+    for (std::size_t i = 0; i + 1 < live.size(); i += 2) {
+      combine(&(*partials)[live[i]], (*partials)[live[i + 1]]);
+      next.push_back(live[i]);
+    }
+    if (live.size() % 2 == 1) next.push_back(live.back());
+    live = std::move(next);
+  }
+}
 
 // Runs `body(comm)` on every rank of an in-process group, each rank on its
 // own thread, and returns the per-rank statuses.
@@ -141,33 +166,6 @@ TEST(TreeCombineTest, GroupingIsAFixedBinaryTree) {
   EXPECT_EQ(shape(4), "((0+1)+(2+3))");
   EXPECT_EQ(shape(5), "(((0+1)+(2+3))+4)");
   EXPECT_EQ(shape(8), "(((0+1)+(2+3))+((4+5)+(6+7)))");
-}
-
-TEST(TreeCombineTest, PowerOfTwoShardsComposeToTheGlobalTree) {
-  // The tree is closed under aligned splits: reducing 8 chunk partials as
-  // R contiguous power-of-two aligned groups and then combining the group
-  // sums yields the same grouping for R = 1, 2, 4, 8.
-  auto combine = [](std::string* dst, const std::string& src) {
-    *dst = "(" + *dst + "+" + src + ")";
-  };
-  std::vector<std::string> reference;
-  for (int R : {1, 2, 4, 8}) {
-    std::vector<std::string> rank_partials;
-    for (int r = 0; r < R; ++r) {
-      std::vector<std::string> chunks;
-      for (int c = 8 * r / R; c < 8 * (r + 1) / R; ++c) {
-        chunks.push_back(std::to_string(c));
-      }
-      TreeCombine(&chunks, combine);
-      rank_partials.push_back(chunks[0]);
-    }
-    TreeCombine(&rank_partials, combine);
-    if (R == 1) {
-      reference.push_back(rank_partials[0]);
-    } else {
-      EXPECT_EQ(rank_partials[0], reference[0]) << "R=" << R;
-    }
-  }
 }
 
 TEST(ReduceOverChunksTest, EveryThreadCountGivesTheCanonicalTreeBits) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <vector>
 
+#include "common/rng.h"
 #include "data/datasets.h"
 #include "data/generators.h"
 #include "data/tensor_io.h"
@@ -9,6 +12,235 @@
 
 namespace dtucker {
 namespace {
+
+// The analog generators as they were before their loop invariants were
+// hoisted: every value recomputed per element. The hoisted generators
+// must reproduce them bit for bit (same expressions, same RNG call order).
+Tensor ReferenceVideoAnalog(Index height, Index width, Index frames,
+                       Index num_objects, double noise, uint64_t seed) {
+  Rng rng(seed);
+  Tensor x({height, width, frames});
+
+  // Smooth background: a few separable low-frequency modes.
+  const int bg_modes = 4;
+  std::vector<double> phase_h(bg_modes), phase_w(bg_modes), amp(bg_modes);
+  for (int m = 0; m < bg_modes; ++m) {
+    phase_h[m] = rng.Uniform(0, 2 * M_PI);
+    phase_w[m] = rng.Uniform(0, 2 * M_PI);
+    amp[m] = rng.Uniform(0.5, 1.5);
+  }
+
+  // Moving blobs: linear trajectories with per-object width and intensity.
+  struct Blob {
+    double x0, y0, vx, vy, sigma, intensity;
+  };
+  std::vector<Blob> blobs(static_cast<std::size_t>(num_objects));
+  for (auto& b : blobs) {
+    b.x0 = rng.Uniform(0, static_cast<double>(width));
+    b.y0 = rng.Uniform(0, static_cast<double>(height));
+    b.vx = rng.Uniform(-0.5, 0.5) * static_cast<double>(width) /
+           static_cast<double>(frames) * 4.0;
+    b.vy = rng.Uniform(-0.5, 0.5) * static_cast<double>(height) /
+           static_cast<double>(frames) * 4.0;
+    b.sigma = rng.Uniform(0.03, 0.10) * static_cast<double>(std::min(height,
+                                                                     width));
+    b.intensity = rng.Uniform(0.5, 2.0);
+  }
+
+  for (Index t = 0; t < frames; ++t) {
+    const double tt = static_cast<double>(t) / static_cast<double>(frames);
+    for (Index j = 0; j < width; ++j) {
+      for (Index i = 0; i < height; ++i) {
+        double v = 0.0;
+        for (int m = 0; m < bg_modes; ++m) {
+          v += amp[m] *
+               std::sin((m + 1) * M_PI * i / static_cast<double>(height) +
+                        phase_h[m]) *
+               std::cos((m + 1) * M_PI * j / static_cast<double>(width) +
+                        phase_w[m]);
+        }
+        for (const Blob& b : blobs) {
+          // Positions wrap around so blobs stay in frame.
+          double bx = std::fmod(b.x0 + b.vx * t, static_cast<double>(width));
+          double by = std::fmod(b.y0 + b.vy * t, static_cast<double>(height));
+          if (bx < 0) bx += width;
+          if (by < 0) by += height;
+          const double dx = static_cast<double>(j) - bx;
+          const double dy = static_cast<double>(i) - by;
+          const double d2 = dx * dx + dy * dy;
+          if (d2 < 25.0 * b.sigma * b.sigma) {
+            v += b.intensity * std::exp(-d2 / (2 * b.sigma * b.sigma)) *
+                 (0.75 + 0.25 * std::sin(2 * M_PI * tt * 3.0));
+          }
+        }
+        x(i, j, t) = v + noise * rng.Gaussian();
+      }
+    }
+  }
+  return x;
+}
+
+Tensor ReferenceTrafficAnalog(Index sensors, Index bins, Index timesteps,
+                         double noise, uint64_t seed) {
+  Rng rng(seed);
+  const Index day = 96;  // Timesteps per synthetic day (15-min bins).
+  // Per-sensor scale and rush-hour offsets.
+  std::vector<double> scale(static_cast<std::size_t>(sensors));
+  std::vector<double> offset(static_cast<std::size_t>(sensors));
+  for (Index s = 0; s < sensors; ++s) {
+    scale[static_cast<std::size_t>(s)] = rng.Uniform(0.5, 2.0);
+    offset[static_cast<std::size_t>(s)] = rng.Uniform(-8, 8);
+  }
+  // Per-bin frequency response (smooth in the bin index).
+  std::vector<double> response(static_cast<std::size_t>(bins));
+  for (Index b = 0; b < bins; ++b) {
+    response[static_cast<std::size_t>(b)] =
+        0.5 + std::exp(-0.5 * std::pow((b - bins / 3.0) / (bins / 6.0), 2)) +
+        0.3 * std::exp(-0.5 * std::pow((b - 2.2 * bins / 3.0) / (bins / 8.0),
+                                       2));
+  }
+
+  Tensor x({sensors, bins, timesteps});
+  for (Index t = 0; t < timesteps; ++t) {
+    for (Index b = 0; b < bins; ++b) {
+      for (Index s = 0; s < sensors; ++s) {
+        const double tod = std::fmod(
+            static_cast<double>(t) + offset[static_cast<std::size_t>(s)],
+            static_cast<double>(day));
+        // Two rush-hour peaks per day.
+        const double morning =
+            std::exp(-0.5 * std::pow((tod - 0.33 * day) / (0.06 * day), 2));
+        const double evening =
+            std::exp(-0.5 * std::pow((tod - 0.72 * day) / (0.08 * day), 2));
+        const double weekly =
+            1.0 - 0.35 * (std::fmod(static_cast<double>(t), 7.0 * day) >
+                          5.0 * day);
+        double v = scale[static_cast<std::size_t>(s)] * weekly *
+                   (0.2 + morning + 0.8 * evening) *
+                   response[static_cast<std::size_t>(b)];
+        x(s, b, t) = v + noise * rng.Gaussian();
+      }
+    }
+  }
+  return x;
+}
+
+Tensor ReferenceMusicAnalog(Index songs, Index bins, Index frames, double noise,
+                       uint64_t seed) {
+  Rng rng(seed);
+  Tensor x({songs, bins, frames});
+  const int harmonics = 6;
+  for (Index s = 0; s < songs; ++s) {
+    // Each song: a fundamental bin, harmonic decay, tempo of its envelope.
+    const double f0 = rng.Uniform(2.0, static_cast<double>(bins) / 8.0);
+    const double decay = rng.Uniform(0.4, 0.8);
+    const double tempo = rng.Uniform(1.0, 6.0);
+    const double loudness = rng.Uniform(0.5, 2.0);
+    for (Index t = 0; t < frames; ++t) {
+      const double env =
+          0.5 + 0.5 * std::sin(2 * M_PI * tempo * t /
+                               static_cast<double>(frames));
+      for (Index b = 0; b < bins; ++b) {
+        double v = 0.0;
+        double a = loudness;
+        for (int h = 1; h <= harmonics; ++h) {
+          const double center = f0 * h;
+          if (center >= bins) break;
+          v += a * std::exp(-0.5 * std::pow((b - center) / 1.5, 2));
+          a *= decay;
+        }
+        x(s, b, t) = v * env + noise * rng.Gaussian();
+      }
+    }
+  }
+  return x;
+}
+
+Tensor ReferenceClimateAnalog(Index lon, Index lat, Index alt, Index timesteps,
+                         double noise, uint64_t seed) {
+  Rng rng(seed);
+  const int modes = 3;
+  std::vector<double> phase_lon(modes), phase_lat(modes), amp(modes);
+  for (int m = 0; m < modes; ++m) {
+    phase_lon[m] = rng.Uniform(0, 2 * M_PI);
+    phase_lat[m] = rng.Uniform(0, 2 * M_PI);
+    amp[m] = rng.Uniform(0.5, 1.5);
+  }
+  const double season_len = std::max<double>(12.0, timesteps / 4.0);
+
+  Tensor x({lon, lat, alt, timesteps});
+  for (Index t = 0; t < timesteps; ++t) {
+    const double season =
+        1.0 + 0.5 * std::sin(2 * M_PI * t / season_len + 0.7);
+    for (Index a = 0; a < alt; ++a) {
+      // Absorption decays with altitude.
+      const double alt_profile = std::exp(-2.0 * a / static_cast<double>(alt));
+      for (Index j = 0; j < lat; ++j) {
+        for (Index i = 0; i < lon; ++i) {
+          double v = 0.0;
+          for (int m = 0; m < modes; ++m) {
+            v += amp[m] *
+                 std::sin((m + 1) * 2 * M_PI * i / static_cast<double>(lon) +
+                          phase_lon[m]) *
+                 std::cos((m + 1) * M_PI * j / static_cast<double>(lat) +
+                          phase_lat[m]);
+          }
+          x(i, j, a, t) =
+              season * alt_profile * (1.5 + v) + noise * rng.Gaussian();
+        }
+      }
+    }
+  }
+  return x;
+}
+
+// MakeDataset's shape rule and per-dataset parameters, on the reference
+// generators (stock's generator kept its loops and is its own reference).
+Tensor ReferenceDataset(const std::string& name, double scale, uint64_t seed) {
+  std::vector<Index> d;
+  for (const DatasetSpec& spec : BenchmarkDatasets()) {
+    if (spec.name == name) d = spec.shape;
+  }
+  for (auto& v : d) {
+    v = std::max<Index>(8, static_cast<Index>(std::llround(
+                               static_cast<double>(v) * scale)));
+  }
+  if (name == "video") {
+    return ReferenceVideoAnalog(d[0], d[1], d[2], 6, 0.05, seed);
+  }
+  if (name == "video2") {
+    return ReferenceVideoAnalog(d[0], d[1], d[2], 10, 0.08, seed + 1);
+  }
+  if (name == "stock") {
+    return MakeStockAnalog(d[0], d[1], d[2], 12, 0.3, seed + 2);
+  }
+  if (name == "traffic") {
+    return ReferenceTrafficAnalog(d[0], d[1], d[2], 0.05, seed + 3);
+  }
+  if (name == "music") {
+    return ReferenceMusicAnalog(d[0], d[1], d[2], 0.02, seed + 4);
+  }
+  return ReferenceClimateAnalog(d[0], d[1], d[2], d[3], 0.05, seed + 5);
+}
+
+TEST(GeneratorsTest, HoistedLoopsReproduceThePerElementReference) {
+  for (const DatasetSpec& spec : BenchmarkDatasets()) {
+    for (double scale : {0.15, 0.5}) {
+      for (uint64_t seed : {1, 7}) {
+        const Tensor got = MakeDataset(spec.name, scale, seed).ValueOrDie();
+        const Tensor want = ReferenceDataset(spec.name, scale, seed);
+        ASSERT_EQ(got.shape(), want.shape()) << spec.name;
+        Index mismatches = 0;
+        for (Index i = 0; i < got.size(); ++i) {
+          // Bitwise: not even a last-place difference is allowed.
+          mismatches += got.data()[i] != want.data()[i];
+        }
+        EXPECT_EQ(mismatches, 0) << spec.name << " scale " << scale
+                                 << " seed " << seed;
+      }
+    }
+  }
+}
 
 TEST(GeneratorsTest, LowRankTensorHasRequestedRank) {
   Tensor x = MakeLowRankTensor({12, 10, 8}, {3, 3, 3}, 0.0, 1);

@@ -112,5 +112,31 @@ TEST(EigenSymTest, SubspaceIterationMatchesDenseProjector) {
   EXPECT_LT((MultiplyNT(warm, warm) - ref_projector).MaxAbs(), 1e-8);
 }
 
+// The subspace iteration's A Q runs in row tiles on the BLAS pool (one
+// GemmRaw call on a single thread): every thread count gives the same bits,
+// capped (max_sweeps = 2) and converged solves alike.
+TEST(EigenSymTest, SubspaceIterationBitwiseIdenticalAcrossThreads) {
+  const Index n = 300;
+  Rng rng(79);
+  const Matrix g = Matrix::GaussianRandom(n, 400, rng);
+  const Matrix a = MultiplyNT(g, g);
+  for (const SubspaceIterationOptions& options :
+       {SubspaceIterationOptions{}, SubspaceIterationOptions{2, 1e-9}}) {
+    Matrix serial;
+    for (int threads : {1, 2, 3, 4, 8}) {
+      SetBlasThreads(threads);
+      const Matrix v = TopEigenvectorsSym(a, 20, nullptr, options);
+      if (threads == 1) {
+        serial = v;
+        EXPECT_TRUE(
+            AlmostEqual(MultiplyTN(v, v), Matrix::Identity(20), 1e-10));
+      } else {
+        EXPECT_TRUE(AlmostEqual(v, serial, 0.0)) << "threads=" << threads;
+      }
+    }
+    SetBlasThreads(1);
+  }
+}
+
 }  // namespace
 }  // namespace dtucker

@@ -46,7 +46,43 @@ TEST_P(EigenQrParamTest, Reconstructs) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, EigenQrParamTest,
-                         ::testing::Values(1, 2, 3, 5, 10, 25, 60, 120));
+                         ::testing::Values(1, 2, 3, 5, 10, 25, 60, 64, 120,
+                                           200));
+
+// A PSD Gram whose spectrum falls geometrically: A A^T of n x 300 Gaussian
+// columns scaled by 0.9^j. Past j ~ 170 the eigenvalues drop below eps
+// times the largest, where a deflation test relative to the neighbouring
+// diagonal entries never fires; the QL iteration must still converge (so
+// EigenSymFast never falls back to Jacobi on a Gram) and return an
+// orthonormal basis that reconstructs the matrix.
+class EigenQrGradedTest : public ::testing::TestWithParam<Index> {};
+
+TEST_P(EigenQrGradedTest, ConvergesOnAGradedGram) {
+  const Index n = GetParam();
+  Rng rng(300 + static_cast<uint64_t>(n));
+  Matrix a = Matrix::GaussianRandom(n, 300, rng);
+  double scale = 1.0;
+  for (Index j = 0; j < a.cols(); ++j, scale *= 0.9) {
+    Scal(scale, a.col_data(j), n);
+  }
+  const Matrix g = MultiplyNT(a, a);
+  Result<EigenSymResult> r = EigenSymQr(g);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const EigenSymResult& eig = r.value();
+  EXPECT_TRUE(AlmostEqual(MultiplyTN(eig.vectors, eig.vectors),
+                          Matrix::Identity(n), 1e-10));
+  Matrix vd = eig.vectors;
+  for (Index j = 0; j < n; ++j) {
+    Scal(eig.values[static_cast<std::size_t>(j)], vd.col_data(j), n);
+  }
+  EXPECT_TRUE(AlmostEqual(MultiplyNT(vd, eig.vectors), g, 1e-12 * g.MaxAbs()));
+  for (Index i = 0; i + 1 < n; ++i) {
+    EXPECT_GE(eig.values[static_cast<std::size_t>(i)],
+              eig.values[static_cast<std::size_t>(i + 1)]);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, EigenQrGradedTest, ::testing::Values(200, 256));
 
 TEST(EigenQrTest, AgreesWithJacobi) {
   Matrix a = RandomSymmetric(40, 92);

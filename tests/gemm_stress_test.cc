@@ -318,6 +318,73 @@ TEST_F(GemmStressTest, ThreadedGemvMatchesSerial) {
   for (std::size_t i = 0; i < z1.size(); ++i) ASSERT_EQ(z1[i], z4[i]);
 }
 
+// SyrkRaw against the GemmRaw product it replaces, both orientations,
+// with padded leading dimensions: its lower triangle within 1e-12 of the
+// product's (relative to the largest entry), an exactly symmetric result,
+// and untouched padding. Shapes cover a single partial tile, tile edges
+// (48), k = 0, and k past one kc block (512).
+TEST_F(GemmStressTest, SyrkMatchesGemmLowerTriangle) {
+  SetBlasThreads(1);
+  const Shape kSyrkShapes[] = {{1, 1, 1},     {5, 5, 3},     {17, 17, 40},
+                               {47, 47, 9},   {48, 48, 48},  {49, 49, 600},
+                               {100, 100, 300}, {150, 150, 0}, {300, 300, 400}};
+  Rng rng(77);
+  for (const Shape& sh : kSyrkShapes) {
+    for (Trans trans : kTrans) {
+      const Index n = sh.n, k = sh.k;
+      const Padded a = trans == Trans::kNo ? Padded(n, k, 3, rng)
+                                           : Padded(k, n, 3, rng);
+      Padded want(n, n, 2, rng);
+      GemmRaw(trans, trans == Trans::kNo ? Trans::kYes : Trans::kNo, n, n, k,
+              1.0, a.data.data(), a.ld, a.data.data(), a.ld, 0.0,
+              want.data.data(), want.ld);
+      Padded got(n, n, 2, rng);  // Gaussian garbage the kernel overwrites.
+      SyrkRaw(trans, n, k, a.data.data(), a.ld, got.data.data(), got.ld);
+      double scale = 0;
+      for (Index j = 0; j < n; ++j) {
+        for (Index i = 0; i < n; ++i) {
+          scale = std::max(scale, std::fabs(want.at(i, j)));
+        }
+      }
+      for (Index j = 0; j < n; ++j) {
+        for (Index i = j; i < n; ++i) {
+          ASSERT_LE(std::fabs(got.at(i, j) - want.at(i, j)), 1e-12 * scale)
+              << "n=" << n << " k=" << k << " (" << i << "," << j << ")";
+          ASSERT_EQ(got.at(i, j), got.at(j, i)) << "n=" << n << " k=" << k;
+        }
+      }
+      EXPECT_TRUE(got.PaddingIntact()) << "n=" << n << " k=" << k;
+    }
+  }
+}
+
+// SyrkRaw's tile grid depends on n alone: every BLAS thread count, powers
+// of two or not, gives the serial bits.
+TEST_F(GemmStressTest, SyrkBitwiseIdenticalAtEveryThreadCount) {
+  const Shape kSyrkShapes[] = {{128, 128, 400}, {300, 300, 400},
+                               {200, 200, 700}};
+  Rng rng(78);
+  for (const Shape& sh : kSyrkShapes) {
+    for (Trans trans : kTrans) {
+      const Index n = sh.n, k = sh.k;
+      const Padded a = trans == Trans::kNo ? Padded(n, k, 0, rng)
+                                           : Padded(k, n, 0, rng);
+      std::vector<double> serial;
+      for (int threads = 1; threads <= 8; ++threads) {
+        SetBlasThreads(threads);
+        std::vector<double> c(static_cast<std::size_t>(n * n));
+        SyrkRaw(trans, n, k, a.data.data(), a.ld, c.data(), n);
+        if (threads == 1) {
+          serial = c;
+        } else {
+          ASSERT_TRUE(c == serial) << "n=" << n << " k=" << k
+                                   << " threads=" << threads;
+        }
+      }
+    }
+  }
+}
+
 // The pack buffers must satisfy the alignment the micro-kernel's vector
 // loads assume.
 TEST_F(GemmStressTest, PackBuffersAligned) {

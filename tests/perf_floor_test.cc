@@ -1,5 +1,6 @@
 // Performance floors held in tier-1 (`ctest -L bench`): the observability
-// overhead ceilings, the serving floor and the shard-split speedup.
+// overhead ceilings, the serving floor, the shard-split speedup and the
+// dense eigensolver's lead over Jacobi.
 //
 // Every cost is CPU time — the calling thread's, or the process's for work
 // that runs on a server worker while this thread waits — so a busy host
@@ -31,6 +32,8 @@
 #include "dtucker/out_of_core.h"
 #include "json_test_util.h"
 #include "linalg/blas.h"
+#include "linalg/eigen_sym.h"
+#include "linalg/eigen_tridiag.h"
 #include "serve/server.h"
 
 namespace dtucker {
@@ -295,6 +298,34 @@ TEST(PerfFloorTest, ShardSplitApproximationSpeedup) {
               one, two, four);
   EXPECT_GE(two, 0.85 * 1.727);
   EXPECT_GE(four, 0.85 * 3.364);
+}
+
+// The tridiagonal QL solver must run at least 12x faster than Jacobi on a
+// 64 x 64 PSD matrix, the dense path's largest size in TopEigenvectorsSym
+// (it read 17x here; a reduction that walks rows of the column-major
+// matrix reads ~6.5x). Each round times both solvers back to back, in CPU
+// time; the verdict takes the median round's ratio.
+TEST(PerfFloorTest, EigenSymQrAtLeast12xJacobiAt64) {
+  Rng rng(64);
+  const Matrix g = Matrix::GaussianRandom(64, 33, rng);
+  const Matrix a = MultiplyNT(g, g);
+  auto cpu_per_call = [&](const auto& solve, int calls) {
+    const double t0 = ThreadCpuSeconds();
+    for (int i = 0; i < calls; ++i) solve();
+    return (ThreadCpuSeconds() - t0) / calls;
+  };
+  std::vector<double> ratios;
+  double ql_s = 0, jacobi_s = 0;
+  for (int round = 0; round < 7; ++round) {
+    ql_s = cpu_per_call([&] { ASSERT_TRUE(EigenSymQr(a).ok()); }, 40);
+    jacobi_s = cpu_per_call([&] { EigenSym(a); }, 4);
+    ratios.push_back(jacobi_s / ql_s);
+  }
+  const double ratio = Percentile(ratios, 0.5);
+  std::printf("64x64 eigensolve: QL %.0f us, Jacobi %.0f us cpu: %.1fx "
+              "(floor 12x)\n",
+              ql_s * 1e6, jacobi_s * 1e6, ratio);
+  EXPECT_GE(ratio, 12.0);
 }
 
 }  // namespace
