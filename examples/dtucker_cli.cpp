@@ -42,7 +42,7 @@ int Fail(const Status& st) {
 }
 
 int RunOp(const FlagParser& flags) {
-  // 0 = all hardware threads, mirroring the engine/BLAS-pool convention.
+  // 0 = all hardware threads, mirroring the SetBlasThreads convention.
   int num_threads = static_cast<int>(flags.GetInt("threads"));
   if (num_threads == 0) {
     num_threads =
@@ -111,7 +111,7 @@ int RunOp(const FlagParser& flags) {
 
   if (op == "decompose") {
     // Both paths go through the Engine facade: it owns the RunContext,
-    // validates options, sizes the BLAS pool, and publishes telemetry.
+    // validates options, sets the BLAS width, and publishes telemetry.
     EngineOptions eopt;
     eopt.method_options.tucker.max_iterations =
         static_cast<int>(flags.GetInt("iters"));

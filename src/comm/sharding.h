@@ -51,15 +51,14 @@ struct ShardPlan {
 // The grid of `num_slices` >= 1 slices; InvalidArgument otherwise.
 Result<ShardPlan> MakeShardPlan(Index num_slices);
 
-// Runs fn(c, worker) once for every chunk c in [0, num_chunks) on
-// w = min(num_threads, num_chunks) threads (at least 1): the caller, which
-// is worker 0, and w - 1 parked, reused threads. The threads claim chunks
-// in ascending order from a shared counter; `worker` in [0, w) names the
-// thread, so fn can keep scratch per worker. Returns when every chunk is
-// done. While w > 1 each thread holds a PoolPartitionLease, so the threads
-// split the shared BLAS pool instead of each claiming it whole. The
-// caller spins for up to about 50 µs for the last workers before it
-// blocks.
+// Runs fn(c, worker) once for every chunk c in [0, num_chunks) through
+// ForkJoin (common/thread_pool.h) on w = min(num_threads, num_chunks)
+// threads (at least 1): the caller, which is worker 0, and w - 1 parked,
+// reused threads, which claim chunks in ascending order; `worker` in
+// [0, w) names the thread, so fn can keep scratch per worker, and its
+// trace spans go to lane `worker`. While w > 1 each thread holds a
+// PoolPartitionLease, so the threads split the SetBlasThreads width of
+// their nested GEMMs instead of each claiming it whole.
 void RunChunks(Index num_chunks, int num_threads,
                const std::function<void(Index, int)>& fn);
 

@@ -1,30 +1,169 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
-#include <chrono>
+#include <condition_variable>
+#include <cstdint>
+#include <memory>
+#include <mutex>
+#include <thread>
+#include <vector>
 
-#include "common/logging.h"
 #include "common/metrics.h"
+#include "common/timer.h"
+#include "common/trace.h"
 
 namespace dtucker {
 
 namespace {
-std::atomic<int> g_pool_partitions{1};
-std::atomic<int> g_pool_leases{0};
-}  // namespace
 
-void SetPoolPartitions(int partitions) {
-  g_pool_partitions.store(partitions < 1 ? 1 : partitions,
-                          std::memory_order_relaxed);
+std::atomic<int> g_pool_leases{0};
+
+// One spin iteration that tells the core we are in a spin-wait loop
+// without giving up the timeslice.
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#else
+  std::atomic_signal_fence(std::memory_order_seq_cst);
+#endif
 }
 
-int PoolPartitions() {
-  // The manual setting (sharded runs) and the lease count (serving jobs)
-  // feed one effective width: whichever demands the narrower per-caller
-  // fan-out wins.
-  const int manual = g_pool_partitions.load(std::memory_order_relaxed);
-  const int leases = g_pool_leases.load(std::memory_order_relaxed);
-  return leases > manual ? leases : manual;
+// Spins until ready() holds or about 50 µs have passed, and returns
+// ready(). The caller of ForkJoin waits this way for its helpers to
+// finish before it blocks: they usually finish within that window, and a
+// futex wake-up costs about as much again.
+template <typename Pred>
+bool SpinBriefly(const Pred& ready) {
+  Timer timer;
+  for (unsigned i = 1; !ready(); ++i) {
+    if (i % 64 == 0 && timer.Seconds() > 50e-6) return false;
+    CpuRelax();
+  }
+  return true;
+}
+
+// One ForkJoin call: its items, the counter its threads claim them from,
+// and the signal that its last helper is done and idle again.
+struct Batch {
+  Batch(std::ptrdiff_t n, const std::function<void(std::ptrdiff_t, int)>* f)
+      : count(n), fn(f) {}
+
+  void Claim(int worker) {
+    for (std::ptrdiff_t i = next.fetch_add(1); i < count;
+         i = next.fetch_add(1)) {
+      (*fn)(i, worker);
+    }
+  }
+
+  const std::ptrdiff_t count;
+  const std::function<void(std::ptrdiff_t, int)>* const fn;
+  std::atomic<std::ptrdiff_t> next{0};
+  std::atomic<int> running{0};  // Helpers still working.
+  std::condition_variable done;
+};
+
+// The threads that run workers 1..w-1 of ForkJoin calls. A call takes
+// idle threads and starts new ones when none is idle, and a thread parks
+// until its next batch once done. Reusing threads keeps their thread-local
+// buffers and malloc arenas warm across calls instead of rebuilding them
+// on every one. The one instance is never destroyed, so its threads and
+// the state they use live until the process exits.
+class ParkedThreads {
+ public:
+  // Sends `helpers` idle threads to claim items of `batch` as workers
+  // 1..helpers. The threads are taken in one step, in their creation
+  // order, so a lone caller runs worker w on the same thread every time.
+  void Start(Batch* batch, int helpers) {
+    std::vector<Slot*> parked;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      batch->running.fetch_add(helpers, std::memory_order_relaxed);
+      std::size_t i = 0;
+      for (int w = 1; w <= helpers; ++w) {
+        while (i < slots_.size() && slots_[i]->batch != nullptr) ++i;
+        if (i == slots_.size()) slots_.push_back(std::make_unique<Slot>());
+        Slot* slot = slots_[i].get();
+        slot->batch = batch;
+        slot->worker = w;
+        if (slot->thread.joinable()) {
+          parked.push_back(slot);
+        } else {
+          slot->thread = std::thread([this, slot] { Serve(slot); });
+        }
+      }
+    }
+    // Outside the lock, so a woken thread does not block on it at once.
+    for (Slot* slot : parked) slot->wake.notify_one();
+  }
+
+  // Returns once every helper of `batch` is done and its thread idle, so
+  // the next call finds the same threads free, in the same order.
+  void Wait(Batch* batch) {
+    auto done = [batch] {
+      return batch->running.load(std::memory_order_acquire) == 0;
+    };
+    SpinBriefly(done);
+    // Taken even when the spin saw the count reach 0: the last helper
+    // signals `done` under the lock, so once it is ours the batch is no
+    // longer in use.
+    std::unique_lock<std::mutex> lock(mutex_);
+    batch->done.wait(lock, done);
+  }
+
+ private:
+  struct Slot {
+    Batch* batch = nullptr;  // Null while idle.
+    int worker = 0;
+    std::condition_variable wake;
+    std::thread thread;
+  };
+
+  void Serve(Slot* slot) {
+    static Counter& tasks_run = MetricCounter("threadpool.tasks");
+    static Counter& busy_total = MetricCounter("threadpool.busy_ns");
+    static Histogram& task_hist = MetricHistogram("threadpool.task_ns");
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+      slot->wake.wait(lock, [slot] { return slot->batch != nullptr; });
+      Batch* batch = slot->batch;
+      const int worker = slot->worker;
+      lock.unlock();
+      SetTraceRankForCurrentThread(worker);  // Worker w's spans: lane w.
+      Timer timer;
+      batch->Claim(worker);
+      const auto busy_ns = static_cast<std::uint64_t>(timer.Seconds() * 1e9);
+      tasks_run.Add(1);
+      busy_total.Add(busy_ns);
+      task_hist.Record(busy_ns);
+      lock.lock();
+      slot->batch = nullptr;
+      if (batch->running.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        batch->done.notify_one();
+      }
+    }
+  }
+
+  std::mutex mutex_;
+  std::vector<std::unique_ptr<Slot>> slots_;
+};
+
+}  // namespace
+
+void ForkJoin(std::ptrdiff_t count, int width,
+              const std::function<void(std::ptrdiff_t, int)>& fn) {
+  const int w = static_cast<int>(std::min<std::ptrdiff_t>(width, count));
+  if (w <= 1) {
+    for (std::ptrdiff_t i = 0; i < count; ++i) fn(i, 0);
+    return;
+  }
+  static ParkedThreads* const threads = new ParkedThreads;
+  Batch batch(count, &fn);
+  threads->Start(&batch, w - 1);
+  batch.Claim(0);
+  threads->Wait(&batch);
 }
 
 PoolPartitionLease::PoolPartitionLease() {
@@ -37,135 +176,6 @@ PoolPartitionLease::~PoolPartitionLease() {
 
 int ActivePoolLeases() {
   return g_pool_leases.load(std::memory_order_relaxed);
-}
-
-std::size_t ThreadPool::partition_width() const {
-  const std::size_t parts =
-      static_cast<std::size_t>(PoolPartitions());
-  const std::size_t width = num_threads() / (parts == 0 ? 1 : parts);
-  return width == 0 ? 1 : width;
-}
-
-ThreadPool::ThreadPool(std::size_t num_threads) {
-  DT_CHECK_GE(num_threads, 1u) << "pool needs at least one thread";
-  worker_stats_ = std::make_unique<WorkerStat[]>(num_threads);
-  workers_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    shutting_down_ = true;
-  }
-  task_available_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    tasks_.push(std::move(task));
-    ++in_flight_;
-  }
-  task_available_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-void ThreadPool::WorkerLoop(std::size_t worker_index) {
-  static Counter& tasks_run = MetricCounter("threadpool.tasks");
-  static Counter& busy_total = MetricCounter("threadpool.busy_ns");
-  static Histogram& task_hist = MetricHistogram("threadpool.task_ns");
-  WorkerStat& stat = worker_stats_[worker_index];
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      task_available_.wait(
-          lock, [this] { return shutting_down_ || !tasks_.empty(); });
-      if (tasks_.empty()) {
-        if (shutting_down_) return;
-        continue;
-      }
-      task = std::move(tasks_.front());
-      tasks_.pop();
-    }
-    const auto start = std::chrono::steady_clock::now();
-    task();
-    const std::uint64_t elapsed_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-    stat.busy_ns.fetch_add(elapsed_ns, std::memory_order_relaxed);
-    tasks_run.Add(1);
-    busy_total.Add(elapsed_ns);
-    task_hist.Record(elapsed_ns);
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      --in_flight_;
-      if (in_flight_ == 0) all_done_.notify_all();
-    }
-  }
-}
-
-void ThreadPool::ParallelFor(std::size_t n,
-                             const std::function<void(std::size_t)>& body) {
-  if (n == 0) return;
-  const std::size_t width = partition_width();
-  if (width == 1 || n == 1) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  // Dynamic chunking: enough chunks for balance, few enough for low
-  // queueing overhead. The fan-out is bounded by the caller's partition
-  // width, not the raw pool size, so concurrent ranks share the pool
-  // instead of each claiming it whole (SetPoolPartitions).
-  const std::size_t chunks = std::min(n, width * 4);
-  std::atomic<std::size_t> next{0};
-  const std::size_t chunk_size = (n + chunks - 1) / chunks;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    Submit([&, chunk_size, n] {
-      for (;;) {
-        const std::size_t start = next.fetch_add(chunk_size);
-        if (start >= n) return;
-        const std::size_t end = std::min(n, start + chunk_size);
-        for (std::size_t i = start; i < end; ++i) body(i);
-      }
-    });
-  }
-  Wait();
-}
-
-void ThreadPool::ParallelForRanges(
-    std::size_t n, std::size_t min_grain,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  if (n == 0) return;
-  if (min_grain == 0) min_grain = 1;
-  const std::size_t max_ranges = (n + min_grain - 1) / min_grain;
-  // Two ranges per available worker gives slack for imbalance without
-  // flooding the queue; "available" is this caller's partition share of
-  // the pool (SetPoolPartitions), so R concurrent ranks submit ~pool-width
-  // total ranges instead of R times that.
-  const std::size_t width = partition_width();
-  const std::size_t ranges = std::min(max_ranges, width * 2);
-  if (width == 1 || ranges <= 1) {
-    body(0, n);
-    return;
-  }
-  const std::size_t step = (n + ranges - 1) / ranges;
-  for (std::size_t r = 0; r < ranges; ++r) {
-    const std::size_t begin = r * step;
-    const std::size_t end = std::min(n, begin + step);
-    if (begin >= end) break;
-    Submit([&body, begin, end] { body(begin, end); });
-  }
-  Wait();
 }
 
 }  // namespace dtucker

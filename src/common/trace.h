@@ -99,9 +99,9 @@ std::uint64_t TraceDroppedEventCount();
 // --- Rank / run identity ----------------------------------------------------
 
 // Tags the calling thread's trace buffer with a rank: its events export
-// under Chrome-trace pid == rank. Threads never tagged (the shared
-// BLAS-pool workers, which serve whichever thread scheduled the task)
-// export on rank 0's lane. Safe to call at any time from the owning
+// under Chrome-trace pid == rank. Threads never tagged export on rank
+// 0's lane; ForkJoin (common/thread_pool.h) tags each helper with its
+// worker index as it joins a call. Safe to call at any time from the owning
 // thread. The first call on a thread registers its buffer at the current
 // capacity, but storage is allocated only when the thread records its
 // first span.

@@ -19,9 +19,10 @@
 //
 // Threading: every slice pass is one fork-join over the fixed chunk grid
 // of comm/sharding.h (RunChunks), on min(num_threads, C) threads that
-// split the shared BLAS pool. The small dense work between passes — the
-// eigensolves, the trailing contractions, the core — runs once, on the
-// calling thread, with the whole pool.
+// split the SetBlasThreads width. The small dense work between passes —
+// the eigensolves, the trailing contractions, the core — runs once, from
+// the calling thread, with the whole width (RunBlasTiles,
+// linalg/gemm_kernel.h).
 //
 // Determinism: every floating-point sum over slices follows the chunk
 // grid — fixed chunks, serial accumulation within a chunk, one fixed
@@ -71,7 +72,7 @@ struct DTuckerOptions {
   bool auto_reorder = false;
   // Threads for every slice pass: min(num_threads, C) threads work
   // through the C = min(8, L) fixed slice chunks, each with one share of
-  // the BLAS pool (comm/sharding.h). The result is bitwise identical for
+  // the BLAS width (comm/sharding.h). The result is bitwise identical for
   // every value.
   int num_threads = 1;
 

@@ -40,7 +40,7 @@ struct EngineOptions {
   // own, or the per-call override passed to Solve/SolveFile/
   // SolveApproximation.
   MethodOptions method_options;
-  // When > 0, the process-wide BLAS pool is sized to this before solving
+  // When > 0, the process-wide BLAS width is set to this before solving
   // (linalg/blas.h SetBlasThreads). 0 leaves the current setting alone.
   int blas_threads = 0;
   // When >= 1, D-Tucker runs with num_threads = num_ranks (dtucker.h) in

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "linalg/gemm_kernel.h"
 
 namespace dtucker {
@@ -38,6 +37,19 @@ constexpr Index kTallTnMaxAPanel = Index(1) << 18;  // m * k doubles.
 
 // The GEMV counterpart of kGemmParallelVolume (gemm_kernel.h): m * n.
 constexpr Index kGemvParallelVolume = 1 << 20;
+
+// Runs body(begin, end) over [0, n): past the caller's volume floor
+// (`fan_out`) in tiles of `grain` through RunBlasTiles, else in one call.
+template <typename Body>
+void RunInTiles(Index n, Index grain, bool fan_out, const Body& body) {
+  if (!fan_out) {
+    body(Index{0}, n);
+    return;
+  }
+  RunBlasTiles((n + grain - 1) / grain, [&](Index begin, Index end) {
+    body(begin * grain, std::min(n, end * grain));
+  });
+}
 
 // Native-width vectors (GCC/Clang vector extensions) for the unpacked
 // kernels below and Nrm2. Explicit vector accumulators, as in the packed
@@ -67,7 +79,7 @@ typedef double Vec;
 // scalar remainders accumulate in the same `acc += a * b` form (so both
 // contract to the same FMA, or neither does). An element therefore gets the
 // same bits whichever tile or thread row range computes it, which keeps
-// the BLAS pool's row split identical to the serial result.
+// the threaded row split identical to the serial result.
 
 // NN kernel, C += alpha * A * op(B) with A column-major: a tile of kMv
 // vectors of C rows by kNb columns holds kMv * kNb accumulators while p
@@ -228,8 +240,8 @@ void TnRows(Index row0, Index row1, Index n, Index k, double alpha,
   });
 }
 
-// The unpacked path: C += alpha * op(A) * op(B), row ranges of C split over
-// the BLAS pool for large products.
+// The unpacked path: C += alpha * op(A) * op(B), in tiles of 64 rows of C
+// on RunBlasTiles for large products.
 void GemmThinPath(Trans trans_a, Trans trans_b, Index m, Index n, Index k,
                   double alpha, const double* a, Index lda, const double* b,
                   Index ldb, double* c, Index ldc) {
@@ -248,19 +260,10 @@ void GemmThinPath(Trans trans_a, Trans trans_b, Index m, Index n, Index k,
   } else {
     rows = &NnRows<double, 1>;
   }
-  ThreadPool* pool = SharedBlasPool();
-  if (pool != nullptr && !InBlasWorker() && m * n * k >= kGemmParallelVolume &&
-      m > 1) {
-    pool->ParallelForRanges(
-        static_cast<std::size_t>(m), /*min_grain=*/64,
-        [&](std::size_t begin, std::size_t end) {
-          BlasWorkerScope scope;
-          rows(static_cast<Index>(begin), static_cast<Index>(end), n, k, alpha,
-               a, lda, b, rsb, csb, c, ldc);
-        });
-  } else {
-    rows(0, m, n, k, alpha, a, lda, b, rsb, csb, c, ldc);
-  }
+  RunInTiles(m, /*grain=*/64, m * n * k >= kGemmParallelVolume,
+             [&](Index begin, Index end) {
+               rows(begin, end, n, k, alpha, a, lda, b, rsb, csb, c, ldc);
+             });
 }
 
 // Packed three-level path (see linalg/gemm_kernel.h for the layout). The
@@ -273,9 +276,7 @@ void GemmThinPath(Trans trans_a, Trans trans_b, Index m, Index n, Index k,
 void GemmPackedPath(Trans trans_a, Trans trans_b, Index m, Index n, Index k,
                     double alpha, const double* a, Index lda, const double* b,
                     Index ldb, double* c, Index ldc, bool overwrite_c) {
-  ThreadPool* pool = SharedBlasPool();
-  const bool threaded =
-      pool != nullptr && !InBlasWorker() && m * n * k >= kGemmParallelVolume;
+  const bool threaded = m * n * k >= kGemmParallelVolume;
   for (Index jc = 0; jc < n; jc += kGemmNC) {
     const Index nb = std::min(kGemmNC, n - jc);
     for (Index lc = 0; lc < k; lc += kGemmKC) {
@@ -286,25 +287,20 @@ void GemmPackedPath(Trans trans_a, Trans trans_b, Index m, Index n, Index k,
           trans_b == Trans::kNo ? b + lc + jc * ldb : b + jc + lc * ldb;
       PackB(trans_b, kb, nb, bsrc, ldb, bpack);
       const Index num_blocks = (m + kGemmMC - 1) / kGemmMC;
-      auto run_block = [&](Index ib) {
-        const Index i0 = ib * kGemmMC;
-        const Index mb = std::min(kGemmMC, m - i0);
-        double* apack = TlsPackBufferA(PackedASize(mb, kb));
-        const double* asrc =
-            trans_a == Trans::kNo ? a + i0 + lc * lda : a + lc + i0 * lda;
-        PackA(trans_a, mb, kb, alpha, asrc, lda, apack);
-        GemmMacroKernel(mb, nb, kb, apack, bpack, c + i0 + jc * ldc, ldc,
-                        overwrite);
-      };
-      if (threaded && num_blocks > 1) {
-        pool->ParallelFor(static_cast<std::size_t>(num_blocks),
-                          [&](std::size_t ib) {
-                            BlasWorkerScope scope;
-                            run_block(static_cast<Index>(ib));
-                          });
-      } else {
-        for (Index ib = 0; ib < num_blocks; ++ib) run_block(ib);
-      }
+      RunInTiles(num_blocks, /*grain=*/1, threaded,
+                 [&](Index begin, Index end) {
+                   for (Index ib = begin; ib < end; ++ib) {
+                     const Index i0 = ib * kGemmMC;
+                     const Index mb = std::min(kGemmMC, m - i0);
+                     double* apack = TlsPackBufferA(PackedASize(mb, kb));
+                     const double* asrc = trans_a == Trans::kNo
+                                              ? a + i0 + lc * lda
+                                              : a + lc + i0 * lda;
+                     PackA(trans_a, mb, kb, alpha, asrc, lda, apack);
+                     GemmMacroKernel(mb, nb, kb, apack, bpack,
+                                     c + i0 + jc * ldc, ldc, overwrite);
+                   }
+                 });
     }
   }
 }
@@ -464,16 +460,17 @@ void SyrkRaw(Trans trans, Index n, Index k, const double* a, Index lda,
         }
       }
     };
-    RunBlasTiles(side + tiles, n * (n + 1) / 2 * kb,
-                 [&](Index begin, Index end) {
-                   for (Index t = begin; t < end; ++t) {
-                     if (t < side) {
-                       pack(t);
-                     } else {
-                       tile(t - side);
-                     }
+    RunInTiles(side + tiles, /*grain=*/1,
+               n * (n + 1) / 2 * kb >= kTileParallelVolume,
+               [&](Index begin, Index end) {
+                 for (Index t = begin; t < end; ++t) {
+                   if (t < side) {
+                     pack(t);
+                   } else {
+                     tile(t - side);
                    }
-                 });
+                 }
+               });
   }
 }
 
@@ -486,13 +483,11 @@ void GemvRaw(Trans trans_a, Index m, Index n, double alpha, const double* a,
     flops.Add(2ull * static_cast<std::uint64_t>(m) *
               static_cast<std::uint64_t>(n));
   }
-  ThreadPool* pool = SharedBlasPool();
-  const bool threaded =
-      pool != nullptr && !InBlasWorker() && m * n >= kGemvParallelVolume;
+  const bool threaded = m * n >= kGemvParallelVolume;
   if (trans_a == Trans::kNo) {
     // y(m) = alpha * A(m x n) * x(n) + beta * y: axpy form over disjoint
     // row ranges of y.
-    auto run_rows = [&](Index r0, Index r1) {
+    RunInTiles(m, /*grain=*/1024, threaded, [&](Index r0, Index r1) {
       const Index len = r1 - r0;
       if (beta == 0.0) {
         std::memset(y + r0, 0, static_cast<std::size_t>(len) * sizeof(double));
@@ -502,35 +497,15 @@ void GemvRaw(Trans trans_a, Index m, Index n, double alpha, const double* a,
       for (Index j = 0; j < n; ++j) {
         Axpy(alpha * x[j], a + r0 + j * lda, y + r0, len);
       }
-    };
-    if (threaded) {
-      pool->ParallelForRanges(static_cast<std::size_t>(m), /*min_grain=*/1024,
-                              [&](std::size_t begin, std::size_t end) {
-                                BlasWorkerScope scope;
-                                run_rows(static_cast<Index>(begin),
-                                         static_cast<Index>(end));
-                              });
-    } else {
-      run_rows(0, m);
-    }
+    });
   } else {
     // y(n) = alpha * A^T * x(m) + beta * y: one dot per output element.
-    auto run_cols = [&](Index j0, Index j1) {
+    RunInTiles(n, /*grain=*/8, threaded, [&](Index j0, Index j1) {
       for (Index j = j0; j < j1; ++j) {
         double s = Dot(a + j * lda, x, m);
         y[j] = alpha * s + (beta == 0.0 ? 0.0 : beta * y[j]);
       }
-    };
-    if (threaded) {
-      pool->ParallelForRanges(static_cast<std::size_t>(n), /*min_grain=*/8,
-                              [&](std::size_t begin, std::size_t end) {
-                                BlasWorkerScope scope;
-                                run_cols(static_cast<Index>(begin),
-                                         static_cast<Index>(end));
-                              });
-    } else {
-      run_cols(0, n);
-    }
+    });
   }
 }
 

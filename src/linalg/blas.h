@@ -15,12 +15,13 @@ namespace dtucker {
 
 enum class Trans { kNo, kYes };
 
-// Process-wide BLAS thread count. The default is 1 (serial, deterministic
-// scheduling). Values > 1 lazily build a shared worker pool that GemmRaw,
-// GemvRaw, SyrkRaw, and the tensor mode products use for their macro loops;
-// <= 0 means "use std::thread::hardware_concurrency()". Call this once at
-// startup (e.g. from a --threads flag): it must not race with in-flight
-// BLAS calls, because resizing joins and replaces the old pool.
+// Process-wide BLAS thread count. The default is 1 (serial). With values
+// > 1, GemmRaw, GemvRaw, SyrkRaw and the tensor mode products fan their
+// large products out over that many threads (RunBlasTiles,
+// linalg/gemm_kernel.h); <= 0 means "use
+// std::thread::hardware_concurrency()". The setting is one relaxed int,
+// read by each fork-join as it starts, so it may change while BLAS calls
+// run; the width never changes result bits.
 void SetBlasThreads(int num_threads);
 int GetBlasThreads();
 
@@ -37,7 +38,7 @@ void GemmRaw(Trans trans_a, Trans trans_b, Index m, Index n, Index k,
 // symmetric. Only the lower-triangle tiles of a fixed grid are computed —
 // about half of GemmRaw's work, with the packed path's micro-kernel — and
 // each is mirrored into the upper triangle. The grid depends on n alone
-// and the tiles run on the BLAS pool (RunBlasTiles, gemm_kernel.h), so the
+// and the tiles fan out through RunBlasTiles (gemm_kernel.h), so the
 // bits are the same at every thread count.
 void SyrkRaw(Trans trans, Index n, Index k, const double* a, Index lda,
              double* c, Index ldc);

@@ -92,22 +92,28 @@ thread_local std::uint64_t tls_subspace_sweeps = 0;
 constexpr Index kProductTileRows = 80;
 
 // z = a q (a n x n, q and z n x s) as round(n / kProductTileRows) row
-// tiles of near-equal height on the BLAS pool, or one GemmRaw call on a
-// single thread. The grid depends on n alone, and every tile is at least
-// 17 rows tall, so GemmRaw routes a tile down the same path as the whole
-// product; both paths give each element bits that do not depend on the
-// rows around it, so a tile reproduces the whole product's rows exactly.
+// tiles of near-equal height on RunBlasTiles, or, below
+// kTileParallelVolume, one GemmRaw call on the calling thread. The grid
+// depends on n alone, and every tile is at least 17 rows tall, so
+// GemmRaw routes a tile down the same path as the whole product; both
+// paths give each element bits that do not depend on the rows around it,
+// so a tile reproduces the whole product's rows exactly.
 void TiledProduct(const Matrix& a, const Matrix& q, Matrix* z) {
   const Index n = a.rows();
   const Index s = q.cols();
   const Index count =
       std::max<Index>(1, (n + kProductTileRows / 2) / kProductTileRows);
-  RunBlasTiles(count, n * n * s, [&](Index begin, Index end) {
+  auto rows = [&](Index begin, Index end) {
     const Index r0 = n * begin / count;
     const Index r1 = n * end / count;
     GemmRaw(Trans::kNo, Trans::kNo, r1 - r0, s, n, 1.0, a.data() + r0, n,
             q.data(), n, 0.0, z->data() + r0, n);
-  });
+  };
+  if (n * n * s >= kTileParallelVolume) {
+    RunBlasTiles(count, rows);
+  } else {
+    rows(0, count);
+  }
 }
 
 }  // namespace

@@ -1,4 +1,7 @@
-// Symmetric eigendecomposition via the classical Jacobi method.
+// Symmetric eigensolvers: the classical Jacobi method (EigenSym), the
+// tridiagonal QL solver with Jacobi as its fallback (EigenSymFast), and
+// the randomized subspace iteration for the leading eigenvectors of large
+// Grams (TopEigenvectorsSym).
 //
 // Used for Gram-matrix based factor updates and as an independent check of
 // the SVD (eig(A^T A) = singular values squared).

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
-#include <mutex>
 #include <thread>
 
 #include "common/logging.h"
@@ -194,7 +193,8 @@ namespace {
 
 // Grow-only 64-byte-aligned scratch buffer. One instance lives per thread
 // per operand (thread_local below), so repeated GEMM calls reuse the same
-// allocation; pool workers keep theirs for the pool's lifetime.
+// allocation; ForkJoin's reused threads keep theirs for the process's
+// lifetime.
 class AlignedBuffer {
  public:
   AlignedBuffer() = default;
@@ -227,11 +227,23 @@ class AlignedBuffer {
 };
 
 std::atomic<int> g_blas_threads{1};
-std::mutex g_pool_mutex;
-ThreadPool* g_pool = nullptr;  // Guarded by g_pool_mutex; leaked at exit.
-std::size_t g_pool_threads = 0;
 
+// True while the calling thread runs BLAS tiles: RunBlasTiles then keeps
+// the GEMMs nested in a tile on that thread instead of fanning out again.
 thread_local bool tls_in_blas_worker = false;
+
+class BlasWorkerScope {
+ public:
+  BlasWorkerScope() : previous_(tls_in_blas_worker) {
+    tls_in_blas_worker = true;
+  }
+  ~BlasWorkerScope() { tls_in_blas_worker = previous_; }
+  BlasWorkerScope(const BlasWorkerScope&) = delete;
+  BlasWorkerScope& operator=(const BlasWorkerScope&) = delete;
+
+ private:
+  bool previous_;
+};
 
 }  // namespace
 
@@ -257,65 +269,21 @@ int GetBlasThreads() {
   return g_blas_threads.load(std::memory_order_relaxed);
 }
 
-ThreadPool* SharedBlasPool() {
-  const std::size_t want = static_cast<std::size_t>(GetBlasThreads());
-  if (want <= 1) return nullptr;
-  std::lock_guard<std::mutex> lock(g_pool_mutex);
-  if (g_pool == nullptr || g_pool_threads != want) {
-    // Resizing joins the old workers first; SetBlasThreads must not race
-    // with in-flight BLAS calls (documented in blas.h).
-    delete g_pool;
-    g_pool = new ThreadPool(want);
-    g_pool_threads = want;
-  }
-  return g_pool;
-}
-
-bool InBlasWorker() { return tls_in_blas_worker; }
-
-void RunBlasTiles(Index count, Index volume,
+void RunBlasTiles(Index count,
                   const std::function<void(Index, Index)>& tiles) {
-  ThreadPool* pool =
-      count > 1 && volume >= kTileParallelVolume && !InBlasWorker()
-          ? SharedBlasPool()
-          : nullptr;
-  const Index helpers =
-      pool == nullptr
-          ? 0
-          : std::min<Index>(count,
-                            static_cast<Index>(pool->partition_width())) -
-                1;
-  if (helpers == 0) {
-    BlasWorkerScope scope;
+  const int width =
+      tls_in_blas_worker
+          ? 1
+          : GetBlasThreads() / std::max(1, ActivePoolLeases());
+  BlasWorkerScope scope;
+  if (width <= 1 || count <= 1) {
     tiles(0, count);
     return;
   }
-  std::atomic<Index> next{0};
-  std::atomic<Index> running{helpers};
-  auto claim = [&] {
-    BlasWorkerScope scope;
-    for (Index t = next.fetch_add(1); t < count; t = next.fetch_add(1)) {
-      tiles(t, t + 1);
-    }
-  };
-  for (Index h = 0; h < helpers; ++h) {
-    pool->Submit([&] {
-      claim();
-      running.fetch_sub(1, std::memory_order_release);
-    });
-  }
-  claim();
-  // The helpers finish within about one tile's time of the caller; a
-  // blocking wait would add a wake-up on top.
-  while (running.load(std::memory_order_acquire) != 0) {
-    std::this_thread::yield();
-  }
+  ForkJoin(count, width, [&tiles](Index t, int) {
+    BlasWorkerScope helper_scope;
+    tiles(t, t + 1);
+  });
 }
-
-BlasWorkerScope::BlasWorkerScope() : previous_(tls_in_blas_worker) {
-  tls_in_blas_worker = true;
-}
-
-BlasWorkerScope::~BlasWorkerScope() { tls_in_blas_worker = previous_; }
 
 }  // namespace dtucker

@@ -14,11 +14,11 @@
 // operand: the working set is one MC x KC A block and one KC x NC B panel,
 // held in thread-local buffers that are reused across calls.
 //
-// Threading: the ic loop runs on a process-wide pool configured with
-// SetBlasThreads (declared in linalg/blas.h). Code that parallelizes at a
-// coarser grain (slice loops, mode-product slabs) wraps its worker bodies
-// in BlasWorkerScope so nested GEMM calls stay serial instead of fighting
-// for the same pool.
+// Threading: the ic loop, like every other BLAS fan-out, runs through
+// RunBlasTiles on up to SetBlasThreads (linalg/blas.h) threads of the one
+// worker set (ForkJoin, common/thread_pool.h). Tiles run inside a
+// BLAS-worker marker, so GEMMs nested in a tile (mode-product slabs,
+// ModeGram chunks) stay serial instead of fanning out again.
 #ifndef DTUCKER_LINALG_GEMM_KERNEL_H_
 #define DTUCKER_LINALG_GEMM_KERNEL_H_
 
@@ -28,8 +28,6 @@
 #include "linalg/blas.h"
 
 namespace dtucker {
-
-class ThreadPool;
 
 // Register micro-tile, sized to the vector register file of the target
 // ISA: two native vectors of C rows times kNR columns of accumulators
@@ -95,52 +93,28 @@ void GemmMacroKernel(Index mb, Index nb, Index kb, const double* apack,
                      bool overwrite = false);
 
 // Thread-local pack buffers, grown on demand and aligned to
-// kGemmPackAlignment. Pool worker threads keep theirs alive for the pool's
-// lifetime, so steady-state GEMM performs no allocation.
+// kGemmPackAlignment. Worker threads are reused for the life of the
+// process (ForkJoin), so steady-state GEMM performs no allocation.
 double* TlsPackBufferA(std::size_t doubles);
 double* TlsPackBufferB(std::size_t doubles);
 
-// The process-wide BLAS pool, lazily (re)built to the SetBlasThreads
-// setting. Returns nullptr when the setting is 1 thread (the default).
-ThreadPool* SharedBlasPool();
-
-// True while the calling thread is executing inside a BLAS-parallel region
-// (either the pool's own macro loops or a coarser-grained caller that
-// entered a BlasWorkerScope). Threaded kernels fall back to their serial
-// paths when set, preventing nested use of the shared pool.
-bool InBlasWorker();
-
-// Multiply-adds below which RunBlasTiles keeps a pass on the calling
-// thread: a pass on the pool costs ~20 us of fork-join.
+// Multiply-adds below which SyrkRaw and the subspace iteration's tiled
+// product stay on the calling thread: a fork-join costs 10-20 us.
 inline constexpr Index kTileParallelVolume = Index(1) << 21;
 
-// Runs every tile t in [0, count), `volume` multiply-adds in all, through
-// tiles(begin, end), which runs the tiles [begin, end). When the volume
-// reaches kTileParallelVolume, a pool exists and the caller is not inside
-// a BLAS-parallel region, the calling thread and up to partition_width()
-// - 1 pool workers claim single tiles in ascending order from a shared
-// counter (so a D-Tucker chunk worker gets its partition share of the
-// pool, usually none); otherwise the caller runs tiles(0, count) once.
-// Every call runs inside a BlasWorkerScope, so its own GEMMs stay serial.
-// The result must not depend on how the range is cut — tiles that write
-// disjoint outputs with per-element arithmetic fixed by the grid — and
-// then it is the same at every thread count.
-void RunBlasTiles(Index count, Index volume,
-                  const std::function<void(Index, Index)>& tiles);
-
-// RAII marker for coarse-grained parallel regions (slice loops, tensor slab
-// loops): while alive on a thread, GEMM/GEMV calls from that thread run
-// serially.
-class BlasWorkerScope {
- public:
-  BlasWorkerScope();
-  ~BlasWorkerScope();
-  BlasWorkerScope(const BlasWorkerScope&) = delete;
-  BlasWorkerScope& operator=(const BlasWorkerScope&) = delete;
-
- private:
-  bool previous_;
-};
+// Runs every tile t in [0, count) through tiles(begin, end), which runs
+// the tiles [begin, end). The calling thread and up to w - 1 helpers
+// claim single tiles in ascending order (ForkJoin, common/thread_pool.h),
+// where w = min(count, GetBlasThreads() / max(1, ActivePoolLeases())): a
+// D-Tucker chunk worker gets its lease share of the BLAS width, usually
+// 1. Inside a tile, or at w = 1, the caller runs tiles(0, count) once.
+// Either way the tiles run inside a BLAS-worker marker, so their own
+// GEMMs stay serial. Callers apply their volume floor first: below it a
+// fork-join costs more than it saves. The result must not depend on how
+// the range is cut — tiles that write disjoint outputs with per-element
+// arithmetic fixed by the grid — and then it is the same at every thread
+// count.
+void RunBlasTiles(Index count, const std::function<void(Index, Index)>& tiles);
 
 }  // namespace dtucker
 

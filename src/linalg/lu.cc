@@ -1,6 +1,7 @@
 #include "linalg/lu.h"
 
 #include <cmath>
+#include <vector>
 
 namespace dtucker {
 
@@ -8,13 +9,12 @@ namespace {
 
 // In-place factorization PA = LU; returns pivot rows or an error status.
 // On success `a` holds L (unit diagonal, below) and U (upper).
-Status Factorize(Matrix* a, std::vector<Index>* pivots, int* sign) {
+Status Factorize(Matrix* a, std::vector<Index>* pivots) {
   const Index n = a->rows();
   if (n != a->cols()) {
     return Status::InvalidArgument("LU requires a square matrix");
   }
   pivots->resize(static_cast<std::size_t>(n));
-  *sign = 1;
   for (Index k = 0; k < n; ++k) {
     // Partial pivot: largest |a(i,k)| for i >= k.
     Index p = k;
@@ -31,7 +31,6 @@ Status Factorize(Matrix* a, std::vector<Index>* pivots, int* sign) {
     }
     (*pivots)[static_cast<std::size_t>(k)] = p;
     if (p != k) {
-      *sign = -*sign;
       for (Index j = 0; j < n; ++j) std::swap((*a)(k, j), (*a)(p, j));
     }
     const double inv = 1.0 / (*a)(k, k);
@@ -52,8 +51,7 @@ Result<Matrix> SolveLu(const Matrix& a, const Matrix& b) {
   }
   Matrix lu = a;
   std::vector<Index> pivots;
-  int sign = 0;
-  DT_RETURN_NOT_OK(Factorize(&lu, &pivots, &sign));
+  DT_RETURN_NOT_OK(Factorize(&lu, &pivots));
 
   const Index n = a.rows();
   Matrix x = b;
@@ -81,24 +79,6 @@ Result<Matrix> SolveLu(const Matrix& a, const Matrix& b) {
     }
   }
   return x;
-}
-
-Result<Matrix> Inverse(const Matrix& a) {
-  return SolveLu(a, Matrix::Identity(a.rows()));
-}
-
-Result<double> Determinant(const Matrix& a) {
-  Matrix lu = a;
-  std::vector<Index> pivots;
-  int sign = 0;
-  Status st = Factorize(&lu, &pivots, &sign);
-  if (!st.ok()) {
-    if (st.code() == StatusCode::kNumericalError) return 0.0;  // Singular.
-    return st;
-  }
-  double det = sign;
-  for (Index i = 0; i < a.rows(); ++i) det *= lu(i, i);
-  return det;
 }
 
 }  // namespace dtucker

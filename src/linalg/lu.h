@@ -1,8 +1,6 @@
-// LU factorization with partial pivoting, linear solves, and inverses.
+// LU factorization with partial pivoting, for linear solves.
 #ifndef DTUCKER_LINALG_LU_H_
 #define DTUCKER_LINALG_LU_H_
-
-#include <vector>
 
 #include "common/status.h"
 #include "linalg/matrix.h"
@@ -12,12 +10,6 @@ namespace dtucker {
 // Solves A X = B with partial-pivoted Gaussian elimination.
 // Returns NumericalError on (numerically) singular A.
 Result<Matrix> SolveLu(const Matrix& a, const Matrix& b);
-
-// A^{-1} via SolveLu against the identity. Prefer SolveLu when possible.
-Result<Matrix> Inverse(const Matrix& a);
-
-// Determinant via the LU factorization (small matrices).
-Result<double> Determinant(const Matrix& a);
 
 }  // namespace dtucker
 

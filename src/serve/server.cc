@@ -271,8 +271,8 @@ void DecompositionServer::ExecuteJob(const std::shared_ptr<ServeJob>& job) {
   Result<EngineRun> run = Status::OK();
   {
     // Fair sharing: while this job runs it holds one pool-partition lease,
-    // so concurrent jobs split the process-wide BLAS pool's fan-out
-    // instead of each claiming it whole.
+    // so concurrent jobs split the SetBlasThreads fan-out width instead of
+    // each claiming it whole.
     PoolPartitionLease lease;
     const ModelSpec& spec = job->request.model;
     EngineOptions eopt = options_.engine;

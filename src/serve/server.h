@@ -14,8 +14,9 @@
 //     override, so one job's deadline or cancellation never touches
 //     another's.
 //   - Fair compute sharing: each running job holds a PoolPartitionLease
-//     (common/thread_pool.h), so two active jobs each fan out over ~half
-//     the process-wide BLAS pool instead of both flooding it.
+//     (common/thread_pool.h), so two active jobs each fan out their BLAS
+//     tiles over ~half the SetBlasThreads width instead of both flooding
+//     the machine.
 //   - Model cache + single-flight: completed decompositions land in an LRU
 //     ModelCache keyed by ModelSpec::CanonicalKey. A Submit that matches a
 //     resident model completes immediately from cache; one that matches a

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "linalg/gemm_kernel.h"
 
@@ -93,8 +92,8 @@ Matrix ModeGram(const Tensor& x, Index mode) {
   }
   if (mode == 0) {
     // The flat buffer already is X_(1) (dim x back) column-major: one
-    // SyrkRaw, whose tiles may run on the pool (bitwise-deterministic by
-    // its fixed tile grid).
+    // SyrkRaw, whose tiles may fan out (bitwise-deterministic by its fixed
+    // tile grid).
     SyrkRaw(Trans::kNo, s.dim, s.back, x.data(), s.dim, g.data(), s.dim);
     return g;
   }
@@ -114,13 +113,13 @@ Matrix ModeGram(const Tensor& x, Index mode) {
     }
   };
   if (chunks == 1) {
-    // One slab: a single SyrkRaw, whose tiles may run on the pool.
+    // One slab: a single SyrkRaw, whose tiles may fan out.
     SyrkRaw(Trans::kYes, s.dim, s.front, src, s.front, g.data(), s.dim);
     return g;
   }
 
   // Chunk 0 accumulates into g directly; chunks 1..C-1 into partials.
-  // Serial and pooled paths execute the identical chunk structure.
+  // Serial and threaded paths execute the identical chunk structure.
   std::vector<Matrix> partials(static_cast<std::size_t>(chunks - 1));
   for (Matrix& p : partials) p = Matrix::Uninitialized(s.dim, s.dim);
   auto chunk_acc = [&](Index c) {
@@ -129,19 +128,13 @@ Matrix ModeGram(const Tensor& x, Index mode) {
   // The chunks fan out only past GemmRaw's volume floor; below it the
   // fork-join costs more than the chunks (the chunk arithmetic is the
   // same either way).
-  ThreadPool* pool = SharedBlasPool();
-  if (pool != nullptr && !InBlasWorker() &&
-      s.dim * s.dim * s.front * s.back >= kGemmParallelVolume) {
-    pool->ParallelForRanges(static_cast<std::size_t>(chunks), /*min_grain=*/1,
-                            [&](std::size_t begin, std::size_t end) {
-                              BlasWorkerScope scope;
-                              for (std::size_t c = begin; c < end; ++c) {
-                                const Index ci = static_cast<Index>(c);
-                                run_chunk(ci, chunk_acc(ci));
-                              }
-                            });
+  auto run_chunks = [&](Index begin, Index end) {
+    for (Index c = begin; c < end; ++c) run_chunk(c, chunk_acc(c));
+  };
+  if (s.dim * s.dim * s.front * s.back >= kGemmParallelVolume) {
+    RunBlasTiles(chunks, run_chunks);
   } else {
-    for (Index c = 0; c < chunks; ++c) run_chunk(c, chunk_acc(c));
+    run_chunks(0, chunks);
   }
   // Fixed-order reduction: ascending chunk index.
   for (Index c = 1; c < chunks; ++c) {
@@ -206,19 +199,14 @@ void ModeProductIntoUntraced(const Tensor& x, const Matrix& u, Index mode,
   // the per-slab GEMMs serial; otherwise run the slab loop serially and
   // let big GEMMs thread internally. A slab's bits do not depend on the
   // thread that computes it.
-  ThreadPool* pool = SharedBlasPool();
-  if (pool != nullptr && !InBlasWorker() &&
-      s.back >= static_cast<Index>(pool->num_threads()) &&
+  auto run_slabs = [&](Index begin, Index end) {
+    for (Index b = begin; b < end; ++b) run_slab(b);
+  };
+  if (s.back >= GetBlasThreads() &&
       s.front * j * s.dim * s.back >= kGemmParallelVolume) {
-    pool->ParallelForRanges(static_cast<std::size_t>(s.back), /*min_grain=*/1,
-                            [&](std::size_t begin, std::size_t end) {
-                              BlasWorkerScope scope;
-                              for (std::size_t b = begin; b < end; ++b) {
-                                run_slab(static_cast<Index>(b));
-                              }
-                            });
+    RunBlasTiles(s.back, run_slabs);
   } else {
-    for (Index b = 0; b < s.back; ++b) run_slab(b);
+    run_slabs(0, s.back);
   }
 }
 

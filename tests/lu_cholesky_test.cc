@@ -75,26 +75,5 @@ TEST(LuTest, SingularMatrixIsReported) {
   EXPECT_EQ(x.status().code(), StatusCode::kNumericalError);
 }
 
-TEST(LuTest, InverseTimesOriginalIsIdentity) {
-  Rng rng(5);
-  Matrix a = Matrix::GaussianRandom(9, 9, rng);
-  Result<Matrix> inv = Inverse(a);
-  ASSERT_TRUE(inv.ok());
-  EXPECT_TRUE(AlmostEqual(Multiply(a, inv.value()), Matrix::Identity(9),
-                          1e-8));
-}
-
-TEST(LuTest, DeterminantKnownValues) {
-  EXPECT_NEAR(Determinant(Matrix({{2, 0}, {0, 3}})).value(), 6.0, 1e-12);
-  EXPECT_NEAR(Determinant(Matrix({{0, 1}, {1, 0}})).value(), -1.0, 1e-12);
-  EXPECT_NEAR(Determinant(Matrix({{1, 2}, {2, 4}})).value(), 0.0, 1e-12);
-}
-
-TEST(LuTest, DeterminantMatchesProductOfEigenScale) {
-  // det(cI) = c^n.
-  Matrix a = Matrix::Identity(4) * 2.0;
-  EXPECT_NEAR(Determinant(a).value(), 16.0, 1e-12);
-}
-
 }  // namespace
 }  // namespace dtucker

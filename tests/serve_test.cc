@@ -7,12 +7,16 @@
 #include <cstring>
 #include <future>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "data/generators.h"
+#include "linalg/blas.h"
+#include "linalg/gemm_kernel.h"
 #include "serve/job_queue.h"
 #include "serve/model_cache.h"
 #include "tucker/reconstruct.h"
@@ -182,15 +186,27 @@ TEST(ModelCacheTest, EvictionKeepsOutstandingReadersValid) {
 
 TEST(PoolPartitionLeaseTest, LeasesRaiseEffectivePartitions) {
   ASSERT_EQ(ActivePoolLeases(), 0);
-  const int manual = PoolPartitions();
+  SetBlasThreads(4);
+  // How many threads one 64-tile RunBlasTiles call runs on.
+  auto tile_threads = [] {
+    std::mutex mu;
+    std::set<std::thread::id> ids;
+    RunBlasTiles(64, [&](Index, Index) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      std::lock_guard<std::mutex> lock(mu);
+      ids.insert(std::this_thread::get_id());
+    });
+    return ids.size();
+  };
   {
     PoolPartitionLease a;
     PoolPartitionLease b;
     EXPECT_EQ(ActivePoolLeases(), 2);
-    EXPECT_GE(PoolPartitions(), 2);  // max(manual, active leases).
+    EXPECT_LE(tile_threads(), 2u);  // 4 threads / 2 leases.
   }
   EXPECT_EQ(ActivePoolLeases(), 0);
-  EXPECT_EQ(PoolPartitions(), manual);
+  EXPECT_LE(tile_threads(), 4u);
+  SetBlasThreads(1);
 }
 
 // --- DecompositionServer ------------------------------------------------

@@ -8,6 +8,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -19,6 +20,7 @@
 #include "dtucker/engine.h"
 #include "dtucker/out_of_core.h"
 #include "linalg/blas.h"
+#include "linalg/eigen_sym.h"
 #include "serve/server.h"
 
 namespace dtucker {
@@ -169,6 +171,40 @@ TEST(ShardedDTuckerTest, EveryWayOfRunningIsBitwiseIdentical) {
   ExpectEveryWayBitwise(MakeLowRankTensor({12, 10, 3, 4}, {3, 3, 2, 2}, 0.2,
                                           6),
                         {3, 3, 2, 2}, "order4");
+}
+
+TEST(ShardedDTuckerTest, NestedBlasFanOutIsBitwiseIdentical) {
+  // A 400-long middle mode puts the dense work between the slice passes
+  // past the fan-out floors: ModeGram's chunks at initialization, and
+  // every sweep's 400 x 400 subspace iteration (TiledProduct). Chunk
+  // workers and BLAS tiles then share one set of threads, at every mix of
+  // num_threads and SetBlasThreads, with the BLAS width switched 4 -> 1
+  // -> 4 between solves.
+  Tensor x = MakeLowRankTensor({12, 10, 400, 6}, {3, 3, 6, 2}, 0.2, 9);
+  const std::vector<Index> ranks = {3, 3, 6, 2};
+  SetBlasThreads(1);
+  Result<TuckerDecomposition> ref = DTucker(x, MakeOptions(ranks, 1, 3));
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  Counter& helper_tasks = MetricCounter("threadpool.tasks");
+  const std::pair<int, int> runs[] = {{2, 4}, {3, 2}, {4, 4}, {4, 1},
+                                      {4, 4}, {1, 4}};
+  for (const auto& [threads, blas] : runs) {
+    const std::string what = "num_threads=" + std::to_string(threads) +
+                             " blas=" + std::to_string(blas);
+    SetBlasThreads(blas);
+    const std::uint64_t tasks_before = helper_tasks.Value();
+    const std::uint64_t sweeps_before = SubspaceSweepsOnThisThread();
+    Result<TuckerDecomposition> got =
+        DTucker(x, MakeOptions(ranks, threads, 3));
+    ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
+    ExpectBitwiseEqual(got.value(), ref.value(), what.c_str());
+    EXPECT_GT(SubspaceSweepsOnThisThread(), sweeps_before) << what;
+    if (threads == 1) {
+      // No chunk workers: every helper task was a BLAS tile fan-out.
+      EXPECT_GT(helper_tasks.Value(), tasks_before) << what;
+    }
+  }
+  SetBlasThreads(1);
 }
 
 TEST(ShardedDTuckerTest, RepeatedSolvesAreBitwiseIdentical) {
